@@ -11,8 +11,7 @@ from .decoder import (BeamConfig, DecodeResult, ErrorRateBreakdown,
 from .errors import ArpaError, DataError, NumericalError
 from .lm import (NGramModel, emit_arpa, estimate, lm_to_fst, parse_arpa,
                  score_sequence)
-from .loss import (BatchLossResult, DenominatorTable, LossResult,
-                   PosteriorMatrix, batch_crf_loss, crf_loss,
+from .loss import (DenominatorTable, LossResult, PosteriorMatrix, crf_loss,
                    denominator_forward, flatten_denominator,
                    numerator_forward)
 from .model import AcousticModel, Adam, LayerSpec, Sgd
@@ -25,16 +24,15 @@ from .wfst import (Arc, Wfst, build_ctc_topology, build_decoding_graph,
                    write_fst_text)
 
 __all__ = [
-    "Alphabet", "Arc", "AcousticModel", "Adam", "ArpaError",
-    "BatchLossResult", "BeamConfig", "DataError", "DecodeResult",
-    "DenominatorTable", "EpochMetrics", "ErrorRateBreakdown", "LOG",
-    "LayerSpec", "LossResult", "NGramModel", "NumericalError", "ONE",
-    "PosteriorMatrix", "Sgd", "SymbolTable", "TROPICAL", "TrainConfig",
-    "Wfst", "ZERO", "batch_crf_loss", "beam_decode", "build_ctc_topology",
-    "build_decoding_graph", "build_denominator_graph", "build_lexicon_fst",
-    "compose", "crf_loss", "denominator_forward", "emit_arpa", "estimate",
-    "evaluate_error_rate", "flatten_denominator", "greedy_decode",
-    "identity_acceptor", "lm_to_fst", "map_b", "numerator_forward",
-    "parse_arpa", "read_fst_text", "score_sequence", "train", "trim",
-    "write_fst_text",
+    "Alphabet", "Arc", "AcousticModel", "Adam", "ArpaError", "BeamConfig",
+    "DataError", "DecodeResult", "DenominatorTable", "EpochMetrics",
+    "ErrorRateBreakdown", "LOG", "LayerSpec", "LossResult", "NGramModel",
+    "NumericalError", "ONE", "PosteriorMatrix", "Sgd", "SymbolTable",
+    "TROPICAL", "TrainConfig", "Wfst", "ZERO", "beam_decode",
+    "build_ctc_topology", "build_decoding_graph", "build_denominator_graph",
+    "build_lexicon_fst", "compose", "crf_loss", "denominator_forward",
+    "emit_arpa", "estimate", "evaluate_error_rate", "flatten_denominator",
+    "greedy_decode", "identity_acceptor", "lm_to_fst", "map_b",
+    "numerator_forward", "parse_arpa", "read_fst_text", "score_sequence",
+    "train", "trim", "write_fst_text",
 ]

@@ -223,7 +223,7 @@ def cmd_train(args) -> int:
         alpha=args.alpha, learning_rate=args.learning_rate,
         optimizer=args.optimizer, epochs=args.epochs,
         batch_size=args.batch_size, seed=args.seed,
-        clip_norm=args.clip_norm, dropout=args.dropout)
+        clip_norm=args.clip_norm)
     input_dim = dataset[0][0].shape[1]
     model = AcousticModel(input_dim, _parse_layer_specs(args.layers),
                           alphabet.num_state_symbols, seed=args.seed,
@@ -316,8 +316,6 @@ def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
     def add(name, func, **kwargs):
         p = sub.add_parser(name, **kwargs)
         p.add_argument("--config", help="flat key = value config file")
-        p.add_argument("--workers", type=int, default=1,
-                       help="cap for all worker pools")
         p.set_defaults(func=func)
         commands[name] = p
         return p
@@ -382,6 +380,8 @@ def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
     p.add_argument("--blank-skip", type=float, default=0.7)
     p.add_argument("--no-blank-skip", action="store_true")
     p.add_argument("--hyp", required=True)
+    p.add_argument("--workers", type=int, default=1,
+                   help="decode with a pool of this many processes")
 
     p = add("score", cmd_score, help="report the error-rate breakdown")
     p.add_argument("--hyp", required=True)

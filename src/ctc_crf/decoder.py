@@ -19,7 +19,6 @@ class BeamConfig:
     width: int = 64                      # max active hypotheses per frame
     slack: float = float("inf")          # prune below best score - slack
     blank_threshold: float | None = None  # skip frames with blank prob above
-    count_skipped_blanks: bool = False   # add the blank score of skipped frames
 
     def __post_init__(self):
         if self.width < 1:
@@ -99,14 +98,13 @@ def beam_decode(posterior, graph: Wfst, config: BeamConfig) -> DecodeResult:
             # free of acoustic cost (graph blank arcs carry weight one, so
             # hypothesis scores pass through unchanged)
             skipped += 1
-            acoustic = float(post[t, 0]) if config.count_skipped_blanks else 0.0
         nxt: dict[int, tuple[float, _Trace | None]] = {}
         for state in sorted(active):
             score, trace = active[state]
             for arc in graph.arcs(state):
                 if arc.ilabel == EPS or (skip and arc.ilabel != blank_ilabel):
                     continue
-                cand = score + arc.weight + (acoustic if skip
+                cand = score + arc.weight + (0.0 if skip
                                              else post[t, arc.ilabel - 1])
                 if cand == ZERO:
                     continue

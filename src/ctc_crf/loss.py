@@ -15,14 +15,13 @@ symbol occupancies.
 """
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import DataError, NumericalError
-from .semiring import ZERO
+from .semiring import ZERO, logsumexp
 from .wfst import EPS, Wfst
 
 NEG_INF = ZERO
@@ -61,12 +60,7 @@ class PosteriorMatrix:
 def _as_matrix(posterior) -> np.ndarray:
     if isinstance(posterior, PosteriorMatrix):
         return posterior.values
-    arr = np.ascontiguousarray(posterior, dtype=np.float64)
-    if arr.ndim != 2:
-        raise DataError("posterior matrix must be 2-D")
-    if np.isnan(arr).any() or (arr == np.inf).any():
-        raise DataError("posterior matrix contains NaN or +inf")
-    return arr
+    return PosteriorMatrix(posterior).values
 
 
 class ForwardResult(NamedTuple):
@@ -94,7 +88,7 @@ class DenominatorTable:
     """Flattened denominator graph: labeled transitions only.
 
     Arrays are parallel over transitions; labels are state-symbol ids that
-    index posterior columns.  Immutable and shared read-only by workers.
+    index posterior columns.  Immutable.
     """
 
     def __init__(self, num_states: int, start: int, from_state, to_state,
@@ -140,17 +134,23 @@ class DenominatorTable:
                 if not line:
                     continue
                 parts = line.split("\t")
-                if parts[0] == "labels" and len(parts) == 2:
-                    num_labels = int(parts[1])
-                elif len(parts) == 4:
-                    trans.append((int(parts[0]), int(parts[1]), int(parts[2]),
-                                  float(parts[3])))
-                    max_state = max(max_state, int(parts[0]), int(parts[1]))
-                elif len(parts) == 2:
-                    finals.append((int(parts[0]), float(parts[1])))
-                    max_state = max(max_state, int(parts[0]))
-                else:
-                    raise DataError(f"{path}: bad table line {ln}")
+                try:
+                    if parts[0] == "labels" and len(parts) == 2:
+                        num_labels = int(parts[1])
+                        continue
+                    if len(parts) == 4:
+                        states = (int(parts[0]), int(parts[1]))
+                        trans.append((*states, int(parts[2]), float(parts[3])))
+                    elif len(parts) == 2:
+                        states = (int(parts[0]),)
+                        finals.append((states[0], float(parts[1])))
+                    else:
+                        raise ValueError
+                except ValueError:
+                    raise DataError(f"{path}: bad table line {ln}") from None
+                if min(states) < 0:
+                    raise DataError(f"{path}: negative state id on line {ln}")
+                max_state = max(max_state, *states)
         if num_labels is None:
             raise DataError(f"{path}: missing labels header")
         n = max_state + 1
@@ -359,7 +359,7 @@ def denominator_forward(posterior, den: DenominatorTable) -> ForwardResult:
         contrib = alpha[t, src] + w + post[t, lab]
         np.logaddexp.at(alpha[t + 1], dst, contrib)
 
-    score = _masked_lse(alpha[t_frames] + den.final)
+    score = logsumexp(alpha[t_frames] + den.final)
     if score == NEG_INF:
         return ForwardResult(NEG_INF, np.zeros((t_frames, width)), False)
 
@@ -376,13 +376,6 @@ def denominator_forward(posterior, den: DenominatorTable) -> ForwardResult:
                               + beta[t + 1, dst] - score)
             np.add.at(occupancy[t], lab, arc_post)
     return ForwardResult(score, occupancy, True)
-
-
-def _masked_lse(values: np.ndarray) -> float:
-    m = float(np.max(values)) if values.size else NEG_INF
-    if m == NEG_INF:
-        return NEG_INF
-    return m + float(np.log(np.sum(np.exp(values - m))))
 
 
 # ---------------------------------------------------------------------------
@@ -411,37 +404,3 @@ def crf_loss(posterior, labels: Sequence[int], log_pl: float,
     grad = (1.0 + alpha) * num.occupancy - den_res.occupancy
     return LossResult(objective, grad, num.score, den_res.score, aux)
 
-
-@dataclass
-class BatchLossResult:
-    results: list[LossResult]
-    mean_frame_objective: float
-    degenerate_count: int
-
-
-def _one_loss(args):
-    post, labels, log_pl, den, alpha = args
-    return crf_loss(post, labels, log_pl, den, alpha)
-
-
-def batch_crf_loss(batch: Sequence[tuple], den: DenominatorTable,
-                   alpha: float = 0.0, workers: int = 1) -> BatchLossResult:
-    """Losses for a batch of (posterior, labels, log_pl) triples.
-
-    Every utterance is processed at its own length; results are ordered by
-    input index regardless of worker scheduling, and a degenerate utterance
-    is flagged without poisoning the rest.
-    """
-    widths = {_as_matrix(p).shape[1] for p, _, _ in batch}
-    if len(widths) > 1:
-        raise DataError("posteriors in a batch must share their width")
-    jobs = [(p, list(l), lp, den, alpha) for p, l, lp in batch]
-    if workers > 1 and len(jobs) > 1:
-        with multiprocessing.Pool(workers) as pool:
-            results = pool.map(_one_loss, jobs)
-    else:
-        results = [_one_loss(j) for j in jobs]
-    valid = [(r.objective / _as_matrix(b[0]).shape[0], r)
-             for b, r in zip(batch, results) if not r.degenerate]
-    mean = float(np.mean([v for v, _ in valid])) if valid else NEG_INF
-    return BatchLossResult(results, mean, sum(r.degenerate for r in results))

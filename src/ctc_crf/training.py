@@ -16,14 +16,10 @@ class TrainConfig:
     alpha: float = 0.1
     learning_rate: float = 1e-2
     optimizer: str = "adam"       # "sgd" | "adam"
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     epochs: int = 20
     batch_size: int = 8
     seed: int = 0
     clip_norm: float = 5.0
-    dropout: float = 0.0
 
     def __post_init__(self):
         if self.learning_rate < 0 or self.epochs < 1 or self.batch_size < 1:
@@ -45,8 +41,7 @@ class EpochMetrics:
 def _make_optimizer(config: TrainConfig):
     if config.optimizer == "sgd":
         return Sgd(config.learning_rate)
-    return Adam(config.learning_rate, config.beta1, config.beta2,
-                config.adam_eps)
+    return Adam(config.learning_rate)
 
 
 def _clip_gradients(grads, max_norm: float) -> None:

@@ -92,10 +92,6 @@ class Wfst:
                 f"arcs={self.num_arcs}, finals={len(self.finals)})")
 
 
-def _empty_like(semiring, isyms, osyms) -> Wfst:
-    return Wfst(semiring, isyms, osyms)
-
-
 # ---------------------------------------------------------------------------
 # Blank-collapsing topology
 # ---------------------------------------------------------------------------
@@ -160,7 +156,7 @@ def trim(a: Wfst) -> Wfst:
     trimming an already-trim machine returns an identical machine.
     """
     if a.start is None:
-        return _empty_like(a.semiring, a.isyms, a.osyms)
+        return Wfst(a.semiring, a.isyms, a.osyms)
 
     reachable = set()
     queue = deque([a.start])
@@ -187,7 +183,7 @@ def trim(a: Wfst) -> Wfst:
 
     keep = sorted(reachable & coaccessible)
     if a.start not in coaccessible:
-        return _empty_like(a.semiring, a.isyms, a.osyms)
+        return Wfst(a.semiring, a.isyms, a.osyms)
 
     remap = {old: new for new, old in enumerate(keep)}
     out = Wfst(a.semiring, a.isyms, a.osyms)
@@ -319,7 +315,7 @@ def build_denominator_graph(alphabet: Alphabet, lm) -> Wfst:
     if g.isyms.digest != alphabet.label_symbol_table().digest:
         raise DataError("label LM vocabulary does not match the alphabet")
     t = build_ctc_topology(alphabet, semiring=LOG)
-    return trim(compose(t, g))
+    return compose(t, g)
 
 
 def build_lexicon_fst(alphabet: Alphabet, lexicon: dict[str, list[list[str]]],
@@ -372,7 +368,7 @@ def build_decoding_graph(alphabet: Alphabet, word_lm,
         lex = build_lexicon_fst(alphabet, lexicon, g.isyms, TROPICAL)
         lg = compose(lex, g)
     t = build_ctc_topology(alphabet, semiring=TROPICAL)
-    return trim(compose(t, lg))
+    return compose(t, lg)
 
 
 # ---------------------------------------------------------------------------

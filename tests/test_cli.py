@@ -242,6 +242,30 @@ def test_decode_worker_pool_matches_serial(pipeline, toy_dir, tmp_path):
         (tmp_path / "pooled.tsv").read_bytes()
 
 
+def _train_argv(pipeline, toy_dir, tmp_path, den_table):
+    return ["train",
+            "--manifest", pipeline / "train" / "manifest.tsv",
+            "--logpl", pipeline / "train" / "logpl.tsv",
+            "--den-table", den_table,
+            "--alphabet", toy_dir / "alphabet.txt",
+            "--epochs", 1,
+            "--checkpoint", tmp_path / "model.ckpt",
+            "--metrics", tmp_path / "metrics.tsv"]
+
+
+def test_train_rejects_workers(pipeline, toy_dir, tmp_path):
+    argv = _train_argv(pipeline, toy_dir, tmp_path,
+                       pipeline / "graphs" / "den.fst")
+    assert _run(*argv, "--workers", 2) == 1
+    assert not (tmp_path / "model.ckpt").exists()
+
+
+def test_train_malformed_den_table_is_data_error(pipeline, toy_dir, tmp_path):
+    table = tmp_path / "den.fst"
+    table.write_text("labels\t6\n0\tx\t1\t0.5\n0\t0\n")
+    assert _run(*_train_argv(pipeline, toy_dir, tmp_path, table)) == 2
+
+
 def test_gradcheck_passes():
     assert _run("gradcheck", "--trials", 15, "--fd-trials", 5, "--seed", 1) == 0
 

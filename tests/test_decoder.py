@@ -122,16 +122,15 @@ def test_no_hypothesis_is_flagged_not_crash(ab2, graph_ab):
     assert res.score == ZERO
 
 
-def test_counting_skipped_blank_scores_is_a_toggle(ab2, graph_ab):
+def test_skipped_frames_cost_nothing(ab2, graph_ab):
     post = spiky_posterior([1, 0, 2], 3)
     free = beam_decode(post, graph_ab,
                        BeamConfig(width=64, blank_threshold=0.7))
-    counted = beam_decode(post, graph_ab,
-                          BeamConfig(width=64, blank_threshold=0.7,
-                                     count_skipped_blanks=True))
-    assert counted.words == free.words
-    # the counted variant pays the blank score of the skipped middle frame
-    assert counted.score == pytest.approx(free.score + post[1, 0], abs=1e-12)
+    plain = beam_decode(post, graph_ab, BeamConfig(width=64))
+    assert free.frames_skipped == 1
+    assert plain.words == free.words
+    # without skipping the search pays the blank score of the middle frame
+    assert plain.score == pytest.approx(free.score + post[1, 0], abs=1e-12)
 
 
 def test_empty_word_lm_is_error_not_crash(ab2):

@@ -5,9 +5,9 @@ import pytest
 
 from ctc_crf import (Alphabet, DataError, DenominatorTable, LOG, NGramModel,
                      NumericalError, PosteriorMatrix, SymbolTable,
-                     batch_crf_loss, build_denominator_graph, crf_loss,
-                     denominator_forward, estimate, flatten_denominator,
-                     lm_to_fst, numerator_forward, score_sequence)
+                     build_denominator_graph, crf_loss, denominator_forward,
+                     estimate, flatten_denominator, lm_to_fst,
+                     numerator_forward, score_sequence)
 from ctc_crf.semiring import ZERO
 from ctc_crf.wfst import Wfst
 
@@ -261,6 +261,18 @@ def test_table_round_trip_with_nonzero_start_state(tmp_path, ab1):
         math.log(0.5 * 0.5) + (-0.3 - 0.7 - 0.1), abs=1e-9)
 
 
+@pytest.mark.parametrize("body", [
+    "0\tx\t1\t0.5\n0\t0\n",     # non-integer state id
+    "0\t-1\t0\t0.5\n0\t0\n",    # negative transition state
+    "0\t0\t0\t0.5\n-1\t0\n",    # negative final state
+], ids=["bad-field", "negative-transition-state", "negative-final-state"])
+def test_table_load_rejects_malformed_lines(tmp_path, body):
+    path = tmp_path / "den.fst"
+    path.write_text("labels\t2\n" + body)
+    with pytest.raises(DataError):
+        DenominatorTable.load(path)
+
+
 def _graph_length_mass(graph, frames):
     """Total complete-path mass for exactly ``frames`` labeled arcs, walking
     the unflattened graph directly (epsilons free)."""
@@ -371,60 +383,3 @@ def test_loss_long_utterance_stable(den_table_ab, rng):
     assert np.isfinite(res.objective)
     assert np.isfinite(res.grad).all()
 
-
-# ---------------------------------------------------------------------------
-# batching
-# ---------------------------------------------------------------------------
-
-def _make_batch(rng, den, count=3, lengths=(2, 4, 7)):
-    batch = []
-    for frames in lengths[:count]:
-        post = random_log_softmax(rng, frames, 3)
-        labels = [int(rng.integers(1, 3))]
-        batch.append((post, labels, -1.0))
-    return batch
-
-
-def test_batch_of_one_equals_single(den_table_ab, rng):
-    batch = _make_batch(rng, den_table_ab, count=1)
-    out = batch_crf_loss(batch, den_table_ab, alpha=0.1)
-    single = crf_loss(*batch[0], den=den_table_ab, alpha=0.1)
-    assert out.results[0].objective == single.objective
-    assert np.array_equal(out.results[0].grad, single.grad)
-
-
-def test_batch_matches_sequential(den_table_ab, rng):
-    batch = _make_batch(rng, den_table_ab)
-    out = batch_crf_loss(batch, den_table_ab, alpha=0.1)
-    for item, got in zip(batch, out.results):
-        want = crf_loss(*item, den=den_table_ab, alpha=0.1)
-        assert got.objective == want.objective
-        assert np.array_equal(got.grad, want.grad)
-
-
-def test_batch_isolates_degenerate(den_table_ab, rng):
-    batch = _make_batch(rng, den_table_ab)
-    # one utterance too short for its labels
-    batch[1] = (uniform_post(1, 3), [1, 2, 1], 0.0)
-    out = batch_crf_loss(batch, den_table_ab, alpha=0.1)
-    assert out.degenerate_count == 1
-    assert out.results[1].degenerate
-    for i in (0, 2):
-        want = crf_loss(*batch[i], den=den_table_ab, alpha=0.1)
-        assert out.results[i].objective == want.objective
-
-
-def test_batch_worker_pool_matches_serial(den_table_ab, rng):
-    batch = _make_batch(rng, den_table_ab)
-    serial = batch_crf_loss(batch, den_table_ab, alpha=0.1, workers=1)
-    pooled = batch_crf_loss(batch, den_table_ab, alpha=0.1, workers=2)
-    for a, b in zip(serial.results, pooled.results):
-        assert a.objective == b.objective
-        assert np.array_equal(a.grad, b.grad)
-
-
-def test_batch_width_mismatch_rejected(den_table_ab, rng):
-    batch = [(random_log_softmax(rng, 2, 3), [1], 0.0),
-             (random_log_softmax(rng, 2, 4), [1], 0.0)]
-    with pytest.raises(DataError):
-        batch_crf_loss(batch, den_table_ab)

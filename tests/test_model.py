@@ -227,6 +227,25 @@ def test_learning_rate_zero_keeps_params(rng):
         assert np.array_equal(p, saved)
 
 
+def test_train_isolates_degenerate_utterances():
+    train_set, _, alphabet, table, log_pls = _toy_setup()
+    # a single frame is too short for any toy label sequence
+    features, labels = train_set[5]
+    train_set[5] = (features[:1], labels)
+    model = AcousticModel(8, [LayerSpec("affine", 8), LayerSpec("tanh")],
+                          alphabet.num_state_symbols, seed=0)
+    config = TrainConfig(epochs=2, learning_rate=0.0, seed=0, batch_size=4)
+    metrics = train(model, train_set, table, log_pls, config, alphabet)
+    assert [m.degenerate for m in metrics] == [1, 1]
+    want = np.mean([
+        crf_loss(model.forward(f), l, lp, table, alpha=config.alpha).objective
+        / len(f)
+        for i, ((f, l), lp) in enumerate(zip(train_set, log_pls)) if i != 5])
+    for m in metrics:
+        assert np.isfinite(m.objective)
+        assert m.objective == pytest.approx(want, rel=1e-12)
+
+
 def test_training_deterministic_under_seed():
     def run():
         train_set, heldout, alphabet, table, log_pls = _toy_setup()
