@@ -27,7 +27,10 @@ def read_matrix(path) -> np.ndarray:
         magic = f.read(4)
         if magic != MATRIX_MAGIC:
             raise DataError(f"{path}: bad matrix magic {magic!r}")
-        rows, cols = struct.unpack("<II", f.read(8))
+        header = f.read(8)
+        if len(header) != 8:
+            raise DataError(f"{path}: truncated matrix header")
+        rows, cols = struct.unpack("<II", header)
         raw = f.read(4 * rows * cols)
         if len(raw) != 4 * rows * cols:
             raise DataError(f"{path}: truncated matrix")
@@ -51,7 +54,10 @@ def read_logpl(path) -> dict[str, float]:
             parts = line.split("\t")
             if len(parts) != 2:
                 raise DataError(f"{path}: bad cache line {ln}")
-            out[parts[0]] = float(parts[1])
+            try:
+                out[parts[0]] = float(parts[1])
+            except ValueError:
+                raise DataError(f"{path}: bad score on line {ln}") from None
     return out
 
 
@@ -93,7 +99,11 @@ def read_manifest(path) -> list[tuple[str, int, str, list[str]]]:
             parts = line.split("\t")
             if len(parts) != 4:
                 raise DataError(f"{path}: bad manifest line {ln}")
-            out.append((parts[0], int(parts[1]), parts[2], parts[3].split()))
+            try:
+                frames = int(parts[1])
+            except ValueError:
+                raise DataError(f"{path}: bad frame count on line {ln}") from None
+            out.append((parts[0], frames, parts[2], parts[3].split()))
     return out
 
 

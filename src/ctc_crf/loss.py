@@ -8,10 +8,13 @@ where the numerator sums, over every length-T state sequence collapsing to
 the reference labels, the sequence-level LM score plus per-frame node
 potentials; the denominator sums the same potential over all state sequences
 via the flattened denominator graph; and ``aux`` is the plain alignment
-log-likelihood (the numerator without the LM constant).  All passes run in
-the log domain.  Gradients are with respect to the node potentials: the
-difference between the reference-conditioned and unconstrained per-frame
-symbol occupancies.
+log-likelihood (the numerator without the LM constant).  The numerator
+runs in the log domain.  The denominator runs in the probability domain with
+a per-frame rescale, as in lattice-free MMI: one sparse matrix-vector
+product per frame, with a log-domain pass kept as the exact fallback for an
+utterance whose rescaled mass underflows.  Gradients are with respect to the
+node potentials: the difference between the reference-conditioned and
+unconstrained per-frame symbol occupancies.
 """
 from __future__ import annotations
 
@@ -25,6 +28,9 @@ from .semiring import ZERO, logsumexp
 from .wfst import EPS, Wfst
 
 NEG_INF = ZERO
+# A frame's rescale mass below this is built from subnormal terms and would
+# lose precision; such an utterance takes the log-domain pass instead.
+_MIN_SCALE = 1e-250
 
 
 class PosteriorMatrix:
@@ -89,6 +95,16 @@ class DenominatorTable:
 
     Arrays are parallel over transitions; labels are state-symbol ids that
     index posterior columns.  Immutable.
+
+    The constructor also compiles the machine the forward-backward runs on,
+    in which every state carries one label: the label of each transition
+    entering it.  A state entered on several labels is split into one copy
+    per label, each copy with the state's out-transitions and final weight.
+    In a T∘G table the topology enters a state on that state's own symbol,
+    so no state is split and the numbering is kept; a hand-built table, such
+    as one state looping on blank and on a label, is split.  The compiled
+    arrays hold transitions sorted by destination (forward) and by source
+    (backward), with weights and final weights in the probability domain.
     """
 
     def __init__(self, num_states: int, start: int, from_state, to_state,
@@ -108,6 +124,44 @@ class DenominatorTable:
             raise DataError("final-weight array does not match state count")
         if n and (self.label.min() < 0 or self.label.max() >= self.num_labels):
             raise DataError("transition label out of range")
+        if not 0 <= self.start < self.num_states:
+            raise DataError("start state out of range")
+        if n and (min(self.from_state.min(), self.to_state.min()) < 0
+                  or max(self.from_state.max(), self.to_state.max())
+                  >= self.num_states):
+            raise DataError("transition state out of range")
+
+        # one compiled state per (state, entering label), numbered in key
+        # order; a state nothing enters keeps one copy, which holds mass
+        # only before the first frame, so its label weighs nothing
+        width = max(self.num_labels, 1)
+        unentered = np.flatnonzero(
+            np.bincount(self.to_state, minlength=self.num_states) == 0)
+        entry = self.to_state * width + self.label
+        keys, _ = _segments(np.sort(np.concatenate([entry, unentered * width]),
+                                    kind="stable"))
+        first = np.searchsorted(keys, np.arange(self.num_states) * width)
+        copies = np.diff(np.append(first, len(keys)))
+        # every transition leaves every copy of its source state: compiled
+        # transition j is copy k of transition arc[j]
+        reps = copies[self.from_state]
+        arc = np.repeat(np.arange(n), reps)
+        k = np.arange(len(arc)) - np.repeat(np.cumsum(reps) - reps, reps)
+        src = first[self.from_state][arc] + k
+        dst = np.searchsorted(keys, entry)[arc]
+        with np.errstate(over="ignore"):
+            prob = np.exp(self.weight[arc])
+            self._final_prob = np.exp(self.final[keys // width])
+        self._state_label = keys % width
+        self._start = int(first[self.start])
+        by_dst = np.argsort(dst, kind="stable")
+        self._fwd_src = src[by_dst]
+        self._fwd_prob = prob[by_dst]
+        self._fwd_heads, self._fwd_starts = _segments(dst[by_dst])
+        by_src = np.argsort(src, kind="stable")
+        self._bwd_dst = dst[by_src]
+        self._bwd_prob = prob[by_src]
+        self._bwd_heads, self._bwd_starts = _segments(src[by_src])
 
     @property
     def num_transitions(self) -> int:
@@ -160,6 +214,13 @@ class DenominatorTable:
         return cls(n, 0, [t[0] for t in trans], [t[1] for t in trans],
                    [t[2] for t in trans], [t[3] for t in trans], final,
                    num_labels)
+
+
+def _segments(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct values of a sorted id array and where each run starts: the
+    segment offsets ``np.add.reduceat`` sums over."""
+    starts = np.flatnonzero(np.diff(ids, prepend=-1))
+    return ids[starts], starts
 
 
 def flatten_denominator(den_fst: Wfst) -> DenominatorTable:
@@ -343,7 +404,16 @@ def numerator_forward(posterior, labels: Sequence[int],
 def denominator_forward(posterior, den: DenominatorTable) -> ForwardResult:
     """Unconstrained score and per-frame occupancy over the denominator
     graph.  Exact for the flattened machine; any utterance length is
-    supported because the transition table is time-invariant."""
+    supported because the transition table is time-invariant.
+
+    Each frame is one sparse matrix-vector product over the compiled
+    transitions times a per-state emission ``exp(post[t] - max(post[t]))``,
+    and the result is rescaled to sum to one.  The score adds back the
+    logs of the rescale factors and of the row maxima.  The backward pass
+    reuses the forward factors, so ``alpha * beta`` is a state posterior and
+    the occupancy is its sum by state label.  An utterance whose rescale
+    mass underflows or is not finite takes the exact log-domain pass.
+    """
     post = _as_matrix(posterior)
     t_frames, width = post.shape
     if width != den.num_labels:
@@ -351,7 +421,51 @@ def denominator_forward(posterior, den: DenominatorTable) -> ForwardResult:
             f"posterior width {width} != denominator alphabet {den.num_labels}")
     if den.num_transitions == 0:
         return ForwardResult(NEG_INF, np.zeros((t_frames, width)), False)
+    peak = post.max(axis=1)
+    if not np.isfinite(peak).all():
+        return _denominator_forward_log(post, den)
+    emit = np.exp(post - peak[:, None])
+    lab = den._state_label
 
+    alpha = np.zeros((t_frames + 1, len(lab)))
+    alpha[0, den._start] = 1.0
+    scale = np.empty(t_frames)
+    for t in range(t_frames):
+        nxt = alpha[t + 1]
+        nxt[den._fwd_heads] = np.add.reduceat(
+            alpha[t, den._fwd_src] * den._fwd_prob, den._fwd_starts)
+        nxt *= emit[t, lab]
+        scale[t] = nxt.sum()
+        if not _MIN_SCALE < scale[t] < np.inf:
+            return _denominator_forward_log(post, den)
+        nxt /= scale[t]
+    end = float(alpha[t_frames] @ den._final_prob)
+    if not _MIN_SCALE < end < np.inf:
+        return _denominator_forward_log(post, den)
+
+    beta = den._final_prob / end
+    occupancy = np.empty((t_frames, width))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(t_frames - 1, -1, -1):
+            occupancy[t] = np.bincount(lab, alpha[t + 1] * beta,
+                                       minlength=width)
+            if t:
+                step = (beta * emit[t, lab])[den._bwd_dst] * den._bwd_prob
+                beta = np.zeros_like(beta)
+                beta[den._bwd_heads] = (np.add.reduceat(step, den._bwd_starts)
+                                        / scale[t])
+    if not np.isfinite(occupancy).all():
+        return _denominator_forward_log(post, den)
+    score = np.log(scale).sum() + peak.sum() + np.log(end)
+    return ForwardResult(float(score), occupancy, True)
+
+
+def _denominator_forward_log(post: np.ndarray,
+                             den: DenominatorTable) -> ForwardResult:
+    """The same pass in the log domain over the table's own transitions:
+    two scatters per frame and no rescaling, so it cannot underflow.  The
+    exact fallback of ``denominator_forward``."""
+    t_frames, width = post.shape
     src, dst, lab, w = den.from_state, den.to_state, den.label, den.weight
     alpha = np.full((t_frames + 1, den.num_states), NEG_INF)
     alpha[0, den.start] = 0.0

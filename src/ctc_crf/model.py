@@ -273,22 +273,33 @@ class AcousticModel:
             magic = f.read(4)
             if magic != CHECKPOINT_MAGIC:
                 raise DataError(f"{path}: not a checkpoint file")
-            version, blob_len = struct.unpack("<II", f.read(8))
+            fixed = f.read(8)
+            if len(fixed) != 8:
+                raise DataError(f"{path}: truncated checkpoint header")
+            version, blob_len = struct.unpack("<II", fixed)
             if version != CHECKPOINT_VERSION:
                 raise DataError(f"{path}: unsupported checkpoint version {version}")
-            header = json.loads(f.read(blob_len).decode("utf-8"))
-            model = cls(header["input_dim"],
-                        [LayerSpec.from_dict(d) for d in header["specs"]],
-                        header["num_outputs"], seed=header.get("seed", 0),
-                        dropout=header.get("dropout", 0.0))
-            params = dict(model.parameters())
-            for name, shape in header["tensors"]:
-                count = int(np.prod(shape))
-                raw = f.read(4 * count)
-                if len(raw) != 4 * count:
+            try:
+                header = json.loads(f.read(blob_len).decode("utf-8"))
+                model = cls(header["input_dim"],
+                            [LayerSpec.from_dict(d) for d in header["specs"]],
+                            header["num_outputs"], seed=header.get("seed", 0),
+                            dropout=header.get("dropout", 0.0))
+                params = dict(model.parameters())
+                tensors = [(name, params[name], list(shape))
+                           for name, shape in header["tensors"]]
+            except (KeyError, TypeError, ValueError) as exc:
+                raise DataError(f"{path}: bad checkpoint header "
+                                f"({type(exc).__name__}: {exc})") from None
+            for name, param, shape in tensors:
+                if shape != list(param.shape):
+                    raise DataError(f"{path}: tensor {name} has shape {shape}, "
+                                    f"the model needs {list(param.shape)}")
+                raw = f.read(4 * param.size)
+                if len(raw) != 4 * param.size:
                     raise DataError(f"{path}: truncated tensor {name}")
                 arr = np.frombuffer(raw, dtype="<f4").astype(np.float64)
-                params[name][...] = arr.reshape(shape)
+                param[...] = arr.reshape(param.shape)
         return model
 
     def state_copy(self):

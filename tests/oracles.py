@@ -123,6 +123,23 @@ def brute_denominator(post, g, label_fst_id=lambda s: s):
     return float(m + np.log(np.exp(arr - m).sum()))
 
 
+def brute_acceptor(post, fst):
+    """Enumerate every state sequence of an acceptor over state symbols
+    (input label = state id + 1, no blank collapsing); weight = the
+    acceptor's mass of the sequence plus the node potentials."""
+    t_frames, width = post.shape
+    terms = []
+    for pi in itertools.product(range(width), repeat=t_frames):
+        mass = acceptor_mass(fst, [s + 1 for s in pi])
+        if mass != ZERO:
+            terms.append(mass + sum(post[t, s] for t, s in enumerate(pi)))
+    if not terms:
+        return ZERO
+    arr = np.array(terms)
+    m = arr.max()
+    return float(m + np.log(np.exp(arr - m).sum()))
+
+
 def exhaustive_best_path(graph, post):
     """Best complete-path score and output string by explicit search."""
     t_frames = post.shape[0]

@@ -299,3 +299,16 @@ def test_cli_flag_overrides_config(toy_dir, tmp_path):
               "--order", 2, "--out", out)
     assert rc == 0
     assert "\\2-grams:" in out.read_text()
+
+
+def test_decode_corrupt_checkpoint_is_data_error(pipeline, toy_dir, tmp_path):
+    ckpt = tmp_path / "model.ckpt"
+    data = (pipeline / "model.ckpt").read_bytes()
+    ckpt.write_bytes(data[:12] + b"#" + data[13:])   # break the JSON header
+    assert _run("decode",
+                "--manifest", pipeline / "dev" / "manifest.tsv",
+                "--alphabet", toy_dir / "alphabet.txt",
+                "--checkpoint", ckpt,
+                "--graph", pipeline / "graphs" / "TLG.fst",
+                "--hyp", tmp_path / "hyp.tsv") == 2
+    assert not (tmp_path / "hyp.tsv").exists()

@@ -36,6 +36,28 @@ def test_matrix_truncated(tmp_path, rng):
         read_matrix(path)
 
 
+def test_matrix_truncated_header(tmp_path, rng):
+    path = tmp_path / "t.mat"
+    write_matrix(path, rng.normal(size=(4, 4)))
+    path.write_bytes(path.read_bytes()[:9])   # ends inside rows/cols
+    with pytest.raises(DataError, match="header"):
+        read_matrix(path)
+
+
+def test_logpl_non_numeric_score(tmp_path):
+    path = tmp_path / "logpl.tsv"
+    path.write_text("utt-1\t-1.5\nutt-2\tminus-two\n")
+    with pytest.raises(DataError, match="line 2"):
+        read_logpl(path)
+
+
+def test_manifest_non_numeric_frame_count(tmp_path):
+    path = tmp_path / "manifest.tsv"
+    path.write_text("u1\tten\tfeats/u1.mat\ta b\n")
+    with pytest.raises(DataError, match="line 1"):
+        read_manifest(path)
+
+
 def test_logpl_twelve_significant_digits(tmp_path):
     path = tmp_path / "logpl.tsv"
     write_logpl(path, {"utt-1": -1.2345678901234567, "utt-2": -0.5})

@@ -1,4 +1,7 @@
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,11 +11,13 @@ from ctc_crf import (Alphabet, DataError, DenominatorTable, LOG, NGramModel,
                      build_denominator_graph, crf_loss, denominator_forward,
                      estimate, flatten_denominator, lm_to_fst,
                      numerator_forward, score_sequence)
+from ctc_crf.loss import _denominator_forward_log
 from ctc_crf.semiring import ZERO
+from ctc_crf.toydata import generate_utterance
 from ctc_crf.wfst import Wfst
 
-from oracles import (brute_denominator, brute_numerator, finite_difference,
-                     random_log_softmax)
+from oracles import (brute_acceptor, brute_denominator, brute_numerator,
+                     finite_difference, random_log_softmax)
 
 
 def uniform_post(frames, width):
@@ -156,6 +161,154 @@ def test_denominator_matches_enumeration_randomized(rng):
         assert got.score == pytest.approx(want, abs=1e-9)
 
 
+@pytest.fixture(scope="module")
+def trigram_table():
+    """30 labels, trigram LM from 1000 generated sentences: ~2.9k states and
+    ~73k transitions after flattening."""
+    alphabet = Alphabet([f"p{i:02d}" for i in range(30)])
+    rng = np.random.default_rng(0)
+    corpus = [[alphabet.state_name(lab) for lab in generate_utterance(
+        rng, alphabet, alphabet.num_state_symbols)[1]] for _ in range(1000)]
+    lm = estimate(corpus, order=3, discount=0.5, vocab=list(alphabet.labels))
+    return flatten_denominator(build_denominator_graph(alphabet, lm))
+
+
+def _assert_matches_log(got, want, rel=1e-9, occ_abs=1e-9):
+    assert got.feasible and want.feasible
+    assert got.score == pytest.approx(want.score, rel=rel, abs=1e-12)
+    assert got.occupancy.shape == want.occupancy.shape
+    assert np.all(np.abs(got.occupancy - want.occupancy) <= occ_abs)
+
+
+def test_trigram_table_needs_no_state_split(trigram_table):
+    # every T∘G transition is labeled by its destination state
+    assert trigram_table.num_states > 2500
+    assert len(trigram_table._state_label) == trigram_table.num_states
+    assert len(trigram_table._fwd_src) == trigram_table.num_transitions
+
+
+@pytest.mark.parametrize("frames", [200, 1000])
+def test_denominator_matches_log_domain_on_trigram(trigram_table, frames):
+    post = random_log_softmax(np.random.default_rng(frames), frames, 31)
+    _assert_matches_log(denominator_forward(post, trigram_table),
+                        _denominator_forward_log(post, trigram_table))
+
+
+def _chain_table(ab1):
+    """blank, a, blank: a strict 3-arc chain."""
+    isyms = ab1.pi_symbol_table()
+    fst = Wfst(LOG, isyms, isyms)
+    states = [fst.add_state() for _ in range(4)]
+    fst.set_start(states[0])
+    for i in range(3):
+        fst.add_arc(states[i], 1 + (i % 2), 0, -0.1, states[i + 1])
+    fst.set_final(states[3], 0.0)
+    return flatten_denominator(fst)
+
+
+def test_denominator_underflow_falls_back_to_log_domain(ab1):
+    # the only reachable label of each frame sits 800 nats below the row
+    # maximum, so the rescaled frame mass underflows to zero
+    table = _chain_table(ab1)
+    post = np.array([[-800.0, 0.0], [0.0, -800.0], [-800.0, 0.0]])
+    got = denominator_forward(post, table)
+    want = _denominator_forward_log(post, table)
+    assert got.feasible and np.isfinite(got.score)
+    assert got.score == want.score
+    assert got.score == pytest.approx(-2400.3, abs=1e-9)
+    assert np.array_equal(got.occupancy, want.occupancy)
+    assert np.array_equal(got.occupancy, [[1, 0], [0, 1], [1, 0]])
+
+
+def test_denominator_neg_inf_columns_match_log_domain(den_table_ab, rng):
+    post = random_log_softmax(rng, 6, 3)
+    post[:, 2] = ZERO
+    post[3, 1] = ZERO
+    post -= np.log(np.exp(post).sum(axis=1, keepdims=True))
+    _assert_matches_log(denominator_forward(post, den_table_ab),
+                        _denominator_forward_log(post, den_table_ab))
+
+
+def test_denominator_neg_inf_row_is_infeasible(den_table_ab, rng):
+    # a frame no symbol can emit: no complete path, as in the log domain
+    post = random_log_softmax(rng, 4, 3)
+    post[2] = ZERO
+    got = denominator_forward(post, den_table_ab)
+    assert not _denominator_forward_log(post, den_table_ab).feasible
+    assert not got.feasible and got.score == ZERO
+    assert np.all(got.occupancy == 0.0)
+
+
+def test_denominator_matches_log_on_random_tables(rng):
+    # hand-built tables with states entered on several labels, a start
+    # state with incoming transitions, and dead ends
+    checked = 0
+    for _ in range(60):
+        n = int(rng.integers(1, 5))
+        width = int(rng.integers(1, 4))
+        arcs = int(rng.integers(1, 10))
+        final = np.where(rng.random(n) < 0.6, rng.normal(size=n), ZERO)
+        table = DenominatorTable(
+            n, int(rng.integers(0, n)), rng.integers(0, n, arcs),
+            rng.integers(0, n, arcs), rng.integers(0, width, arcs),
+            rng.normal(size=arcs), final, width)
+        post = random_log_softmax(rng, int(rng.integers(0, 6)), width)
+        got = denominator_forward(post, table)
+        want = _denominator_forward_log(post, table)
+        assert got.feasible == want.feasible
+        if want.feasible:
+            _assert_matches_log(got, want)
+            checked += 1
+        else:
+            assert got.score == ZERO and np.all(got.occupancy == 0.0)
+    assert checked > 20
+
+
+def _mixed_label_acceptor(ab1):
+    """One state looping on blank and on label a at different weights."""
+    isyms = ab1.pi_symbol_table()
+    fst = Wfst(LOG, isyms, isyms)
+    s0 = fst.add_state()
+    fst.set_start(s0)
+    fst.add_arc(s0, 1, 1, -0.4, s0)   # blank
+    fst.add_arc(s0, 2, 2, -1.3, s0)   # label a
+    fst.set_final(s0, -0.2)
+    return fst
+
+
+def test_mixed_label_table_matches_enumeration(ab1, rng):
+    fst = _mixed_label_acceptor(ab1)
+    table = flatten_denominator(fst)
+    assert table.num_states == 1 and table.num_transitions == 2
+    assert len(table._state_label) == 2   # split: one copy per label
+    for frames in (1, 2, 3, 4):
+        post = random_log_softmax(rng, frames, 2)
+        got = denominator_forward(post, table)
+        assert got.score == pytest.approx(brute_acceptor(post, fst), abs=1e-9)
+        assert np.allclose(got.occupancy.sum(axis=1), 1.0, atol=1e-12)
+
+
+def test_mixed_label_table_file_loads(tmp_path, ab1, rng):
+    path = tmp_path / "den.fst"
+    path.write_text("labels\t2\n0\t0\t0\t-0.4\n0\t0\t1\t-1.3\n0\t-0.2\n")
+    table = DenominatorTable.load(path)
+    fst = _mixed_label_acceptor(ab1)
+    for frames in (1, 2, 3, 4):
+        post = random_log_softmax(rng, frames, 2)
+        assert denominator_forward(post, table).score == pytest.approx(
+            brute_acceptor(post, fst), abs=1e-9)
+
+
+def test_import_does_not_load_scipy():
+    # the denominator is numpy only; scipy.sparse would add ~22 MB of
+    # resident memory to every run
+    src = Path(__file__).resolve().parent.parent / "src"
+    subprocess.run(
+        [sys.executable, "-c",
+         "import ctc_crf, sys; assert 'scipy' not in sys.modules"],
+        check=True, cwd=src)
+
+
 # ---------------------------------------------------------------------------
 # flattening
 # ---------------------------------------------------------------------------
@@ -215,14 +368,7 @@ def test_flatten_negative_epsilon_cycle_converges(ab1):
 
 def test_denominator_no_complete_path_flagged(ab1):
     # a strict 3-arc chain cannot realize a 2-frame utterance
-    isyms = ab1.pi_symbol_table()
-    fst = Wfst(LOG, isyms, isyms)
-    states = [fst.add_state() for _ in range(4)]
-    fst.set_start(states[0])
-    for i in range(3):
-        fst.add_arc(states[i], 1 + (i % 2), 0, -0.1, states[i + 1])
-    fst.set_final(states[3], 0.0)
-    table = flatten_denominator(fst)
+    table = _chain_table(ab1)
     res = denominator_forward(uniform_post(2, 2), table)
     assert not res.feasible
     assert res.score == ZERO
@@ -265,12 +411,21 @@ def test_table_round_trip_with_nonzero_start_state(tmp_path, ab1):
     "0\tx\t1\t0.5\n0\t0\n",     # non-integer state id
     "0\t-1\t0\t0.5\n0\t0\n",    # negative transition state
     "0\t0\t0\t0.5\n-1\t0\n",    # negative final state
-], ids=["bad-field", "negative-transition-state", "negative-final-state"])
+    "",                          # no states, so no start state
+], ids=["bad-field", "negative-transition-state", "negative-final-state",
+        "no-states"])
 def test_table_load_rejects_malformed_lines(tmp_path, body):
     path = tmp_path / "den.fst"
     path.write_text("labels\t2\n" + body)
     with pytest.raises(DataError):
         DenominatorTable.load(path)
+
+
+@pytest.mark.parametrize("start,to_state", [(0, 2), (2, 1), (-1, 1)],
+                         ids=["transition-state", "start", "negative-start"])
+def test_table_rejects_out_of_range_states(start, to_state):
+    with pytest.raises(DataError, match="out of range"):
+        DenominatorTable(2, start, [0], [to_state], [0], [0.0], [0.0, 0.0], 1)
 
 
 def _graph_length_mass(graph, frames):

@@ -1,4 +1,6 @@
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -179,6 +181,61 @@ def test_checkpoint_rejects_garbage(tmp_path):
     path = tmp_path / "bad.ckpt"
     path.write_bytes(b"nope")
     with pytest.raises(DataError):
+        AcousticModel.load(path)
+
+
+def _saved_checkpoint(tmp_path):
+    """(path, JSON header, tensor bytes) of a small saved model."""
+    path = tmp_path / "m.ckpt"
+    AcousticModel(4, [LayerSpec("affine", 6), LayerSpec("tanh")], 3,
+                  seed=9).save(path)
+    data = path.read_bytes()
+    blob_len = int.from_bytes(data[8:12], "little")
+    header = json.loads(data[12:12 + blob_len])
+    return path, header, data[12 + blob_len:]
+
+
+def _write_checkpoint(path, blob: bytes, tensors: bytes):
+    path.write_bytes(b"ACMD" + struct.pack("<II", 1, len(blob)) + blob
+                     + tensors)
+
+
+def test_checkpoint_truncated_header(tmp_path):
+    path, _, _ = _saved_checkpoint(tmp_path)
+    path.write_bytes(path.read_bytes()[:10])   # ends inside version/length
+    with pytest.raises(DataError, match="truncated checkpoint header"):
+        AcousticModel.load(path)
+
+
+def test_checkpoint_corrupt_json_header(tmp_path):
+    path, header, tensors = _saved_checkpoint(tmp_path)
+    blob = json.dumps(header).encode("utf-8")
+    _write_checkpoint(path, blob[:-1] + b"!", tensors)
+    with pytest.raises(DataError, match="bad checkpoint header"):
+        AcousticModel.load(path)
+
+
+def test_checkpoint_header_missing_key(tmp_path):
+    path, header, tensors = _saved_checkpoint(tmp_path)
+    del header["num_outputs"]
+    _write_checkpoint(path, json.dumps(header).encode("utf-8"), tensors)
+    with pytest.raises(DataError, match="bad checkpoint header"):
+        AcousticModel.load(path)
+
+
+def test_checkpoint_unknown_tensor_name(tmp_path):
+    path, header, tensors = _saved_checkpoint(tmp_path)
+    header["tensors"][0][0] = "no-such-tensor"
+    _write_checkpoint(path, json.dumps(header).encode("utf-8"), tensors)
+    with pytest.raises(DataError, match="bad checkpoint header"):
+        AcousticModel.load(path)
+
+
+def test_checkpoint_tensor_shape_mismatch(tmp_path):
+    path, header, tensors = _saved_checkpoint(tmp_path)
+    header["tensors"][0][1] = header["tensors"][0][1][::-1]
+    _write_checkpoint(path, json.dumps(header).encode("utf-8"), tensors)
+    with pytest.raises(DataError, match="shape"):
         AcousticModel.load(path)
 
 
