@@ -15,7 +15,7 @@ from pathlib import Path
 from . import dataio
 from .decoder import BeamConfig, beam_decode, evaluate_error_rate
 from .errors import DataError, NumericalError
-from .lm import emit_arpa, estimate, parse_arpa, score_sequence
+from .lm import emit_arpa, estimate, read_arpa, score_sequence
 from .loss import DenominatorTable, flatten_denominator
 from .model import AcousticModel, LayerSpec
 from .semiring import TROPICAL
@@ -36,32 +36,26 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _load_config(path) -> dict[str, str]:
-    out = {}
-    with open(path, encoding="utf-8") as f:
-        for ln, line in enumerate(f, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise DataError(f"{path}: bad config line {ln}: {line!r}")
-            key, value = line.split("=", 1)
-            out[key.strip().replace("-", "_")] = value.strip()
-    return out
+def _apply_config(parser: argparse.ArgumentParser, path) -> None:
+    """Flat ``key = value`` lines (``#`` starts a comment) become parser
+    defaults, converted as the matching flag would convert them."""
+    actions = {action.dest: action for action in parser._actions}
 
+    def entry(line):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            return None
+        key, value = (part.strip() for part in line.split("=", 1))
+        action = actions.get(key.replace("-", "_"))
+        if action is None:
+            return None
+        if action.type is not None:
+            return action.dest, action.type(value)
+        if isinstance(action.const, bool) or isinstance(action.default, bool):
+            return action.dest, value.lower() in ("1", "true", "yes")
+        return action.dest, value
 
-def _apply_config(parser: argparse.ArgumentParser, config: dict[str, str]):
-    defaults = {}
-    for action in parser._actions:
-        if action.dest in config:
-            raw = config[action.dest]
-            if action.type is not None:
-                defaults[action.dest] = action.type(raw)
-            elif isinstance(action.const, bool) or isinstance(action.default, bool):
-                defaults[action.dest] = raw.lower() in ("1", "true", "yes")
-            else:
-                defaults[action.dest] = raw
-    parser.set_defaults(**defaults)
+    parser.set_defaults(**dict(e for e in dataio.read_lines(path, entry) if e))
 
 
 def _parse_layer_specs(spec: str) -> list[LayerSpec]:
@@ -70,17 +64,15 @@ def _parse_layer_specs(spec: str) -> list[LayerSpec]:
         token = token.strip()
         if not token:
             continue
+        kind, _, size = token.partition(":")
         if token == "tanh":
             specs.append(LayerSpec("tanh"))
-        elif token.startswith("affine:"):
-            specs.append(LayerSpec("affine", int(token.split(":")[1])))
-        elif token.startswith("rnn:"):
-            specs.append(LayerSpec("recurrent", int(token.split(":")[1])))
-        elif token.startswith("birnn:"):
-            specs.append(LayerSpec("recurrent", int(token.split(":")[1]),
-                                   bidirectional=True))
+        elif kind in ("affine", "rnn", "birnn") and size.isdecimal() \
+                and int(size) > 0:
+            specs.append(LayerSpec("affine" if kind == "affine" else "recurrent",
+                                   int(size), bidirectional=kind == "birnn"))
         else:
-            raise DataError(f"unknown layer token {token!r}")
+            raise DataError(f"bad layer token {token!r}")
     return specs
 
 
@@ -98,7 +90,7 @@ def _require(path, what: str) -> Path:
 def cmd_prepare(args) -> int:
     alphabet = Alphabet.read(_require(args.alphabet, "alphabet file"))
     labels = dataio.read_labels_file(_require(args.labels, "labels file"))
-    lm = parse_arpa(_require(args.den_lm, "denominator LM").read_text())
+    lm = read_arpa(_require(args.den_lm, "denominator LM"))
     feat_dir = _require(args.features_dir, "features directory")
     work = dataio.ensure_dir(args.work_dir)
 
@@ -130,11 +122,9 @@ def cmd_prepare(args) -> int:
 
 
 def cmd_lm_train(args) -> int:
-    corpus = []
-    with open(_require(args.corpus, "corpus"), encoding="utf-8") as f:
-        for line in f:
-            if line.strip():
-                corpus.append(line.split())
+    corpus = [sentence for sentence in
+              dataio.read_lines(_require(args.corpus, "corpus"), str.split)
+              if sentence]
     vocab = None
     if args.vocab:
         vocab = list(Alphabet.read(_require(args.vocab, "vocabulary")).labels)
@@ -147,9 +137,9 @@ def cmd_lm_train(args) -> int:
 
 def cmd_build_graphs(args) -> int:
     alphabet = Alphabet.read(_require(args.alphabet, "alphabet file"))
-    den_lm = parse_arpa(_require(args.den_lm, "denominator LM").read_text())
+    den_lm = read_arpa(_require(args.den_lm, "denominator LM"))
     if args.word_lm:
-        word_lm = parse_arpa(_require(args.word_lm, "word LM").read_text())
+        word_lm = read_arpa(_require(args.word_lm, "word LM"))
     else:
         word_lm = den_lm
     lexicon = dataio.read_lexicon(_require(args.lexicon, "lexicon")) \
@@ -397,8 +387,7 @@ def main(argv=None) -> int:
     parser, commands = build_parser()
     try:
         if argv and argv[0] in commands and "--config" in argv:
-            path = argv[argv.index("--config") + 1]
-            _apply_config(commands[argv[0]], _load_config(path))
+            _apply_config(commands[argv[0]], argv[argv.index("--config") + 1])
         args = parser.parse_args(argv)
         return args.func(args)
     except UsageError as exc:

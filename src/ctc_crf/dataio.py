@@ -1,8 +1,12 @@
-"""On-disk formats: binary matrices, label files, manifests, score caches."""
+"""On-disk formats: binary matrices, label files, manifests, score caches,
+and the one reader every line-oriented text format goes through."""
 from __future__ import annotations
 
+import io
+import os
 import struct
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -31,10 +35,38 @@ def read_matrix(path) -> np.ndarray:
         if len(header) != 8:
             raise DataError(f"{path}: truncated matrix header")
         rows, cols = struct.unpack("<II", header)
-        raw = f.read(4 * rows * cols)
-        if len(raw) != 4 * rows * cols:
+        if 4 * rows * cols > os.fstat(f.fileno()).st_size - f.tell():
             raise DataError(f"{path}: truncated matrix")
+        raw = f.read(4 * rows * cols)
     return np.frombuffer(raw, dtype="<f4").reshape(rows, cols).astype(np.float64)
+
+
+def read_lines(path, parse: Callable[[str], object]) -> list:
+    """``parse(line)`` for each line of a UTF-8 text file that is not empty
+    once its newline is removed, in file order.
+
+    Newlines are universal, so a CRLF file reads like an LF file.  Parsers
+    unpack their fields (``utt, score = line.split("\\t")``), so a wrong
+    field count is a ValueError like a bad number.  A byte sequence that is
+    not UTF-8, or a ValueError from ``parse``, raises a DataError naming the
+    file and the line.
+    """
+    raw = Path(path).read_bytes()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        ln = raw.count(b"\n", 0, exc.start) + 1
+        raise DataError(f"{path}: line {ln}: not UTF-8 "
+                        f"({exc.reason} at byte {exc.start})") from None
+    out = []
+    for ln, line in enumerate(io.StringIO(text, newline=None), 1):
+        line = line.rstrip("\n")
+        if line:
+            try:
+                out.append(parse(line))
+            except ValueError as exc:
+                raise DataError(f"{path}: line {ln}: {exc}") from None
+    return out
 
 
 def write_logpl(path, scores: dict[str, float]) -> None:
@@ -45,38 +77,24 @@ def write_logpl(path, scores: dict[str, float]) -> None:
 
 
 def read_logpl(path) -> dict[str, float]:
-    out = {}
-    with open(path, encoding="utf-8") as f:
-        for ln, line in enumerate(f, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise DataError(f"{path}: bad cache line {ln}")
-            try:
-                out[parts[0]] = float(parts[1])
-            except ValueError:
-                raise DataError(f"{path}: bad score on line {ln}") from None
-    return out
+    def entry(line):
+        utt, score = line.split("\t")
+        return utt, float(score)
+    return dict(read_lines(path, entry))
+
+
+def _keyed_labels(line):
+    key, labels = line.split("\t")
+    return key, labels.split()
 
 
 def read_labels_file(path) -> dict[str, list[str]]:
     """``utt-id<TAB>label label ...`` per line."""
-    out = {}
-    with open(path, encoding="utf-8") as f:
-        for ln, line in enumerate(f, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise DataError(f"{path}: bad labels line {ln}")
-            out[parts[0]] = parts[1].split()
-    return out
+    return dict(read_lines(path, _keyed_labels))
 
 
 def write_labels_file(path, labels: dict[str, list[str]]) -> None:
+    """``utt-id<TAB>label label ...`` per line, sorted by utterance id."""
     with open(path, "w", encoding="utf-8") as f:
         for utt in sorted(labels):
             f.write(f"{utt}\t{' '.join(labels[utt])}\n")
@@ -90,59 +108,32 @@ def write_manifest(path, entries: list[tuple[str, int, str, list[str]]]) -> None
 
 
 def read_manifest(path) -> list[tuple[str, int, str, list[str]]]:
-    out = []
-    with open(path, encoding="utf-8") as f:
-        for ln, line in enumerate(f, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 4:
-                raise DataError(f"{path}: bad manifest line {ln}")
-            try:
-                frames = int(parts[1])
-            except ValueError:
-                raise DataError(f"{path}: bad frame count on line {ln}") from None
-            out.append((parts[0], frames, parts[2], parts[3].split()))
-    return out
+    def entry(line):
+        utt, frames, feat_path, labels = line.split("\t")
+        return utt, int(frames), feat_path, labels.split()
+    return read_lines(path, entry)
 
 
 def read_lexicon(path) -> dict[str, list[list[str]]]:
     """``word<TAB>label label ...``; repeated words add pronunciations."""
     out: dict[str, list[list[str]]] = {}
-    with open(path, encoding="utf-8") as f:
-        for ln, line in enumerate(f, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise DataError(f"{path}: bad lexicon line {ln}")
-            out.setdefault(parts[0], []).append(parts[1].split())
+    for word, labels in read_lines(path, _keyed_labels):
+        out.setdefault(word, []).append(labels)
     return out
 
 
-def write_hyps(path, hyps: dict[str, list[str]]) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for utt in sorted(hyps):
-            f.write(f"{utt}\t{' '.join(hyps[utt])}\n")
+# hypotheses share the labels format
+write_hyps = write_labels_file
 
 
 def read_hyps(path) -> dict[str, list[str]]:
-    out = {}
-    with open(path, encoding="utf-8") as f:
-        for ln, line in enumerate(f, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) == 1:
-                out[parts[0]] = []
-            elif len(parts) == 2:
-                out[parts[0]] = parts[1].split()
-            else:
-                raise DataError(f"{path}: bad hypothesis line {ln}")
-    return out
+    """Like a labels file, but an empty hypothesis may drop its tab."""
+    def entry(line):
+        utt, _, words = line.partition("\t")
+        if "\t" in words:
+            raise ValueError("more than two fields")
+        return utt, words.split()
+    return dict(read_lines(path, entry))
 
 
 def subsample_frames(matrix: np.ndarray, factor: int) -> np.ndarray:

@@ -10,6 +10,7 @@ import math
 from collections import Counter
 from typing import Iterable, Sequence
 
+from .dataio import read_lines
 from .errors import ArpaError, DataError
 from .semiring import LOG, ONE, Semiring
 from .symbols import EPS_NAME, SymbolTable
@@ -202,98 +203,107 @@ def score_sequence(lm: NGramModel, labels: Sequence[str]) -> float:
 # ---------------------------------------------------------------------------
 
 def parse_arpa(source) -> NGramModel:
-    """Parse an ARPA model from a string, an open file, or a line iterable."""
-    if isinstance(source, str):
-        lines = source.splitlines()
-    elif hasattr(source, "read"):
-        lines = source.read().splitlines()
-    else:
-        lines = [ln.rstrip("\n") for ln in source]
+    """Parse an ARPA model from a string or an iterable of lines, such as an
+    open file."""
+    parser = _ArpaParser()
+    lines = source.splitlines() if isinstance(source, str) else source
+    for ln, line in enumerate(lines, 1):
+        try:
+            parser.add(line)
+        except ValueError as exc:
+            raise ArpaError(str(exc), ln) from None
+    return parser.model()
 
-    pos = 0
 
-    def next_nonblank():
-        nonlocal pos
-        while pos < len(lines) and not lines[pos].strip():
-            pos += 1
-        if pos >= len(lines):
-            return None, len(lines)
-        pos += 1
-        return lines[pos - 1].strip(), pos
+def read_arpa(path) -> NGramModel:
+    """Parse an ARPA file; a malformed line is a DataError naming the file
+    and the line."""
+    parser = _ArpaParser()
+    read_lines(path, parser.add)
+    return parser.model()
 
-    line, ln = next_nonblank()
-    if line != "\\data\\":
-        raise ArpaError("expected \\data\\ header", ln)
-    declared: dict[int, int] = {}
-    while True:
-        line, ln = next_nonblank()
-        if line is None:
-            raise ArpaError("unexpected end of file in \\data\\ section", ln)
-        if line.startswith("ngram "):
-            try:
-                n_str, count_str = line[len("ngram "):].split("=")
-                declared[int(n_str)] = int(count_str)
-            except ValueError:
-                raise ArpaError(f"bad count line: {line!r}", ln) from None
-        else:
-            break
-    if not declared:
-        raise ArpaError("no ngram counts declared", ln)
-    order = max(declared)
-    if sorted(declared) != list(range(1, order + 1)):
-        raise ArpaError("non-contiguous ngram orders declared", ln)
 
-    raw: dict[int, list[tuple[float, tuple[str, ...], float | None]]] = {}
-    for n in range(1, order + 1):
-        if line != f"\\{n}-grams:":
-            raise ArpaError(f"expected \\{n}-grams: section, got {line!r}", ln)
-        grams = []
-        for _ in range(declared[n]):
-            line, ln = next_nonblank()
-            if line is None or line.startswith("\\"):
-                raise ArpaError(
-                    f"\\{n}-grams: section declares {declared[n]} entries "
-                    f"but lists {len(grams)}", ln)
+_END = -1
+
+
+class _ArpaParser:
+    """ARPA text one line at a time: ``add`` raises ValueError at the first
+    line that breaks the layout, ``model`` raises ArpaError when the text
+    ends early or an n-gram names a symbol the unigrams lack."""
+
+    def __init__(self):
+        self.section = None    # 0 in \data\, n in \n-grams:, then _END
+        self.declared: dict[int, int] = {}
+        self.raw: dict[int, list[tuple[float, tuple[str, ...], float | None]]] = {}
+
+    def add(self, line: str) -> None:
+        line = line.strip()
+        n = self.section
+        if not line or n == _END:
+            return
+        if n is None:
+            if line != "\\data\\":
+                raise ValueError("expected \\data\\ header")
+            self.section = 0
+        elif n == 0 and line.startswith("ngram "):
+            order, count = line[len("ngram "):].split("=")
+            self.declared[int(order)] = int(count)
+        elif n > 0 and len(self.raw[n]) < self.declared[n]:
+            if line.startswith("\\"):
+                raise ValueError(f"\\{n}-grams: section declares "
+                                 f"{self.declared[n]} entries but lists "
+                                 f"{len(self.raw[n])}")
             parts = line.split()
-            if len(parts) == n + 1:
-                prob, words, bow = parts[0], parts[1:], None
-            elif len(parts) == n + 2:
-                prob, words, bow = parts[0], parts[1:-1], parts[-1]
-            else:
-                raise ArpaError(f"bad {n}-gram line: {line!r}", ln)
-            try:
-                grams.append((float(prob), tuple(words),
-                              float(bow) if bow is not None else None))
-            except ValueError:
-                raise ArpaError(f"bad number on line: {line!r}", ln) from None
-        raw[n] = grams
-        line, ln = next_nonblank()
-    if line != "\\end\\":
-        raise ArpaError("missing \\end\\ marker", ln)
+            if len(parts) not in (n + 1, n + 2):
+                raise ValueError(f"bad {n}-gram line: {line!r}")
+            bow = float(parts[n + 1]) if len(parts) == n + 2 else None
+            self.raw[n].append((float(parts[0]), tuple(parts[1:n + 1]), bow))
+        else:
+            self._next_section(line)
 
-    names = []
-    saw_eos = False
-    for _, words, _ in raw[1]:
-        w = words[0]
-        if w == EOS:
-            saw_eos = True
-        elif w == EPS_NAME:
-            raise ArpaError(f"reserved symbol {w!r} in unigrams")
-        elif w != BOS:
-            names.append(w)
-    if not saw_eos:
-        raise ArpaError(f"model lacks {EOS!r}")
-    table = SymbolTable([EPS_NAME, *names, BOS, EOS])
+    def _next_section(self, line: str) -> None:
+        n = self.section
+        if n == 0:
+            if not self.declared:
+                raise ValueError("no ngram counts declared")
+            if sorted(self.declared) != list(range(1, len(self.declared) + 1)):
+                raise ValueError("non-contiguous ngram orders declared")
+        if n == len(self.declared):
+            if line != "\\end\\":
+                raise ValueError("missing \\end\\ marker")
+            self.section = _END
+        elif line != f"\\{n + 1}-grams:":
+            raise ValueError(f"expected \\{n + 1}-grams: section, got {line!r}")
+        else:
+            self.section = n + 1
+            self.raw[n + 1] = []
 
-    entries: dict[tuple[int, ...], tuple[float, float | None]] = {}
-    for n in range(1, order + 1):
-        for prob, words, bow in raw[n]:
-            try:
-                gram = tuple(table.find(w) for w in words)
-            except DataError:
-                raise ArpaError(f"{n}-gram uses unknown symbol: {words}") from None
-            entries[gram] = (prob, bow)
-    return NGramModel(order, table, entries)
+    def model(self) -> NGramModel:
+        if self.section != _END:
+            raise ArpaError("text ends before the \\end\\ marker")
+        names = []
+        saw_eos = False
+        for _, words, _ in self.raw[1]:
+            w = words[0]
+            if w == EOS:
+                saw_eos = True
+            elif w == EPS_NAME:
+                raise ArpaError(f"reserved symbol {w!r} in unigrams")
+            elif w != BOS:
+                names.append(w)
+        if not saw_eos:
+            raise ArpaError(f"model lacks {EOS!r}")
+        table = SymbolTable([EPS_NAME, *names, BOS, EOS])
+
+        entries: dict[tuple[int, ...], tuple[float, float | None]] = {}
+        for n in range(1, len(self.declared) + 1):
+            for prob, words, bow in self.raw[n]:
+                try:
+                    gram = tuple(table.find(w) for w in words)
+                except DataError:
+                    raise ArpaError(f"{n}-gram uses unknown symbol: {words}") from None
+                entries[gram] = (prob, bow)
+        return NGramModel(len(self.declared), table, entries)
 
 
 def emit_arpa(lm: NGramModel) -> str:

@@ -23,9 +23,10 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .dataio import read_lines
 from .errors import DataError, NumericalError
 from .semiring import ZERO, logsumexp
-from .wfst import EPS, Wfst
+from .wfst import EPS, Wfst, parse_graph_line
 
 NEG_INF = ZERO
 # A frame's rescale mass below this is built from subnormal terms and would
@@ -179,35 +180,26 @@ class DenominatorTable:
 
     @classmethod
     def load(cls, path) -> "DenominatorTable":
+        def entry(line):
+            head, _, value = line.partition("\t")
+            if head == "labels":
+                return None, int(value)
+            return parse_graph_line(line, 3)
+
         num_labels = None
         trans, finals = [], []
-        max_state = -1
-        with open(path, encoding="utf-8") as f:
-            for ln, line in enumerate(f, 1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                parts = line.split("\t")
-                try:
-                    if parts[0] == "labels" and len(parts) == 2:
-                        num_labels = int(parts[1])
-                        continue
-                    if len(parts) == 4:
-                        states = (int(parts[0]), int(parts[1]))
-                        trans.append((*states, int(parts[2]), float(parts[3])))
-                    elif len(parts) == 2:
-                        states = (int(parts[0]),)
-                        finals.append((states[0], float(parts[1])))
-                    else:
-                        raise ValueError
-                except ValueError:
-                    raise DataError(f"{path}: bad table line {ln}") from None
-                if min(states) < 0:
-                    raise DataError(f"{path}: negative state id on line {ln}")
-                max_state = max(max_state, *states)
+        n = 0
+        for ids, value in read_lines(path, entry):
+            if ids is None:
+                num_labels = value
+                continue
+            n = max(n, max(ids[:2]) + 1)
+            if len(ids) == 3:
+                trans.append((*ids, value))
+            else:
+                finals.append((ids[0], value))
         if num_labels is None:
             raise DataError(f"{path}: missing labels header")
-        n = max_state + 1
         final = np.full(n, NEG_INF)
         for s, w in finals:
             final[s] = w

@@ -8,6 +8,7 @@ checkpoints store float32 tensors.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass
 
@@ -279,6 +280,8 @@ class AcousticModel:
             version, blob_len = struct.unpack("<II", fixed)
             if version != CHECKPOINT_VERSION:
                 raise DataError(f"{path}: unsupported checkpoint version {version}")
+            if blob_len > os.fstat(f.fileno()).st_size - f.tell():
+                raise DataError(f"{path}: truncated checkpoint header")
             try:
                 header = json.loads(f.read(blob_len).decode("utf-8"))
                 model = cls(header["input_dim"],

@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 from typing import Iterable, Sequence
 
+from .dataio import read_lines
 from .errors import DataError
 
 EPS = 0
@@ -77,17 +78,10 @@ class SymbolTable:
 
     @classmethod
     def read(cls, path) -> "SymbolTable":
-        entries = []
-        with open(path, encoding="utf-8") as f:
-            for ln, line in enumerate(f, 1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 2:
-                    raise DataError(f"{path}: bad symbol line {ln}: {line!r}")
-                entries.append((int(parts[1]), parts[0]))
-        entries.sort()
+        def entry(line):
+            symbol, sym_id = line.split("\t")
+            return int(sym_id), symbol
+        entries = sorted(read_lines(path, entry))
         if [i for i, _ in entries] != list(range(len(entries))):
             raise DataError(f"{path}: symbol ids are not contiguous from 0")
         return cls([s for _, s in entries])
@@ -147,6 +141,4 @@ class Alphabet:
 
     @classmethod
     def read(cls, path) -> "Alphabet":
-        with open(path, encoding="utf-8") as f:
-            labels = [line.strip() for line in f if line.strip()]
-        return cls(labels)
+        return cls(name for name in read_lines(path, str.strip) if name)

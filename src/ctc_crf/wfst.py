@@ -10,6 +10,7 @@ from __future__ import annotations
 from collections import deque
 from typing import NamedTuple, Sequence
 
+from .dataio import read_lines
 from .errors import DataError
 from .semiring import LOG, ONE, Semiring
 from .symbols import EPS, Alphabet, SymbolTable
@@ -393,35 +394,31 @@ def write_fst_text(fst: Wfst, path) -> None:
                 f.write(f"{remap[old]}\t{fst.finals[old]:.9g}\n")
 
 
+def parse_graph_line(line: str, arc_ids: int) -> tuple[list[int], float]:
+    """One line of a text graph: ``arc_ids`` integers and a weight for an
+    arc, or a state and a weight for a final state.  The leading one or two
+    integers are state ids, which may not be negative."""
+    *ids, weight = line.split("\t")
+    if len(ids) not in (1, arc_ids):
+        raise ValueError(f"{len(ids) + 1} fields, not {arc_ids + 1} or 2")
+    ids = [int(i) for i in ids]
+    if min(ids[:2]) < 0:
+        raise ValueError("negative state id")
+    return ids, float(weight)
+
+
 def read_fst_text(path, semiring: Semiring, isyms: SymbolTable,
                   osyms: SymbolTable) -> Wfst:
-    arcs = []
-    finals = []
-    max_state = -1
-    with open(path, encoding="utf-8") as f:
-        for ln, line in enumerate(f, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) == 5:
-                src, dst, il, ol = (int(p) for p in parts[:4])
-                arcs.append((src, dst, il, ol, float(parts[4])))
-                max_state = max(max_state, src, dst)
-            elif len(parts) == 2:
-                state = int(parts[0])
-                finals.append((state, float(parts[1])))
-                max_state = max(max_state, state)
-            else:
-                raise DataError(f"{path}: bad fst line {ln}: {line!r}")
+    entries = read_lines(path, lambda line: parse_graph_line(line, 4))
     fst = Wfst(semiring, isyms, osyms)
-    if max_state < 0:
-        return fst
-    for _ in range(max_state + 1):
+    for _ in range(max((max(ids[:2]) + 1 for ids, _ in entries), default=0)):
         fst.add_state()
-    fst.set_start(0)
-    for src, dst, il, ol, w in arcs:
-        fst.add_arc(src, il, ol, w, dst)
-    for state, w in finals:
-        fst.set_final(state, w)
+    if fst.num_states:
+        fst.set_start(0)
+    for ids, weight in entries:
+        if len(ids) == 4:
+            src, dst, il, ol = ids
+            fst.add_arc(src, il, ol, weight, dst)
+        else:
+            fst.set_final(ids[0], weight)
     return fst

@@ -266,6 +266,30 @@ def test_train_malformed_den_table_is_data_error(pipeline, toy_dir, tmp_path):
     assert _run(*_train_argv(pipeline, toy_dir, tmp_path, table)) == 2
 
 
+def test_train_undecodable_den_table_is_data_error(pipeline, toy_dir, tmp_path):
+    data = bytearray((pipeline / "graphs" / "den.fst").read_bytes())
+    data[5] = 0xFF
+    table = tmp_path / "den.fst"
+    table.write_bytes(bytes(data))
+    assert _run(*_train_argv(pipeline, toy_dir, tmp_path, table)) == 2
+
+
+def test_train_bad_config_value_is_data_error(pipeline, toy_dir, tmp_path):
+    config = tmp_path / "train.cfg"
+    config.write_text("epochs = abc\n")
+    argv = _train_argv(pipeline, toy_dir, tmp_path,
+                       pipeline / "graphs" / "den.fst")
+    assert _run(argv[0], "--config", config, *argv[1:]) == 2
+    assert not (tmp_path / "model.ckpt").exists()
+
+
+def test_train_bad_layer_size_is_data_error(pipeline, toy_dir, tmp_path):
+    argv = _train_argv(pipeline, toy_dir, tmp_path,
+                       pipeline / "graphs" / "den.fst")
+    assert _run(*argv, "--layers", "affine:x") == 2
+    assert not (tmp_path / "model.ckpt").exists()
+
+
 def test_gradcheck_passes():
     assert _run("gradcheck", "--trials", 15, "--fd-trials", 5, "--seed", 1) == 0
 

@@ -36,6 +36,15 @@ def test_matrix_truncated(tmp_path, rng):
         read_matrix(path)
 
 
+def test_matrix_header_claims_more_than_the_file(tmp_path, rng):
+    path = tmp_path / "t.mat"
+    write_matrix(path, rng.normal(size=(4, 4)))
+    data = path.read_bytes()
+    path.write_bytes(data[:4] + b"\xff" * 8 + data[12:])   # 0xFFFFFFFF x 0xFFFFFFFF
+    with pytest.raises(DataError, match="truncated matrix"):
+        read_matrix(path)
+
+
 def test_matrix_truncated_header(tmp_path, rng):
     path = tmp_path / "t.mat"
     write_matrix(path, rng.normal(size=(4, 4)))
@@ -56,6 +65,15 @@ def test_manifest_non_numeric_frame_count(tmp_path):
     path.write_text("u1\tten\tfeats/u1.mat\ta b\n")
     with pytest.raises(DataError, match="line 1"):
         read_manifest(path)
+
+
+def test_text_reader_crlf_and_undecodable_line(tmp_path):
+    path = tmp_path / "logpl.tsv"
+    path.write_bytes(b"u1\t-1.5\r\n\r\nu2\t-2\r\n")
+    assert read_logpl(path) == {"u1": -1.5, "u2": -2.0}
+    path.write_bytes(b"u1\t-1.5\r\n\r\nu2\t-2\xff\r\n")
+    with pytest.raises(DataError, match="line 3: not UTF-8"):
+        read_logpl(path)
 
 
 def test_logpl_twelve_significant_digits(tmp_path):

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from ctc_crf import (ArpaError, DataError, LOG, estimate, emit_arpa,
                      lm_to_fst, parse_arpa, score_sequence)
-from ctc_crf.lm import BOS, EOS, LN10
+from ctc_crf.lm import BOS, EOS, LN10, read_arpa
 from ctc_crf.semiring import ZERO
 
 from oracles import acceptor_mass
@@ -155,6 +155,17 @@ def test_parse_missing_end():
 def test_parse_missing_header():
     with pytest.raises(ArpaError, match="data"):
         parse_arpa("\\1-grams:\n-0.1 a\n\\end\\\n")
+
+
+def test_read_arpa_names_file_and_line(tmp_path):
+    lines = MINIMAL_ARPA.splitlines()
+    ln = lines.index("-0.60206\tb") + 1
+    lines[ln - 1] = "-0.6x\tb"
+    path = tmp_path / "lm.arpa"
+    path.write_text("\n".join(lines))
+    with pytest.raises(DataError, match=f"line {ln}:") as exc:
+        read_arpa(path)
+    assert str(path) in str(exc.value)
 
 
 def test_round_trip_identity_orders_1_to_3():

@@ -207,6 +207,14 @@ def test_checkpoint_truncated_header(tmp_path):
         AcousticModel.load(path)
 
 
+def test_checkpoint_header_length_past_end_of_file(tmp_path):
+    path, _, _ = _saved_checkpoint(tmp_path)
+    data = path.read_bytes()
+    path.write_bytes(data[:8] + b"\xff" * 4 + data[12:])   # 0xFFFFFFFF bytes
+    with pytest.raises(DataError, match="truncated checkpoint header"):
+        AcousticModel.load(path)
+
+
 def test_checkpoint_corrupt_json_header(tmp_path):
     path, header, tensors = _saved_checkpoint(tmp_path)
     blob = json.dumps(header).encode("utf-8")

@@ -364,6 +364,20 @@ def test_fst_text_round_trip(tmp_path, ab2, unigram_ab):
         assert lang_a[key] == pytest.approx(lang_b[key], abs=1e-7)
 
 
+@pytest.mark.parametrize("line", ["-1\t0\t1\t1\t0.25", "-3\t0",
+                                  "-2\t0\t1\t1\t0.5", "0\t1\t1\t1\tz"],
+                         ids=["negative-source", "negative-final",
+                              "negative-source-2", "non-numeric-weight"])
+def test_fst_text_rejects_bad_line(tmp_path, ab2, unigram_ab, line):
+    tden = build_denominator_graph(ab2, unigram_ab)
+    path = tmp_path / "den.fst"
+    write_fst_text(tden, path)
+    body = path.read_text()
+    path.write_text(body + line + "\n")
+    with pytest.raises(DataError, match=f"line {len(body.splitlines()) + 1}:"):
+        read_fst_text(path, LOG, tden.isyms, tden.osyms)
+
+
 def test_fst_text_deterministic_bytes(tmp_path, ab2, unigram_ab):
     tden = build_denominator_graph(ab2, unigram_ab)
     p1, p2 = tmp_path / "a.fst", tmp_path / "b.fst"
@@ -379,3 +393,10 @@ def test_symbol_table_round_trip(tmp_path, ab2):
     assert SymbolTable.read(path) == syms
     text = path.read_text()
     assert text.splitlines()[0] == "<eps>\t0"
+
+
+def test_symbol_table_rejects_non_numeric_id(tmp_path):
+    path = tmp_path / "syms.txt"
+    path.write_text("<eps>\t0\na\tx\n")
+    with pytest.raises(DataError, match="line 2"):
+        SymbolTable.read(path)
