@@ -16,9 +16,9 @@ from . import dataio
 from .decoder import BeamConfig, beam_decode, evaluate_error_rate
 from .errors import DataError, NumericalError
 from .lm import emit_arpa, estimate, read_arpa, score_sequence
-from .loss import DenominatorTable, flatten_denominator
+from .loss import flatten_denominator
 from .model import AcousticModel, LayerSpec
-from .semiring import TROPICAL
+from .semiring import LOG, TROPICAL
 from .symbols import Alphabet, SymbolTable
 from .training import TrainConfig, train, write_metrics
 from .wfst import (build_ctc_topology, build_decoding_graph,
@@ -153,10 +153,9 @@ def cmd_build_graphs(args) -> int:
     log.info("T.fst: %d states, %d arcs", topo.num_states, topo.num_arcs)
 
     den_graph = build_denominator_graph(alphabet, den_lm)
-    table = flatten_denominator(den_graph)
-    table.save(work / "den.fst")
-    log.info("den.fst: %d states, %d transitions", table.num_states,
-             table.num_transitions)
+    write_fst_text(den_graph, work / "den.fst")
+    log.info("den.fst: %d states, %d arcs", den_graph.num_states,
+             den_graph.num_arcs)
 
     graph = build_decoding_graph(alphabet, word_lm, lexicon)
     write_fst_text(graph, work / "TLG.fst")
@@ -197,7 +196,9 @@ def _load_dataset(manifest_path, alphabet):
 
 def cmd_train(args) -> int:
     alphabet = Alphabet.read(_require(args.alphabet, "alphabet file"))
-    table = DenominatorTable.load(_require(args.den_table, "denominator table"))
+    table = flatten_denominator(read_fst_text(
+        _require(args.den_table, "denominator graph"), LOG,
+        alphabet.pi_symbol_table(), alphabet.label_symbol_table()))
     utts, dataset = _load_dataset(_require(args.manifest, "manifest"), alphabet)
     logpl = dataio.read_logpl(_require(args.logpl, "score cache"))
     missing = [u for u in utts if u not in logpl]
@@ -386,14 +387,17 @@ def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
     parser, commands = build_parser()
     try:
-        if argv and argv[0] in commands and "--config" in argv:
-            _apply_config(commands[argv[0]], argv[argv.index("--config") + 1])
         args = parser.parse_args(argv)
+        if args.config:
+            # config values become parser defaults, which a second parse
+            # applies under the flags given on the command line
+            _apply_config(commands[args.command], args.config)
+            args = parser.parse_args(argv)
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (DataError, FileNotFoundError) as exc:
+    except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

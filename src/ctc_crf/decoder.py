@@ -2,6 +2,7 @@
 blank-frame skipping, and error-rate scoring."""
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -135,9 +136,11 @@ def beam_decode(posterior, graph: Wfst, config: BeamConfig) -> DecodeResult:
 
 def _close_epsilon(graph: Wfst, active: dict) -> None:
     """Relax epsilon arcs until no score improves; first writer wins ties."""
-    queue = sorted(active)
+    queue = deque(sorted(active))
+    queued = set(queue)
     while queue:
-        state = queue.pop(0)
+        state = queue.popleft()
+        queued.remove(state)
         score, trace = active[state]
         for arc in graph.arcs(state):
             if arc.ilabel != EPS:
@@ -146,8 +149,9 @@ def _close_epsilon(graph: Wfst, active: dict) -> None:
             cur = active.get(arc.nextstate)
             if cur is None or cand > cur[0]:
                 active[arc.nextstate] = (cand, _Trace(arc.olabel, trace))
-                if arc.nextstate not in queue:
+                if arc.nextstate not in queued:
                     queue.append(arc.nextstate)
+                    queued.add(arc.nextstate)
 
 
 def _prune(active: dict, config: BeamConfig) -> None:

@@ -7,7 +7,8 @@ The objective for one utterance is
 where the numerator sums, over every length-T state sequence collapsing to
 the reference labels, the sequence-level LM score plus per-frame node
 potentials; the denominator sums the same potential over all state sequences
-via the flattened denominator graph; and ``aux`` is the plain alignment
+via the denominator graph T∘G (a text FST on disk, flattened in memory by
+``flatten_denominator``); and ``aux`` is the plain alignment
 log-likelihood (the numerator without the LM constant).  The numerator
 runs in the log domain.  The denominator runs in the probability domain with
 a per-frame rescale, as in lattice-free MMI: one sparse matrix-vector
@@ -23,10 +24,9 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .dataio import read_lines
 from .errors import DataError, NumericalError
 from .semiring import ZERO, logsumexp
-from .wfst import EPS, Wfst, parse_graph_line
+from .wfst import EPS, Wfst
 
 NEG_INF = ZERO
 # A frame's rescale mass below this is built from subnormal terms and would
@@ -95,7 +95,9 @@ class DenominatorTable:
     """Flattened denominator graph: labeled transitions only.
 
     Arrays are parallel over transitions; labels are state-symbol ids that
-    index posterior columns.  Immutable.
+    index posterior columns.  Immutable.  A table has no file format of its
+    own: ``flatten_denominator`` builds it from the T∘G graph, which is
+    stored and read as a text FST.
 
     The constructor also compiles the machine the forward-backward runs on,
     in which every state carries one label: the label of each transition
@@ -167,45 +169,6 @@ class DenominatorTable:
     @property
     def num_transitions(self) -> int:
         return len(self.from_state)
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(f"labels\t{self.num_labels}\n")
-            for i in range(self.num_transitions):
-                f.write(f"{self.from_state[i]}\t{self.to_state[i]}\t"
-                        f"{self.label[i]}\t{self.weight[i]:.9g}\n")
-            for s in range(self.num_states):
-                if self.final[s] != NEG_INF:
-                    f.write(f"{s}\t{self.final[s]:.9g}\n")
-
-    @classmethod
-    def load(cls, path) -> "DenominatorTable":
-        def entry(line):
-            head, _, value = line.partition("\t")
-            if head == "labels":
-                return None, int(value)
-            return parse_graph_line(line, 3)
-
-        num_labels = None
-        trans, finals = [], []
-        n = 0
-        for ids, value in read_lines(path, entry):
-            if ids is None:
-                num_labels = value
-                continue
-            n = max(n, max(ids[:2]) + 1)
-            if len(ids) == 3:
-                trans.append((*ids, value))
-            else:
-                finals.append((ids[0], value))
-        if num_labels is None:
-            raise DataError(f"{path}: missing labels header")
-        final = np.full(n, NEG_INF)
-        for s, w in finals:
-            final[s] = w
-        return cls(n, 0, [t[0] for t in trans], [t[1] for t in trans],
-                   [t[2] for t in trans], [t[3] for t in trans], final,
-                   num_labels)
 
 
 def _segments(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -298,9 +261,7 @@ def flatten_denominator(den_fst: Wfst) -> DenominatorTable:
                 frontier.append(r)
     if den_fst.start not in (fwd & bwd):
         raise DataError("denominator graph has no complete path")
-    # canonical numbering: start first, then original order (save/load
-    # relies on the start being state 0)
-    keep = sorted(fwd & bwd, key=lambda s: (s != den_fst.start, s))
+    keep = sorted(fwd & bwd)
     remap = {old: new for new, old in enumerate(keep)}
 
     sel = [i for i in range(len(from_s))

@@ -150,6 +150,22 @@ class _Recurrent:
         return self.fwd.backward(dy[:, :h]) + self.bwd.backward(dy[:, h:])
 
 
+def _param_count(input_dim: int, hidden_specs: list[LayerSpec],
+                 num_outputs: int) -> int:
+    """Parameters a model of these dimensions holds, counted without
+    allocating them."""
+    total, width = 0, input_dim
+    for spec in hidden_specs:
+        if spec.kind == "affine":
+            total += (width + 1) * spec.size
+            width = spec.size
+        elif spec.kind == "recurrent":
+            directions = 2 if spec.bidirectional else 1
+            total += directions * (width + spec.size + 1) * spec.size
+            width = directions * spec.size
+    return total + (width + 1) * num_outputs
+
+
 class AcousticModel:
     """Feature matrix -> log-softmax node potentials, with exact gradients."""
 
@@ -284,8 +300,13 @@ class AcousticModel:
                 raise DataError(f"{path}: truncated checkpoint header")
             try:
                 header = json.loads(f.read(blob_len).decode("utf-8"))
-                model = cls(header["input_dim"],
-                            [LayerSpec.from_dict(d) for d in header["specs"]],
+                specs = [LayerSpec.from_dict(d) for d in header["specs"]]
+                size = 4 * _param_count(header["input_dim"], specs,
+                                        header["num_outputs"])
+                if size > os.fstat(f.fileno()).st_size - f.tell():
+                    raise DataError(f"{path}: header claims {size} bytes of "
+                                    f"tensors, more than the file holds")
+                model = cls(header["input_dim"], specs,
                             header["num_outputs"], seed=header.get("seed", 0),
                             dropout=header.get("dropout", 0.0))
                 params = dict(model.parameters())

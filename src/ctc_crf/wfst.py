@@ -394,24 +394,27 @@ def write_fst_text(fst: Wfst, path) -> None:
                 f.write(f"{remap[old]}\t{fst.finals[old]:.9g}\n")
 
 
-def parse_graph_line(line: str, arc_ids: int) -> tuple[list[int], float]:
-    """One line of a text graph: ``arc_ids`` integers and a weight for an
-    arc, or a state and a weight for a final state.  The leading one or two
-    integers are state ids, which may not be negative."""
-    *ids, weight = line.split("\t")
-    if len(ids) not in (1, arc_ids):
-        raise ValueError(f"{len(ids) + 1} fields, not {arc_ids + 1} or 2")
-    ids = [int(i) for i in ids]
-    if min(ids[:2]) < 0:
-        raise ValueError("negative state id")
-    return ids, float(weight)
-
-
 def read_fst_text(path, semiring: Semiring, isyms: SymbolTable,
                   osyms: SymbolTable) -> Wfst:
-    entries = read_lines(path, lambda line: parse_graph_line(line, 4))
+    """Read the format ``write_fst_text`` writes.  Every state id from 0 to
+    the largest must appear on some line, as it does for any trimmed
+    machine, so a file cannot size the machine by an id alone."""
+    def entry(line):
+        *ids, weight = line.split("\t")
+        if len(ids) not in (1, 4):
+            raise ValueError(f"{len(ids) + 1} fields, not 5 or 2")
+        ids = [int(i) for i in ids]
+        if min(ids[:2]) < 0:
+            raise ValueError("negative state id")
+        return ids, float(weight)
+
+    entries = read_lines(path, entry)
+    named = {s for ids, _ in entries for s in ids[:2]}
+    if named and len(named) != max(named) + 1:
+        raise DataError(f"{path}: names state {max(named)} but only "
+                        f"{len(named)} distinct states")
     fst = Wfst(semiring, isyms, osyms)
-    for _ in range(max((max(ids[:2]) + 1 for ids, _ in entries), default=0)):
+    for _ in range(len(named)):
         fst.add_state()
     if fst.num_states:
         fst.set_start(0)

@@ -197,6 +197,12 @@ def test_decode_and_score(pipeline):
     assert int(report["tokens"]) > 0
 
 
+def test_score_directory_input_is_data_error(tmp_path):
+    # a permission-denied path is a data error too, but the superuser reads
+    # any file, so only the directory case is tested portably
+    assert _run("score", "--hyp", tmp_path, "--ref", tmp_path) == 2
+
+
 def test_score_mismatched_sets(pipeline, tmp_path):
     dataio.write_hyps(tmp_path / "partial.tsv", {"dev-0000": ["ae"]})
     rc = _run("score", "--hyp", tmp_path / "partial.tsv",
@@ -262,8 +268,25 @@ def test_train_rejects_workers(pipeline, toy_dir, tmp_path):
 
 def test_train_malformed_den_table_is_data_error(pipeline, toy_dir, tmp_path):
     table = tmp_path / "den.fst"
-    table.write_text("labels\t6\n0\tx\t1\t0.5\n0\t0\n")
+    table.write_text("0\tx\t1\t1\t0.5\n0\t0\n")
     assert _run(*_train_argv(pipeline, toy_dir, tmp_path, table)) == 2
+
+
+def test_train_den_table_in_retired_labels_format_is_data_error(
+        pipeline, toy_dir, tmp_path):
+    # den.fst is the T∘G text FST; the flattened `labels`-header table that
+    # build-graphs once wrote is no longer read
+    table = tmp_path / "den.fst"
+    table.write_text("labels\t6\n0\t1\t1\t-0.5\n1\t0\t0\t-0.2\n1\t0\n")
+    assert _run(*_train_argv(pipeline, toy_dir, tmp_path, table)) == 2
+    assert not (tmp_path / "model.ckpt").exists()
+
+
+def test_train_empty_den_table_is_data_error(pipeline, toy_dir, tmp_path):
+    table = tmp_path / "den.fst"
+    table.write_text("")
+    assert _run(*_train_argv(pipeline, toy_dir, tmp_path, table)) == 2
+    assert not (tmp_path / "model.ckpt").exists()
 
 
 def test_train_undecodable_den_table_is_data_error(pipeline, toy_dir, tmp_path):
@@ -313,6 +336,10 @@ def test_config_file_supplies_defaults(toy_dir, tmp_path):
               "--out", out)
     assert rc == 0
     assert "\\2-grams:" not in out.read_text()
+
+
+def test_config_flag_without_value_is_usage_error():
+    assert _run("lm-train", "--config") == 1
 
 
 def test_cli_flag_overrides_config(toy_dir, tmp_path):

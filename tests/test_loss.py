@@ -10,7 +10,8 @@ from ctc_crf import (Alphabet, DataError, DenominatorTable, LOG, NGramModel,
                      NumericalError, PosteriorMatrix, SymbolTable,
                      build_denominator_graph, crf_loss, denominator_forward,
                      estimate, flatten_denominator, lm_to_fst,
-                     numerator_forward, score_sequence)
+                     numerator_forward, read_fst_text, score_sequence,
+                     write_fst_text)
 from ctc_crf.loss import _denominator_forward_log
 from ctc_crf.semiring import ZERO
 from ctc_crf.toydata import generate_utterance
@@ -289,10 +290,10 @@ def test_mixed_label_table_matches_enumeration(ab1, rng):
 
 
 def test_mixed_label_table_file_loads(tmp_path, ab1, rng):
-    path = tmp_path / "den.fst"
-    path.write_text("labels\t2\n0\t0\t0\t-0.4\n0\t0\t1\t-1.3\n0\t-0.2\n")
-    table = DenominatorTable.load(path)
     fst = _mixed_label_acceptor(ab1)
+    path = tmp_path / "den.fst"
+    write_fst_text(fst, path)
+    table = flatten_denominator(read_fst_text(path, LOG, fst.isyms, fst.osyms))
     for frames in (1, 2, 3, 4):
         post = random_log_softmax(rng, frames, 2)
         assert denominator_forward(post, table).score == pytest.approx(
@@ -375,31 +376,44 @@ def test_denominator_no_complete_path_flagged(ab1):
     assert np.all(res.occupancy == 0.0)
 
 
-def test_table_save_load_round_trip(tmp_path, den_table_ab):
+def _load_den(path, alphabet):
+    """The denominator table as ``train`` loads ``den.fst``."""
+    return flatten_denominator(read_fst_text(
+        path, LOG, alphabet.pi_symbol_table(), alphabet.label_symbol_table()))
+
+
+def test_table_round_trip_through_graph_file(tmp_path, ab2, bigram_ab, rng):
+    graph = build_denominator_graph(ab2, bigram_ab)
+    table = flatten_denominator(graph)
     path = tmp_path / "den.fst"
-    den_table_ab.save(path)
-    back = DenominatorTable.load(path)
-    assert back.num_states == den_table_ab.num_states
-    assert back.num_labels == den_table_ab.num_labels
-    post = uniform_post(3, 3)
-    assert denominator_forward(post, back).score == pytest.approx(
-        denominator_forward(post, den_table_ab).score, abs=1e-7)
+    write_fst_text(graph, path)
+    back = _load_den(path, ab2)
+    assert (back.num_states, back.start, back.num_labels) == \
+        (table.num_states, table.start, table.num_labels)
+    for name in ("from_state", "to_state", "label"):
+        assert np.array_equal(getattr(back, name), getattr(table, name)), name
+    assert np.allclose(back.weight, table.weight, rtol=0, atol=1e-7)
+    assert np.allclose(back.final, table.final, rtol=0, atol=1e-7)
+    for post in (uniform_post(3, 3), random_log_softmax(rng, 6, 3)):
+        assert denominator_forward(post, back).score == pytest.approx(
+            denominator_forward(post, table).score, abs=1e-7)
 
 
 def test_table_round_trip_with_nonzero_start_state(tmp_path, ab1):
-    # flattening renumbers so the start lands at state 0 on disk
+    # write_fst_text renumbers so the start lands at state 0 on disk
     isyms = ab1.pi_symbol_table()
     fst = Wfst(LOG, isyms, isyms)
-    s0, s1, s2 = fst.add_state(), fst.add_state(), fst.add_state()
-    fst.set_start(s2)
-    fst.add_arc(s2, 1, 0, -0.3, s0)
-    fst.add_arc(s0, 2, 0, -0.7, s2)
-    fst.set_final(s2, -0.1)
+    s0, s1 = fst.add_state(), fst.add_state()
+    fst.set_start(s1)
+    fst.add_arc(s1, 1, 0, -0.3, s0)
+    fst.add_arc(s0, 2, 0, -0.7, s1)
+    fst.set_final(s1, -0.1)
     table = flatten_denominator(fst)
-    assert table.start == 0
+    assert table.start == 1
     path = tmp_path / "t.fst"
-    table.save(path)
-    back = DenominatorTable.load(path)
+    write_fst_text(fst, path)
+    back = flatten_denominator(read_fst_text(path, LOG, isyms, isyms))
+    assert back.start == 0
     post = uniform_post(2, 2)
     assert denominator_forward(post, back).score == pytest.approx(
         denominator_forward(post, table).score, abs=1e-9)
@@ -408,17 +422,17 @@ def test_table_round_trip_with_nonzero_start_state(tmp_path, ab1):
 
 
 @pytest.mark.parametrize("body", [
-    "0\tx\t1\t0.5\n0\t0\n",     # non-integer state id
-    "0\t-1\t0\t0.5\n0\t0\n",    # negative transition state
-    "0\t0\t0\t0.5\n-1\t0\n",    # negative final state
-    "",                          # no states, so no start state
+    "0\tx\t1\t1\t0.5\n0\t0\n",    # non-integer state id
+    "0\t-1\t1\t1\t0.5\n0\t0\n",   # negative transition state
+    "0\t0\t1\t1\t0.5\n-1\t0\n",   # negative final state
+    "",                           # no states, so no start state
 ], ids=["bad-field", "negative-transition-state", "negative-final-state",
         "no-states"])
-def test_table_load_rejects_malformed_lines(tmp_path, body):
+def test_table_load_rejects_malformed_lines(tmp_path, ab2, body):
     path = tmp_path / "den.fst"
-    path.write_text("labels\t2\n" + body)
+    path.write_text(body)
     with pytest.raises(DataError):
-        DenominatorTable.load(path)
+        _load_den(path, ab2)
 
 
 @pytest.mark.parametrize("start,to_state", [(0, 2), (2, 1), (-1, 1)],

@@ -1,6 +1,7 @@
 import json
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from ctc_crf import (AcousticModel, Adam, Alphabet, DataError, LayerSpec,
                      NumericalError, Sgd, TrainConfig, build_denominator_graph,
                      crf_loss, estimate, flatten_denominator, score_sequence,
                      train)
+from ctc_crf.model import _param_count
 from ctc_crf.toydata import generate_dataset
 
 from oracles import random_log_softmax
@@ -213,6 +215,31 @@ def test_checkpoint_header_length_past_end_of_file(tmp_path):
     path.write_bytes(data[:8] + b"\xff" * 4 + data[12:])   # 0xFFFFFFFF bytes
     with pytest.raises(DataError, match="truncated checkpoint header"):
         AcousticModel.load(path)
+
+
+def test_checkpoint_header_claims_more_parameters_than_the_file(tmp_path):
+    path, header, tensors = _saved_checkpoint(tmp_path)
+    header["input_dim"] = 200_000   # a 4.8M-parameter model in a tiny file
+    _write_checkpoint(path, json.dumps(header).encode("utf-8"), tensors)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DataError):
+            AcousticModel.load(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, peak
+
+
+@pytest.mark.parametrize("specs", [
+    [],
+    [LayerSpec("affine", 6), LayerSpec("tanh")],
+    [LayerSpec("recurrent", 3), LayerSpec("affine", 2)],
+    [LayerSpec("recurrent", 3, bidirectional=True), LayerSpec("tanh"),
+     LayerSpec("recurrent", 2, bidirectional=True)],
+], ids=["none", "affine-tanh", "rnn-affine", "birnn-birnn"])
+def test_param_count_matches_the_built_model(specs):
+    assert _param_count(4, specs, 3) == AcousticModel(4, specs, 3).num_params
 
 
 def test_checkpoint_corrupt_json_header(tmp_path):

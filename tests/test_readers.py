@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctc_crf import (LOG, AcousticModel, Alphabet, DataError, DenominatorTable,
-                     LayerSpec, SymbolTable, build_ctc_topology,
-                     build_denominator_graph, dataio, emit_arpa, estimate,
-                     flatten_denominator, read_fst_text, write_fst_text)
+from ctc_crf import (LOG, AcousticModel, Alphabet, DataError, LayerSpec,
+                     SymbolTable, build_ctc_topology, build_denominator_graph,
+                     dataio, emit_arpa, estimate, read_fst_text,
+                     write_fst_text)
 from ctc_crf.lm import read_arpa
 
 ALPHABET = Alphabet(["a", "b"])
@@ -37,9 +37,10 @@ READERS = {
     "symbols": (TOPOLOGY.isyms.write, SymbolTable.read),
     "fst": (lambda p: write_fst_text(TOPOLOGY, p),
             lambda p: read_fst_text(p, LOG, TOPOLOGY.isyms, TOPOLOGY.osyms)),
-    "den-table": (flatten_denominator(
-                      build_denominator_graph(ALPHABET, BIGRAM)).save,
-                  DenominatorTable.load),
+    "den-graph": (lambda p: write_fst_text(
+                      build_denominator_graph(ALPHABET, BIGRAM), p),
+                  lambda p: read_fst_text(p, LOG, ALPHABET.pi_symbol_table(),
+                                          ALPHABET.label_symbol_table())),
     "alphabet": (ALPHABET.write, Alphabet.read),
     "arpa": (lambda p: p.write_text(emit_arpa(BIGRAM), encoding="utf-8"),
              read_arpa),

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -376,6 +377,22 @@ def test_fst_text_rejects_bad_line(tmp_path, ab2, unigram_ab, line):
     path.write_text(body + line + "\n")
     with pytest.raises(DataError, match=f"line {len(body.splitlines()) + 1}:"):
         read_fst_text(path, LOG, tden.isyms, tden.osyms)
+
+
+def test_fst_text_rejects_state_ids_no_line_names(tmp_path, ab2):
+    # states 1 .. 1,999,999 appear on no line: the file may not size the
+    # machine by its largest id
+    path = tmp_path / "sparse.fst"
+    path.write_text("0\t2000000\t1\t0\t0.5\n2000000\t0\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(DataError, match="names state 2000000"):
+            read_fst_text(path, LOG, ab2.pi_symbol_table(),
+                          ab2.label_symbol_table())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, peak
 
 
 def test_fst_text_deterministic_bytes(tmp_path, ab2, unigram_ab):
