@@ -17,4 +17,4 @@ class ArpaError(DataError):
 
 
 class NumericalError(Exception):
-    """Numerical failure: NaN objective, divergent epsilon closure."""
+    """Numerical failure: a non-finite objective, gradient or model output."""

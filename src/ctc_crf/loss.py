@@ -7,15 +7,15 @@ The objective for one utterance is
 where the numerator sums, over every length-T state sequence collapsing to
 the reference labels, the sequence-level LM score plus per-frame node
 potentials; the denominator sums the same potential over all state sequences
-via the denominator graph T∘G (a text FST on disk, flattened in memory by
-``flatten_denominator``); and ``aux`` is the plain alignment
-log-likelihood (the numerator without the LM constant).  The numerator
-runs in the log domain.  The denominator runs in the probability domain with
-a per-frame rescale, as in lattice-free MMI: one sparse matrix-vector
-product per frame, with a log-domain pass kept as the exact fallback for an
-utterance whose rescaled mass underflows.  Gradients are with respect to the
-node potentials: the difference between the reference-conditioned and
-unconstrained per-frame symbol occupancies.
+via the denominator graph T∘G (a text FST on disk, whose acyclic backoff
+epsilons ``flatten_denominator`` folds into its labeled arcs in memory); and
+``aux`` is the plain alignment log-likelihood (the numerator without the LM
+constant).  The numerator runs in the log domain.  The denominator runs in
+the probability domain with a per-frame rescale, as in lattice-free MMI: one
+sparse matrix-vector product per frame, with a log-domain pass kept as the
+exact fallback for an utterance whose rescaled mass underflows.  Gradients
+are with respect to the node potentials: the difference between the
+reference-conditioned and unconstrained per-frame symbol occupancies.
 """
 from __future__ import annotations
 
@@ -24,7 +24,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DataError, NumericalError
+from .errors import DataError
 from .semiring import ZERO, logsumexp
 from .wfst import EPS, Wfst
 
@@ -143,14 +143,10 @@ class DenominatorTable:
         entry = self.to_state * width + self.label
         keys, _ = _segments(np.sort(np.concatenate([entry, unentered * width]),
                                     kind="stable"))
-        first = np.searchsorted(keys, np.arange(self.num_states) * width)
-        copies = np.diff(np.append(first, len(keys)))
-        # every transition leaves every copy of its source state: compiled
-        # transition j is copy k of transition arc[j]
-        reps = copies[self.from_state]
-        arc = np.repeat(np.arange(n), reps)
-        k = np.arange(len(arc)) - np.repeat(np.cumsum(reps) - reps, reps)
-        src = first[self.from_state][arc] + k
+        # the copies of state q are first[q] .. first[q + 1] - 1, and every
+        # copy leaves on every transition: compiled j copies transition arc[j]
+        first = np.searchsorted(keys, np.arange(self.num_states + 1) * width)
+        arc, src = _expand(first, self.from_state)
         dst = np.searchsorted(keys, entry)[arc]
         with np.errstate(over="ignore"):
             prob = np.exp(self.weight[arc])
@@ -178,103 +174,102 @@ def _segments(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ids[starts], starts
 
 
-def flatten_denominator(den_fst: Wfst) -> DenominatorTable:
-    """Eliminate epsilon-input arcs by weighted closure and emit flat arrays.
+def _expand(indptr: np.ndarray, rows: np.ndarray):
+    """CSR row expansion: the positions ``indptr[r] .. indptr[r + 1] - 1``
+    of every row ``r`` in ``rows``, concatenated, and for each position the
+    index in ``rows`` of the row it came from."""
+    count = indptr[rows + 1] - indptr[rows]
+    i = np.repeat(np.arange(len(rows)), count)
+    offset = np.arange(len(i)) - (np.cumsum(count) - count)[i]
+    return i, indptr[rows][i] + offset
 
-    Backoff epsilons are folded into their successor transitions; closure
-    masses are computed exactly by solving the linear system of the epsilon
-    subgraph (a geometric series), which requires total epsilon-cycle mass
-    below one — a zero-weight epsilon loop is rejected as divergent.
+
+def _merge_pairs(origin, reached, mass, num_states: int):
+    """Rows sorted by (origin, reached), repeated pairs' log masses added."""
+    key = origin * num_states + reached
+    order = np.argsort(key, kind="stable")
+    heads, starts = _segments(key[order])
+    return (heads // num_states, heads % num_states,
+            np.logaddexp.reduceat(mass[order], starts))
+
+
+def _reachable(seeds, src, dst, num_states: int) -> np.ndarray:
+    """Mask of the states reachable from ``seeds`` along edges ``src -> dst``,
+    found one breadth-first level at a time."""
+    order = np.argsort(src, kind="stable")
+    indptr = np.searchsorted(src[order], np.arange(num_states + 1))
+    seen = np.zeros(num_states, dtype=bool)
+    frontier = np.asarray(seeds, dtype=np.int64)
+    while len(frontier):
+        seen[frontier] = True
+        nxt = dst[order[_expand(indptr, frontier)[1]]]
+        frontier = np.unique(nxt[~seen[nxt]])
+    return seen
+
+
+def flatten_denominator(den_fst: Wfst) -> DenominatorTable:
+    """Fold the epsilon-input (backoff) arcs into the labeled arcs after
+    them, then trim.
+
+    Each epsilon path ``q ~> r`` and labeled arc ``r -> s`` give a
+    transition ``q -> s``, in (q, r, arc) order; the final weight of ``q``
+    sums those of the ``r``.  The closure grows one epsilon level at a time
+    as (origin, reached, log mass) rows from (q, q, 0), one row per pair
+    and level however many paths join them.  Backoff epsilons go to a
+    shorter context, so they form no cycle and the levels run out; an
+    epsilon cycle is a DataError.  States on no start-to-final path are
+    dropped.
     """
     if den_fst.semiring.kind != "log":
         raise DataError("denominator graph must be in the log semiring")
     if den_fst.start is None:
         raise DataError("denominator graph is empty")
-    num_labels = len(den_fst.isyms) - 1
+    n = den_fst.num_states
+    arcs = np.reshape([(q, *a) for q in den_fst.states()
+                       for a in den_fst.arcs(q)], (-1, 5))
+    src, ilabel, dst = arcs[:, [0, 1, 4]].T.astype(np.int64)
+    weight = arcs[:, 3]
+    indptr = np.searchsorted(src, np.arange(n + 1))
 
-    eps_arcs: list[tuple[int, int, float]] = []
-    for q in den_fst.states():
-        for arc in den_fst.arcs(q):
-            if arc.ilabel == EPS:
-                eps_arcs.append((q, arc.nextstate, arc.weight))
+    def follow(origin, reached, mass, eps):
+        """Extend each row by the epsilon (or labeled) arcs of its state."""
+        i, arc = _expand(indptr, reached)
+        take = (ilabel[arc] == EPS) == eps
+        i, arc = i[take], arc[take]
+        return origin[i], dst[arc], ilabel[arc], mass[i] + weight[arc]
 
-    # closure[q] -> list of (state, natural-log mass) pairs, q itself included
-    closure: dict[int, list[tuple[int, float]]] = {}
-    if eps_arcs:
-        involved = sorted({q for q, _, _ in eps_arcs} | {r for _, r, _ in eps_arcs})
-        idx = {q: i for i, q in enumerate(involved)}
-        n = len(involved)
-        mass = np.zeros((n, n))
-        for q, r, w in eps_arcs:
-            mass[idx[q], idx[r]] += np.exp(w)
-        eig = np.max(np.abs(np.linalg.eigvals(mass)))
-        if eig >= 1.0 - 1e-10:
-            raise NumericalError(
-                f"divergent epsilon closure: cycle mass {eig:.6g} >= 1")
-        total = np.linalg.solve(np.eye(n) - mass, np.eye(n))
-        for q in involved:
-            row = total[idx[q]]
-            pairs = [(involved[j], float(np.log(row[j])))
-                     for j in range(n) if row[j] > 0.0]
-            closure[q] = pairs
+    levels = [(np.arange(n), np.arange(n), np.zeros(n))]
+    while len(levels[-1][0]):
+        if len(levels) > n:
+            raise DataError("epsilon cycle in the denominator graph")
+        origin, reached, _, mass = follow(*levels[-1], eps=True)
+        levels.append(_merge_pairs(origin, reached, mass, n))
+    origin, reached, mass = _merge_pairs(
+        *(np.concatenate(rows) for rows in zip(*levels)), n)
+    nonzero = mass > NEG_INF
+    origin, reached, mass = origin[nonzero], reached[nonzero], mass[nonzero]
 
-    def closure_of(q: int) -> list[tuple[int, float]]:
-        return closure.get(q, [(q, 0.0)])
+    from_s, to_s, ilab, w = follow(origin, reached, mass, eps=False)
+    final_in = np.full(n, NEG_INF)
+    final_in[list(den_fst.finals)] = list(den_fst.finals.values())
+    final = np.full(n, NEG_INF)
+    np.logaddexp.at(final, origin, mass + final_in[reached])
 
-    from_s, to_s, labels, weights = [], [], [], []
-    final = np.full(den_fst.num_states, NEG_INF)
-    for q in den_fst.states():
-        fw = NEG_INF
-        for r, d in closure_of(q):
-            for arc in den_fst.arcs(r):
-                if arc.ilabel != EPS:
-                    from_s.append(q)
-                    to_s.append(arc.nextstate)
-                    labels.append(arc.ilabel - 1)
-                    weights.append(d + arc.weight)
-            f = den_fst.final_weight(r)
-            if f != NEG_INF:
-                fw = np.logaddexp(fw, d + f)
-        final[q] = fw
-
-    # keep states reachable from the start and able to reach a final weight
-    fwd = {den_fst.start}
-    frontier = [den_fst.start]
-    succ: dict[int, list[int]] = {}
-    pred: dict[int, list[int]] = {}
-    for i in range(len(from_s)):
-        succ.setdefault(from_s[i], []).append(to_s[i])
-        pred.setdefault(to_s[i], []).append(from_s[i])
-    while frontier:
-        q = frontier.pop()
-        for r in succ.get(q, ()):
-            if r not in fwd:
-                fwd.add(r)
-                frontier.append(r)
-    bwd = {q for q in range(den_fst.num_states) if final[q] != NEG_INF}
-    frontier = list(bwd)
-    while frontier:
-        q = frontier.pop()
-        for r in pred.get(q, ()):
-            if r not in bwd:
-                bwd.add(r)
-                frontier.append(r)
-    if den_fst.start not in (fwd & bwd):
+    live = (_reachable([den_fst.start], from_s, to_s, n)
+            & _reachable(np.flatnonzero(final > NEG_INF), to_s, from_s, n))
+    if not live[den_fst.start]:
         raise DataError("denominator graph has no complete path")
-    keep = sorted(fwd & bwd)
-    remap = {old: new for new, old in enumerate(keep)}
-
-    sel = [i for i in range(len(from_s))
-           if from_s[i] in remap and to_s[i] in remap]
+    renumber = np.cumsum(live) - 1
+    sel = live[from_s] & live[to_s]
     return DenominatorTable(
-        num_states=len(keep),
-        start=remap[den_fst.start],
-        from_state=[remap[from_s[i]] for i in sel],
-        to_state=[remap[to_s[i]] for i in sel],
-        label=[labels[i] for i in sel],
-        weight=[weights[i] for i in sel],
-        final=final[keep],
-        num_labels=num_labels,
+        num_states=int(live.sum()),
+        start=renumber[den_fst.start],
+        from_state=renumber[from_s[sel]],
+        to_state=renumber[to_s[sel]],
+        label=ilab[sel] - 1,
+        weight=w[sel],
+        final=final[live],
+        num_labels=len(den_fst.isyms) - 1,
     )
 
 

@@ -406,6 +406,10 @@ def read_fst_text(path, semiring: Semiring, isyms: SymbolTable,
         ids = [int(i) for i in ids]
         if min(ids[:2]) < 0:
             raise ValueError("negative state id")
+        for side, label, syms in zip(("input", "output"), ids[2:],
+                                     (isyms, osyms)):
+            if not 0 <= label < len(syms):
+                raise ValueError(f"{side} label {label} not in symbol table")
         return ids, float(weight)
 
     entries = read_lines(path, entry)

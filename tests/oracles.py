@@ -81,7 +81,7 @@ def acceptor_mass(g, seq):
 
     if g.start is not None:
         visit(g.start, 0, budget, 0.0)
-    if not terms:
+    if not terms or max(terms) == ZERO:
         return ZERO
     arr = np.array(terms)
     m = arr.max()
@@ -137,6 +137,45 @@ def brute_acceptor(post, fst):
         return ZERO
     arr = np.array(terms)
     m = arr.max()
+    return float(m + np.log(np.exp(arr - m).sum()))
+
+
+def graph_forward(post, fst):
+    """Log-sum, over the complete paths of a log acceptor over state symbols
+    (input label = state id + 1) with exactly T labeled arcs, of the path
+    weight plus the node potentials.  A frame-by-frame forward pass over the
+    machine's own arcs; after each frame the epsilon arcs are followed one
+    path length at a time until no mass moves, so the epsilon arcs must
+    form no cycle."""
+    arcs = [(q, a.ilabel, a.nextstate, a.weight)
+            for q in fst.states() for a in fst.arcs(q)]
+    eps = np.array([a for a in arcs if a[1] == EPS]).reshape(-1, 4)
+    lab = np.array([a for a in arcs if a[1] != EPS]).reshape(-1, 4)
+    e_src, e_dst = eps[:, 0].astype(int), eps[:, 2].astype(int)
+    l_src, l_lab, l_dst = lab[:, :3].T.astype(int)
+
+    def close(alpha):
+        total, wave = alpha, alpha
+        while (wave > ZERO).any():
+            nxt = np.full(fst.num_states, ZERO)
+            np.logaddexp.at(nxt, e_dst, wave[e_src] + eps[:, 3])
+            total, wave = np.logaddexp(total, nxt), nxt
+        return total
+
+    alpha = np.full(fst.num_states, ZERO)
+    alpha[fst.start] = 0.0
+    alpha = close(alpha)
+    for t in range(post.shape[0]):
+        step = np.full(fst.num_states, ZERO)
+        np.logaddexp.at(step, l_dst, alpha[l_src] + lab[:, 3]
+                        + post[t, l_lab - 1])
+        alpha = close(step)
+    final = np.full(fst.num_states, ZERO)
+    final[list(fst.finals)] = list(fst.finals.values())
+    arr = alpha + final
+    m = arr.max()
+    if m == ZERO:
+        return ZERO
     return float(m + np.log(np.exp(arr - m).sum()))
 
 

@@ -297,6 +297,29 @@ def test_train_undecodable_den_table_is_data_error(pipeline, toy_dir, tmp_path):
     assert _run(*_train_argv(pipeline, toy_dir, tmp_path, table)) == 2
 
 
+def test_train_den_label_out_of_range_names_the_line(pipeline, toy_dir,
+                                                      tmp_path, capsys):
+    body = (pipeline / "graphs" / "den.fst").read_text()
+    table = tmp_path / "den.fst"
+    table.write_text(body + "0\t1\t99\t1\t0.5\n")
+    assert _run(*_train_argv(pipeline, toy_dir, tmp_path, table)) == 2
+    line = len(body.splitlines()) + 1
+    assert (f"{table}: line {line}: input label 99 not in symbol table"
+            in capsys.readouterr().err)
+
+
+def test_train_den_epsilon_cycle_is_data_error(pipeline, toy_dir, tmp_path,
+                                               capsys):
+    # an epsilon self-loop of mass 0.5 on the start state: its closure would
+    # converge, but no backoff graph has an epsilon cycle
+    body = (pipeline / "graphs" / "den.fst").read_text()
+    table = tmp_path / "den.fst"
+    table.write_text(body + "0\t0\t0\t0\t-0.693147181\n")
+    assert _run(*_train_argv(pipeline, toy_dir, tmp_path, table)) == 2
+    assert "epsilon cycle" in capsys.readouterr().err
+    assert not (tmp_path / "model.ckpt").exists()
+
+
 def test_train_bad_config_value_is_data_error(pipeline, toy_dir, tmp_path):
     config = tmp_path / "train.cfg"
     config.write_text("epochs = abc\n")

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ctc_crf import (Alphabet, DataError, DenominatorTable, LOG, NGramModel,
-                     NumericalError, PosteriorMatrix, SymbolTable,
+                     PosteriorMatrix, SymbolTable,
                      build_denominator_graph, crf_loss, denominator_forward,
                      estimate, flatten_denominator, lm_to_fst,
                      numerator_forward, read_fst_text, score_sequence,
@@ -15,10 +15,10 @@ from ctc_crf import (Alphabet, DataError, DenominatorTable, LOG, NGramModel,
 from ctc_crf.loss import _denominator_forward_log
 from ctc_crf.semiring import ZERO
 from ctc_crf.toydata import generate_utterance
-from ctc_crf.wfst import Wfst
+from ctc_crf.wfst import EPS, Wfst
 
 from oracles import (brute_acceptor, brute_denominator, brute_numerator,
-                     finite_difference, random_log_softmax)
+                     finite_difference, graph_forward, random_log_softmax)
 
 
 def uniform_post(frames, width):
@@ -163,15 +163,20 @@ def test_denominator_matches_enumeration_randomized(rng):
 
 
 @pytest.fixture(scope="module")
-def trigram_table():
-    """30 labels, trigram LM from 1000 generated sentences: ~2.9k states and
-    ~73k transitions after flattening."""
+def trigram_graph():
+    """30 labels, trigram LM from 1000 generated sentences: the T∘G graph,
+    2,954 states and 22,230 arcs, 994 of them backoff epsilons."""
     alphabet = Alphabet([f"p{i:02d}" for i in range(30)])
     rng = np.random.default_rng(0)
     corpus = [[alphabet.state_name(lab) for lab in generate_utterance(
         rng, alphabet, alphabet.num_state_symbols)[1]] for _ in range(1000)]
     lm = estimate(corpus, order=3, discount=0.5, vocab=list(alphabet.labels))
-    return flatten_denominator(build_denominator_graph(alphabet, lm))
+    return build_denominator_graph(alphabet, lm)
+
+
+@pytest.fixture(scope="module")
+def trigram_table(trigram_graph):
+    return flatten_denominator(trigram_graph)
 
 
 def _assert_matches_log(got, want, rel=1e-9, occ_abs=1e-9):
@@ -186,6 +191,16 @@ def test_trigram_table_needs_no_state_split(trigram_table):
     assert trigram_table.num_states > 2500
     assert len(trigram_table._state_label) == trigram_table.num_states
     assert len(trigram_table._fwd_src) == trigram_table.num_transitions
+
+
+def test_trigram_table_matches_unflattened_graph(trigram_graph,
+                                                 trigram_table):
+    # the table sizes perfbench's train-large workload reports
+    assert trigram_table.num_states == 2893
+    assert trigram_table.num_transitions == 72851
+    post = random_log_softmax(np.random.default_rng(3), 200, 31)
+    assert denominator_forward(post, trigram_table).score == pytest.approx(
+        graph_forward(post, trigram_graph), rel=1e-9)
 
 
 @pytest.mark.parametrize("frames", [200, 1000])
@@ -330,6 +345,21 @@ def test_flatten_no_epsilons_is_transcription(ab1):
     assert table.final[table.start] == pytest.approx(-0.1)
 
 
+def test_flatten_trims_states_off_every_complete_path(ab1):
+    # state 1 reaches no final weight and nothing reaches state 2
+    isyms = ab1.pi_symbol_table()
+    fst = Wfst(LOG, isyms, isyms)
+    s0, s1, s2 = (fst.add_state() for _ in range(3))
+    fst.set_start(s0)
+    fst.add_arc(s0, 1, 1, -0.5, s0)
+    fst.add_arc(s0, 2, 2, -1.0, s1)
+    fst.add_arc(s2, 1, 1, -0.5, s0)
+    fst.set_final(s0, 0.0)
+    fst.set_final(s2, 0.0)
+    table = flatten_denominator(fst)
+    assert (table.num_states, table.num_transitions) == (1, 1)
+
+
 def test_flatten_folds_backoff_mass(ab2, bigram_ab):
     graph = build_denominator_graph(ab2, bigram_ab)
     table = flatten_denominator(graph)
@@ -349,22 +379,86 @@ def test_flatten_zero_weight_epsilon_loop_diverges(ab1):
     fst.add_arc(s0, 0, 0, 0.0, s0)  # epsilon self-loop, mass one
     fst.add_arc(s0, 1, 0, 0.0, s0)
     fst.set_final(s0, 0.0)
-    with pytest.raises(NumericalError, match="divergent"):
+    with pytest.raises(DataError, match="epsilon cycle"):
         flatten_denominator(fst)
 
 
-def test_flatten_negative_epsilon_cycle_converges(ab1):
+def _epsilon_cycle_acceptor(ab1, cycle):
+    """Two states looping on blank, with epsilon arcs (src, dst, weight)."""
     isyms = ab1.pi_symbol_table()
     fst = Wfst(LOG, isyms, isyms)
-    s0 = fst.add_state()
+    s0, s1 = fst.add_state(), fst.add_state()
     fst.set_start(s0)
-    fst.add_arc(s0, 0, 0, math.log(0.5), s0)  # epsilon loop, mass half
     fst.add_arc(s0, 1, 0, math.log(0.25), s0)
+    fst.add_arc(s1, 1, 0, math.log(0.25), s1)
+    for src, dst, weight in cycle:
+        fst.add_arc(src, EPS, 0, weight, dst)
     fst.set_final(s0, 0.0)
-    table = flatten_denominator(fst)
-    # geometric series: closure mass 1/(1-0.5) = 2
-    res = denominator_forward(np.zeros((1, 2)), table)
-    assert res.score == pytest.approx(math.log(2 * 0.25 * 2), abs=1e-12)
+    return fst
+
+
+def test_flatten_light_epsilon_cycle_is_data_error(ab1):
+    # every cycle is rejected, whatever its mass: a backoff graph has none
+    half = math.log(0.5)
+    for cycle in ([(0, 0, half)],                 # closure mass would be 2
+                  [(0, 1, half), (1, 0, half)],   # two-state cycle
+                  [(0, 1, ZERO), (1, 0, 0.0)]):   # zero mass, still a cycle
+        with pytest.raises(DataError, match="epsilon cycle"):
+            flatten_denominator(_epsilon_cycle_acceptor(ab1, cycle))
+    table = flatten_denominator(_epsilon_cycle_acceptor(ab1, [(1, 0, half)]))
+    assert table.num_states == 1   # state 1 cannot be reached
+
+
+def _random_epsilon_dag(rng, alphabet):
+    """A log acceptor over state symbols whose epsilon arcs follow the order
+    of a random numbering p: two epsilon paths p0 ~> p2, one epsilon arc of
+    weight -inf, and states p1 and p2 entered by epsilon arcs only."""
+    isyms = alphabet.pi_symbol_table()
+    fst = Wfst(LOG, isyms, isyms)
+    n = int(rng.integers(4, 7))
+    for _ in range(n):
+        fst.add_state()
+    p = [int(q) for q in rng.permutation(n)]
+    fst.set_start(p[0])
+    eps = [(0, 1), (1, 2), (0, 2)]
+    eps += [tuple(sorted(rng.choice(n, 2, replace=False)))
+            for _ in range(int(rng.integers(1, 4)))]
+    dead = int(rng.integers(len(eps)))
+    for k, (q, r) in enumerate(eps):
+        fst.add_arc(p[q], EPS, EPS,
+                    ZERO if k == dead else rng.normal(-0.5, 0.5), p[r])
+    for _ in range(int(rng.integers(3, 10))):
+        lab = int(rng.integers(1, len(isyms)))
+        fst.add_arc(int(rng.integers(n)), lab, lab, rng.normal(0.0, 0.5),
+                    p[int(rng.integers(3, n))])
+    for q in range(n):
+        if rng.random() < 0.5:
+            fst.set_final(q, rng.normal(0.0, 0.5))
+    return fst
+
+
+def test_flatten_random_epsilon_dags_match_enumeration(rng):
+    checked = 0
+    for _ in range(60):
+        alphabet = Alphabet([f"l{i}" for i in range(int(rng.integers(1, 3)))])
+        fst = _random_epsilon_dag(rng, alphabet)
+        try:
+            table = flatten_denominator(fst)
+            # pairs joined only through the -inf arc give no transition
+            assert np.isfinite(table.weight).all()
+        except DataError as exc:
+            assert "no complete path" in str(exc)
+            table = None
+        for frames in (1, 2, 3):
+            post = random_log_softmax(rng, frames, alphabet.num_state_symbols)
+            want = brute_acceptor(post, fst)
+            got = denominator_forward(post, table) if table else None
+            if want == ZERO:
+                assert got is None or not got.feasible
+            else:
+                assert got.score == pytest.approx(want, abs=1e-9)
+                checked += 1
+    assert checked > 60
 
 
 def test_denominator_no_complete_path_flagged(ab1):

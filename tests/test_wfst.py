@@ -366,9 +366,12 @@ def test_fst_text_round_trip(tmp_path, ab2, unigram_ab):
 
 
 @pytest.mark.parametrize("line", ["-1\t0\t1\t1\t0.25", "-3\t0",
-                                  "-2\t0\t1\t1\t0.5", "0\t1\t1\t1\tz"],
+                                  "-2\t0\t1\t1\t0.5", "0\t1\t1\t1\tz",
+                                  "0\t1\t99\t1\t0.5", "0\t1\t1\t-1\t0.5"],
                          ids=["negative-source", "negative-final",
-                              "negative-source-2", "non-numeric-weight"])
+                              "negative-source-2", "non-numeric-weight",
+                              "input-label-out-of-range",
+                              "output-label-out-of-range"])
 def test_fst_text_rejects_bad_line(tmp_path, ab2, unigram_ab, line):
     tden = build_denominator_graph(ab2, unigram_ab)
     path = tmp_path / "den.fst"
