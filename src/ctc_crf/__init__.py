@@ -1,9 +1,10 @@
 """Sequence-CRF training with a blank-collapsing state topology.
 
 The pieces: a WFST layer (topology, composition, graph assembly), a backoff
-n-gram LM with ARPA round-trip, the log-domain CRF objective with exact
-gradients, a small trainable acoustic model, and a Viterbi beam decoder with
-blank-frame skipping.
+n-gram LM with ARPA round-trip, the CRF objective with exact gradients (one
+rescaled forward-backward serves the numerator and the denominator), a
+small trainable acoustic model, and a Viterbi beam decoder with blank-frame
+skipping.
 """
 
 from .decoder import (BeamConfig, DecodeResult, ErrorRateBreakdown,

@@ -105,7 +105,9 @@ def cmd_prepare(args) -> int:
         if not feat_path.exists():
             raise DataError(f"utterance {utt}: missing features {feat_path}")
         feats = dataio.read_matrix(feat_path)
-        if args.subsample > 1:
+        if not len(feats):
+            raise DataError(f"utterance {utt}: no frames in {feat_path}")
+        if args.subsample != 1:
             feats = dataio.subsample_frames(feats, args.subsample)
             out_feats = dataio.ensure_dir(work / "feats") / f"{utt}.mat"
             dataio.write_matrix(out_feats, feats)

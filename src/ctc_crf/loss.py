@@ -10,8 +10,10 @@ potentials; the denominator sums the same potential over all state sequences
 via the denominator graph T∘G (a text FST on disk, whose acyclic backoff
 epsilons ``flatten_denominator`` folds into its labeled arcs in memory); and
 ``aux`` is the plain alignment log-likelihood (the numerator without the LM
-constant).  The numerator runs in the log domain.  The denominator runs in
-the probability domain with a per-frame rescale, as in lattice-free MMI: one
+constant).  Both are one forward-backward over a ``DenominatorTable``, a
+machine whose states each emit one symbol: T∘G for the denominator, the
+reference's blank-augmented chain for the numerator.  The pass runs in the
+probability domain with a per-frame rescale, as in lattice-free MMI: one
 sparse matrix-vector product per frame, with a log-domain pass kept as the
 exact fallback for an utterance whose rescaled mass underflows.  Gradients
 are with respect to the node potentials: the difference between the
@@ -92,22 +94,21 @@ class LossResult:
 # ---------------------------------------------------------------------------
 
 class DenominatorTable:
-    """Flattened denominator graph: labeled transitions only.
+    """A machine over the state alphabet whose states each emit one symbol:
+    the numerator and the denominator run their forward-backward on one.
 
     Arrays are parallel over transitions; labels are state-symbol ids that
     index posterior columns.  Immutable.  A table has no file format of its
     own: ``flatten_denominator`` builds it from the T∘G graph, which is
-    stored and read as a text FST.
+    stored and read as a text FST, and ``numerator_forward`` builds one per
+    reference.
 
-    The constructor also compiles the machine the forward-backward runs on,
-    in which every state carries one label: the label of each transition
-    entering it.  A state entered on several labels is split into one copy
-    per label, each copy with the state's out-transitions and final weight.
-    In a T∘G table the topology enters a state on that state's own symbol,
-    so no state is split and the numbering is kept; a hand-built table, such
-    as one state looping on blank and on a label, is split.  The compiled
-    arrays hold transitions sorted by destination (forward) and by source
-    (backward), with weights and final weights in the probability domain.
+    Every transition entering a state carries the state's label, and a
+    table that enters one state on two labels is a DataError: T∘G enters
+    each state on its own symbol, the reference chain each position on its
+    symbol.  The constructor sorts the transitions by destination and by
+    source, in the probability domain, after giving each state that nothing
+    enters or nothing leaves a zero-probability loop.
     """
 
     def __init__(self, num_states: int, start: int, from_state, to_state,
@@ -125,6 +126,8 @@ class DenominatorTable:
             raise DataError("transition arrays have mismatched lengths")
         if len(self.final) != self.num_states:
             raise DataError("final-weight array does not match state count")
+        if self.num_labels < 1:
+            raise DataError("a table needs at least one label")
         if n and (self.label.min() < 0 or self.label.max() >= self.num_labels):
             raise DataError("transition label out of range")
         if not 0 <= self.start < self.num_states:
@@ -134,44 +137,44 @@ class DenominatorTable:
                   >= self.num_states):
             raise DataError("transition state out of range")
 
-        # one compiled state per (state, entering label), numbered in key
-        # order; a state nothing enters keeps one copy, which holds mass
-        # only before the first frame, so its label weighs nothing
-        width = max(self.num_labels, 1)
-        unentered = np.flatnonzero(
-            np.bincount(self.to_state, minlength=self.num_states) == 0)
-        entry = self.to_state * width + self.label
-        keys, _ = _segments(np.sort(np.concatenate([entry, unentered * width]),
-                                    kind="stable"))
-        # the copies of state q are first[q] .. first[q + 1] - 1, and every
-        # copy leaves on every transition: compiled j copies transition arc[j]
-        first = np.searchsorted(keys, np.arange(self.num_states + 1) * width)
-        arc, src = _expand(first, self.from_state)
-        dst = np.searchsorted(keys, entry)[arc]
+        self._state_label = _state_labels(self.num_states, self.to_state,
+                                          self.label)
+        states = np.arange(self.num_states)
+        entered = np.bincount(self.to_state, minlength=self.num_states) > 0
+        left = np.bincount(self.from_state, minlength=self.num_states) > 0
+        lone = states[~(entered & left)]
+        src = np.concatenate([self.from_state, lone])
+        dst = np.concatenate([self.to_state, lone])
         with np.errstate(over="ignore"):
-            prob = np.exp(self.weight[arc])
-            self._final_prob = np.exp(self.final[keys // width])
-        self._state_label = keys % width
-        self._start = int(first[self.start])
+            prob = np.concatenate([np.exp(self.weight), np.zeros(len(lone))])
+            self._final_prob = np.exp(self.final)
+        # state posteriors times these one-hot rows sum them by label
+        self._label_onehot = np.eye(self.num_labels)[self._state_label]
         by_dst = np.argsort(dst, kind="stable")
         self._fwd_src = src[by_dst]
         self._fwd_prob = prob[by_dst]
-        self._fwd_heads, self._fwd_starts = _segments(dst[by_dst])
+        self._fwd_starts = np.searchsorted(dst[by_dst], states)
         by_src = np.argsort(src, kind="stable")
         self._bwd_dst = dst[by_src]
         self._bwd_prob = prob[by_src]
-        self._bwd_heads, self._bwd_starts = _segments(src[by_src])
+        self._bwd_starts = np.searchsorted(src[by_src], states)
 
     @property
     def num_transitions(self) -> int:
         return len(self.from_state)
 
 
-def _segments(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct values of a sorted id array and where each run starts: the
-    segment offsets ``np.add.reduceat`` sums over."""
-    starts = np.flatnonzero(np.diff(ids, prepend=-1))
-    return ids[starts], starts
+def _state_labels(num_states: int, to_state, label) -> np.ndarray:
+    """Each state's label, that of every transition entering it; 0 where
+    none does, as such a state holds mass only before the first frame."""
+    state_label = np.zeros(num_states, dtype=np.int64)
+    state_label[to_state] = label
+    clash = np.flatnonzero(state_label[to_state] != label)
+    if len(clash):
+        q = to_state[clash[0]]
+        raise DataError(f"state {q} is entered on labels {label[clash[0]]} "
+                        f"and {state_label[q]}")
+    return state_label
 
 
 def _expand(indptr: np.ndarray, rows: np.ndarray):
@@ -188,7 +191,9 @@ def _merge_pairs(origin, reached, mass, num_states: int):
     """Rows sorted by (origin, reached), repeated pairs' log masses added."""
     key = origin * num_states + reached
     order = np.argsort(key, kind="stable")
-    heads, starts = _segments(key[order])
+    key = key[order]
+    starts = np.flatnonzero(np.diff(key, prepend=-1))
+    heads = key[starts]
     return (heads // num_states, heads % num_states,
             np.logaddexp.reduceat(mass[order], starts))
 
@@ -218,7 +223,8 @@ def flatten_denominator(den_fst: Wfst) -> DenominatorTable:
     and level however many paths join them.  Backoff epsilons go to a
     shorter context, so they form no cycle and the levels run out; an
     epsilon cycle is a DataError.  States on no start-to-final path are
-    dropped.
+    dropped.  A live state entered on two input labels is a DataError that
+    names it.
     """
     if den_fst.semiring.kind != "log":
         raise DataError("denominator graph must be in the log semiring")
@@ -261,6 +267,8 @@ def flatten_denominator(den_fst: Wfst) -> DenominatorTable:
         raise DataError("denominator graph has no complete path")
     renumber = np.cumsum(live) - 1
     sel = live[from_s] & live[to_s]
+    # checked before the renumbering, so an error names the graph's state
+    _state_labels(n, to_s[sel], ilab[sel])
     return DenominatorTable(
         num_states=int(live.sum()),
         start=renumber[den_fst.start],
@@ -274,16 +282,33 @@ def flatten_denominator(den_fst: Wfst) -> DenominatorTable:
 
 
 # ---------------------------------------------------------------------------
-# Numerator: forward-backward on the extended label lattice
+# Numerator and denominator: one forward-backward over a table
 # ---------------------------------------------------------------------------
 
-def _extended_labels(labels: Sequence[int], width: int) -> np.ndarray:
-    ext = np.zeros(2 * len(labels) + 1, dtype=np.int64)
-    for i, lab in enumerate(labels):
-        if not 1 <= lab < width:
-            raise DataError(f"label id {lab} outside the state alphabet")
-        ext[2 * i + 1] = lab
-    return ext
+def _reference_chain(labels: Sequence[int], width: int) -> DenominatorTable:
+    """The reference's blank-augmented chain as a table.
+
+    Positions 0 .. 2U are labelled blank, l1, blank, ..., lU, blank.  Each
+    position loops and steps to the next, and a label also skips the blank
+    before it unless it repeats the label there.  The chain starts in
+    position 0, whose moves are exactly the first frame's choices, and is
+    final in its last two positions.
+    """
+    labels = np.asarray(labels, dtype=np.int64)
+    if len(labels) and not (labels.min() >= 1 and labels.max() < width):
+        bad = labels[(labels < 1) | (labels >= width)][0]
+        raise DataError(f"label id {bad} outside the state alphabet")
+    n = 2 * len(labels) + 1
+    ext = np.zeros(n, dtype=np.int64)
+    ext[1::2] = labels
+    pos = np.arange(n)
+    skip = pos[3::2][labels[1:] != labels[:-1]]
+    src = np.concatenate([pos, pos[:-1], skip - 2])
+    dst = np.concatenate([pos, pos[1:], skip])
+    final = np.full(n, NEG_INF)
+    final[-2:] = 0.0
+    return DenominatorTable(n, 0, src, dst, ext[dst], np.zeros(len(dst)),
+                            final, width)
 
 
 def numerator_forward(posterior, labels: Sequence[int],
@@ -294,67 +319,30 @@ def numerator_forward(posterior, labels: Sequence[int],
     sequences collapsing to ``labels`` of the summed node potentials;
     ``occupancy[t][s]`` is the probability that such a sequence emits ``s``
     at frame ``t``.  The LM term is an additive constant with zero gradient.
-    Too few frames for the label sequence yields -inf and is flagged.
+    Too few frames for the label sequence yields -inf and is flagged.  The
+    pass is the denominator's, over the reference's chain.
     """
     post = _as_matrix(posterior)
-    t_frames, width = post.shape
-    labels = list(labels)
-    ext = _extended_labels(labels, width)
-    s_len = len(ext)
+    res = _forward_backward(post, _reference_chain(labels, post.shape[1]))
+    return res._replace(score=log_pl + res.score) if res.feasible else res
 
-    # positions reachable by a skip: non-blank and different from u-2
-    skip_ok = np.zeros(s_len, dtype=bool)
-    if s_len > 2:
-        skip_ok[2:] = (ext[2:] != 0) & (ext[2:] != ext[:-2])
-
-    alpha = np.full((t_frames, s_len), NEG_INF)
-    alpha[0, 0] = post[0, ext[0]]
-    if s_len > 1:
-        alpha[0, 1] = post[0, ext[1]]
-    for t in range(1, t_frames):
-        prev = alpha[t - 1]
-        step = prev.copy()
-        step[1:] = np.logaddexp(step[1:], prev[:-1])
-        step[2:][skip_ok[2:]] = np.logaddexp(step[2:][skip_ok[2:]],
-                                             prev[:-2][skip_ok[2:]])
-        alpha[t] = step + post[t, ext]
-
-    tail = alpha[t_frames - 1, s_len - 1]
-    if s_len > 1:
-        tail = np.logaddexp(tail, alpha[t_frames - 1, s_len - 2])
-    path_mass = float(tail)
-    if path_mass == NEG_INF:
-        return ForwardResult(NEG_INF, np.zeros((t_frames, width)), False)
-
-    beta = np.full((t_frames, s_len), NEG_INF)
-    beta[t_frames - 1, s_len - 1] = 0.0
-    if s_len > 1:
-        beta[t_frames - 1, s_len - 2] = 0.0
-    for t in range(t_frames - 2, -1, -1):
-        nxt = beta[t + 1] + post[t + 1, ext]
-        step = nxt.copy()
-        step[:-1] = np.logaddexp(step[:-1], nxt[1:])
-        step[:-2][skip_ok[2:]] = np.logaddexp(step[:-2][skip_ok[2:]], nxt[2:][skip_ok[2:]])
-        beta[t] = step
-
-    with np.errstate(over="ignore", under="ignore"):
-        gamma = np.exp(alpha + beta - path_mass)
-    occupancy = np.zeros((t_frames, width))
-    for u in range(s_len):
-        occupancy[:, ext[u]] += gamma[:, u]
-    return ForwardResult(log_pl + path_mass, occupancy, True)
-
-
-# ---------------------------------------------------------------------------
-# Denominator: forward-backward over the flattened graph
-# ---------------------------------------------------------------------------
 
 def denominator_forward(posterior, den: DenominatorTable) -> ForwardResult:
     """Unconstrained score and per-frame occupancy over the denominator
     graph.  Exact for the flattened machine; any utterance length is
-    supported because the transition table is time-invariant.
+    supported because the transition table is time-invariant."""
+    post = _as_matrix(posterior)
+    if post.shape[1] != den.num_labels:
+        raise DataError(f"posterior width {post.shape[1]} != denominator "
+                        f"alphabet {den.num_labels}")
+    return _forward_backward(post, den)
 
-    Each frame is one sparse matrix-vector product over the compiled
+
+def _forward_backward(post: np.ndarray,
+                      table: DenominatorTable) -> ForwardResult:
+    """Score and per-frame occupancy of all paths through ``table``.
+
+    Each frame is one sparse matrix-vector product over the sorted
     transitions times a per-state emission ``exp(post[t] - max(post[t]))``,
     and the result is rescaled to sum to one.  The score adds back the
     logs of the rescale factors and of the row maxima.  The backward pass
@@ -362,71 +350,71 @@ def denominator_forward(posterior, den: DenominatorTable) -> ForwardResult:
     the occupancy is its sum by state label.  An utterance whose rescale
     mass underflows or is not finite takes the exact log-domain pass.
     """
-    post = _as_matrix(posterior)
-    t_frames, width = post.shape
-    if width != den.num_labels:
-        raise DataError(
-            f"posterior width {width} != denominator alphabet {den.num_labels}")
-    if den.num_transitions == 0:
-        return ForwardResult(NEG_INF, np.zeros((t_frames, width)), False)
+    t_frames = len(post)
     peak = post.max(axis=1)
     if not np.isfinite(peak).all():
-        return _denominator_forward_log(post, den)
+        return _forward_backward_log(post, table)
     emit = np.exp(post - peak[:, None])
-    lab = den._state_label
+    lab = table._state_label
 
-    alpha = np.zeros((t_frames + 1, len(lab)))
-    alpha[0, den._start] = 1.0
+    # rows 1 .. T start as the emissions and end as the rescaled forward
+    # masses; with mode="clip" take writes them in place, where the default
+    # mode would buffer a T x N copy
+    alpha = np.empty((t_frames + 1, table.num_states))
+    alpha[0] = 0.0
+    alpha[0, table.start] = 1.0
+    np.take(emit, lab, axis=1, out=alpha[1:], mode="clip")
     scale = np.empty(t_frames)
-    for t in range(t_frames):
-        nxt = alpha[t + 1]
-        nxt[den._fwd_heads] = np.add.reduceat(
-            alpha[t, den._fwd_src] * den._fwd_prob, den._fwd_starts)
-        nxt *= emit[t, lab]
-        scale[t] = nxt.sum()
-        if not _MIN_SCALE < scale[t] < np.inf:
-            return _denominator_forward_log(post, den)
-        nxt /= scale[t]
-    end = float(alpha[t_frames] @ den._final_prob)
-    if not _MIN_SCALE < end < np.inf:
-        return _denominator_forward_log(post, den)
+    # rows are indexed before their columns: alpha[t][src] takes numpy's
+    # fast path, alpha[t, src] does not
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for t in range(t_frames):
+            nxt = alpha[t + 1]
+            nxt *= np.add.reduceat(alpha[t][table._fwd_src] * table._fwd_prob,
+                                   table._fwd_starts)
+            scale[t] = mass = nxt.sum()
+            nxt /= mass
+        end = float(alpha[t_frames] @ table._final_prob)
+    if not (np.all((_MIN_SCALE < scale) & (scale < np.inf))
+            and _MIN_SCALE < end < np.inf):
+        return _forward_backward_log(post, table)
 
-    beta = den._final_prob / end
-    occupancy = np.empty((t_frames, width))
+    # row t + 1 of alpha becomes the state posterior of frame t
+    beta = table._final_prob / end
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(t_frames - 1, -1, -1):
-            occupancy[t] = np.bincount(lab, alpha[t + 1] * beta,
-                                       minlength=width)
+            gamma = alpha[t + 1]
+            gamma *= beta
             if t:
-                step = (beta * emit[t, lab])[den._bwd_dst] * den._bwd_prob
-                beta = np.zeros_like(beta)
-                beta[den._bwd_heads] = (np.add.reduceat(step, den._bwd_starts)
-                                        / scale[t])
+                step = (beta * emit[t][lab])[table._bwd_dst] * table._bwd_prob
+                beta = np.add.reduceat(step, table._bwd_starts) / scale[t]
+        occupancy = alpha[1:] @ table._label_onehot
     if not np.isfinite(occupancy).all():
-        return _denominator_forward_log(post, den)
+        return _forward_backward_log(post, table)
     score = np.log(scale).sum() + peak.sum() + np.log(end)
     return ForwardResult(float(score), occupancy, True)
 
 
-def _denominator_forward_log(post: np.ndarray,
-                             den: DenominatorTable) -> ForwardResult:
+def _forward_backward_log(post: np.ndarray,
+                          table: DenominatorTable) -> ForwardResult:
     """The same pass in the log domain over the table's own transitions:
     two scatters per frame and no rescaling, so it cannot underflow.  The
-    exact fallback of ``denominator_forward``."""
+    exact fallback of ``_forward_backward``."""
     t_frames, width = post.shape
-    src, dst, lab, w = den.from_state, den.to_state, den.label, den.weight
-    alpha = np.full((t_frames + 1, den.num_states), NEG_INF)
-    alpha[0, den.start] = 0.0
+    src, dst = table.from_state, table.to_state
+    lab, w = table.label, table.weight
+    alpha = np.full((t_frames + 1, table.num_states), NEG_INF)
+    alpha[0, table.start] = 0.0
     for t in range(t_frames):
         contrib = alpha[t, src] + w + post[t, lab]
         np.logaddexp.at(alpha[t + 1], dst, contrib)
 
-    score = logsumexp(alpha[t_frames] + den.final)
+    score = logsumexp(alpha[t_frames] + table.final)
     if score == NEG_INF:
         return ForwardResult(NEG_INF, np.zeros((t_frames, width)), False)
 
-    beta = np.full((t_frames + 1, den.num_states), NEG_INF)
-    beta[t_frames] = den.final
+    beta = np.full((t_frames + 1, table.num_states), NEG_INF)
+    beta[t_frames] = table.final
     for t in range(t_frames - 1, -1, -1):
         contrib = beta[t + 1, dst] + w + post[t, lab]
         np.logaddexp.at(beta[t], src, contrib)

@@ -78,6 +78,9 @@ def train(model: AcousticModel, dataset, den: DenominatorTable,
         raise DataError("empty training set")
     if len(log_pls) != len(dataset):
         raise DataError("log_pl list does not match the dataset")
+    for idx, (features, _) in enumerate(dataset):
+        if not len(features):
+            raise DataError(f"training utterance {idx} has no frames")
     heldout = heldout or []
     optimizer = _make_optimizer(config)
     order_rng = np.random.default_rng(config.seed)

@@ -221,8 +221,3 @@ def finite_difference(objective, matrix, step=1e-4):
             matrix[t, s] = saved
             grad[t, s] = (hi - lo) / (2 * step)
     return grad
-
-
-def random_log_softmax(rng, frames, width, scale=2.0):
-    logits = rng.normal(0.0, scale, size=(frames, width))
-    return logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))

@@ -19,9 +19,10 @@ from ctc_crf import (AcousticModel, Alphabet, BeamConfig, LayerSpec, LOG,
                      score_sequence, train)
 from ctc_crf.semiring import ZERO
 from ctc_crf.toydata import generate_dataset
+from ctc_crf.verify import random_log_softmax
 
 from oracles import (brute_denominator, brute_numerator, exhaustive_best_path,
-                     random_log_softmax, transducer_outputs)
+                     transducer_outputs)
 
 BLANK_SKIP_THRESHOLD = 0.7   # decoder prunes frames above this blank probability
 AUX_WEIGHT = 0.1             # default auxiliary alignment-loss weight

@@ -4,7 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ctc_crf import dataio
+from ctc_crf import (LOG, Alphabet, DataError, dataio, flatten_denominator,
+                     read_fst_text)
 from ctc_crf.cli import main
 from ctc_crf.toydata import write_dataset
 
@@ -142,6 +143,37 @@ def test_prepare_subsampling(toy_dir, pipeline, tmp_path):
     sub = dataio.read_matrix(tmp_path / "sub" / "feats" / f"{utt}.mat")
     assert sub.shape[0] == (full.shape[0] + 2) // 3
     assert np.array_equal(sub, full[::3])
+
+
+@pytest.mark.parametrize("factor", [0, -2])
+def test_prepare_bad_subsample_is_data_error(toy_dir, pipeline, tmp_path,
+                                             capsys, factor):
+    rc = _run("prepare", "--features-dir", toy_dir / "feats",
+              "--labels", pipeline / "train-labels.tsv",
+              "--alphabet", toy_dir / "alphabet.txt",
+              "--den-lm", pipeline / "den.arpa",
+              "--work-dir", tmp_path / "sub", "--subsample", factor)
+    assert rc == 2
+    assert "subsample factor" in capsys.readouterr().err
+    assert not (tmp_path / "sub" / "manifest.tsv").exists()
+
+
+def test_prepare_zero_frame_utterance_is_data_error(toy_dir, pipeline,
+                                                     tmp_path, capsys):
+    labels = dataio.read_labels_file(pipeline / "train-labels.tsv")
+    utt = sorted(labels)[1]
+    feats = tmp_path / "feats"
+    shutil.copytree(toy_dir / "feats", feats)
+    full = dataio.read_matrix(feats / f"{utt}.mat")
+    dataio.write_matrix(feats / f"{utt}.mat", full[:0])
+    rc = _run("prepare", "--features-dir", feats,
+              "--labels", pipeline / "train-labels.tsv",
+              "--alphabet", toy_dir / "alphabet.txt",
+              "--den-lm", pipeline / "den.arpa",
+              "--work-dir", tmp_path / "w")
+    assert rc == 2
+    assert f"utterance {utt}: no frames" in capsys.readouterr().err
+    assert not (tmp_path / "w" / "manifest.tsv").exists()
 
 
 def test_build_graphs_artifacts(pipeline):
@@ -317,6 +349,24 @@ def test_train_den_epsilon_cycle_is_data_error(pipeline, toy_dir, tmp_path,
     table.write_text(body + "0\t0\t0\t0\t-0.693147181\n")
     assert _run(*_train_argv(pipeline, toy_dir, tmp_path, table)) == 2
     assert "epsilon cycle" in capsys.readouterr().err
+    assert not (tmp_path / "model.ckpt").exists()
+
+
+def test_mixed_label_den_is_data_error(pipeline, toy_dir, tmp_path, capsys):
+    # state 2 is entered on blank and on label a: a table state carries one
+    # label, and no T∘G graph enters a state on two.  State 1 is trimmed,
+    # and the error still names the file's state and input labels.
+    table = tmp_path / "den.fst"
+    table.write_text("0\t2\t1\t0\t-0.4\n0\t2\t2\t0\t-1.3\n"
+                     "1\t0\t1\t0\t-0.3\n2\t-0.2\n")
+    alphabet = Alphabet.read(toy_dir / "alphabet.txt")
+    graph = read_fst_text(table, LOG, alphabet.pi_symbol_table(),
+                          alphabet.label_symbol_table())
+    message = "state 2 is entered on labels 1 and 2"
+    with pytest.raises(DataError, match=message):
+        flatten_denominator(graph)
+    assert _run(*_train_argv(pipeline, toy_dir, tmp_path, table)) == 2
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "model.ckpt").exists()
 
 

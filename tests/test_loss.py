@@ -12,13 +12,15 @@ from ctc_crf import (Alphabet, DataError, DenominatorTable, LOG, NGramModel,
                      estimate, flatten_denominator, lm_to_fst,
                      numerator_forward, read_fst_text, score_sequence,
                      write_fst_text)
-from ctc_crf.loss import _denominator_forward_log
+from ctc_crf import loss
+from ctc_crf.loss import _forward_backward_log, _reference_chain
 from ctc_crf.semiring import ZERO
 from ctc_crf.toydata import generate_utterance
+from ctc_crf.verify import random_log_softmax
 from ctc_crf.wfst import EPS, Wfst
 
 from oracles import (brute_acceptor, brute_denominator, brute_numerator,
-                     finite_difference, graph_forward, random_log_softmax)
+                     finite_difference, graph_forward)
 
 
 def uniform_post(frames, width):
@@ -109,6 +111,45 @@ def test_numerator_matches_enumeration(rng):
             assert np.allclose(got.occupancy.sum(axis=1), 1.0, atol=1e-6)
 
 
+def test_numerator_zero_frames():
+    post = np.zeros((0, 3))
+    res = numerator_forward(post, [], log_pl=-0.7)
+    assert res.feasible and res.score == -0.7
+    assert res.occupancy.shape == (0, 3)
+    res = numerator_forward(post, [1], log_pl=-0.7)
+    assert not res.feasible and res.score == ZERO
+
+
+@pytest.mark.parametrize("frames", [200, 1000])
+def test_numerator_matches_log_domain_on_long_references(frames,
+                                                         monkeypatch):
+    # labels drawn from three symbols, so many repeat their neighbour and
+    # the chain loses those skips
+    rng = np.random.default_rng(frames)
+    post = random_log_softmax(rng, frames, 31)
+    labels = [int(lab) for lab in rng.integers(1, 4, frames // 3)]
+    assert sum(a == b for a, b in zip(labels, labels[1:])) > frames // 15
+    want = _forward_backward_log(post, _reference_chain(labels, 31))
+
+    def no_fallback(*args):
+        raise AssertionError("the rescaled pass fell back")
+
+    monkeypatch.setattr(loss, "_forward_backward_log", no_fallback)
+    _assert_matches_log(numerator_forward(post, labels, log_pl=0.0), want)
+
+
+def test_numerator_underflow_falls_back_to_log_domain():
+    # blank and a sit 800 nats below b on every frame, so the rescaled
+    # frame mass of the chain for "a" underflows to zero
+    post = np.tile([-800.0, -800.0, 0.0], (3, 1))
+    got = numerator_forward(post, [1], log_pl=0.0)
+    want = _forward_backward_log(post, _reference_chain([1], 3))
+    assert got.feasible
+    assert got.score == want.score
+    assert got.score == pytest.approx(-2400 + math.log(6), abs=1e-9)
+    assert np.array_equal(got.occupancy, want.occupancy)
+
+
 # ---------------------------------------------------------------------------
 # denominator
 # ---------------------------------------------------------------------------
@@ -187,10 +228,11 @@ def _assert_matches_log(got, want, rel=1e-9, occ_abs=1e-9):
 
 
 def test_trigram_table_needs_no_state_split(trigram_table):
-    # every T∘G transition is labeled by its destination state
+    # every T∘G transition into a state carries that state's symbol
     assert trigram_table.num_states > 2500
-    assert len(trigram_table._state_label) == trigram_table.num_states
-    assert len(trigram_table._fwd_src) == trigram_table.num_transitions
+    entries = np.unique(np.stack([trigram_table.to_state,
+                                  trigram_table.label]), axis=1)
+    assert entries.shape[1] == len(np.unique(trigram_table.to_state))
 
 
 def test_trigram_table_matches_unflattened_graph(trigram_graph,
@@ -207,7 +249,7 @@ def test_trigram_table_matches_unflattened_graph(trigram_graph,
 def test_denominator_matches_log_domain_on_trigram(trigram_table, frames):
     post = random_log_softmax(np.random.default_rng(frames), frames, 31)
     _assert_matches_log(denominator_forward(post, trigram_table),
-                        _denominator_forward_log(post, trigram_table))
+                        _forward_backward_log(post, trigram_table))
 
 
 def _chain_table(ab1):
@@ -228,7 +270,7 @@ def test_denominator_underflow_falls_back_to_log_domain(ab1):
     table = _chain_table(ab1)
     post = np.array([[-800.0, 0.0], [0.0, -800.0], [-800.0, 0.0]])
     got = denominator_forward(post, table)
-    want = _denominator_forward_log(post, table)
+    want = _forward_backward_log(post, table)
     assert got.feasible and np.isfinite(got.score)
     assert got.score == want.score
     assert got.score == pytest.approx(-2400.3, abs=1e-9)
@@ -242,7 +284,7 @@ def test_denominator_neg_inf_columns_match_log_domain(den_table_ab, rng):
     post[3, 1] = ZERO
     post -= np.log(np.exp(post).sum(axis=1, keepdims=True))
     _assert_matches_log(denominator_forward(post, den_table_ab),
-                        _denominator_forward_log(post, den_table_ab))
+                        _forward_backward_log(post, den_table_ab))
 
 
 def test_denominator_neg_inf_row_is_infeasible(den_table_ab, rng):
@@ -250,27 +292,29 @@ def test_denominator_neg_inf_row_is_infeasible(den_table_ab, rng):
     post = random_log_softmax(rng, 4, 3)
     post[2] = ZERO
     got = denominator_forward(post, den_table_ab)
-    assert not _denominator_forward_log(post, den_table_ab).feasible
+    assert not _forward_backward_log(post, den_table_ab).feasible
     assert not got.feasible and got.score == ZERO
     assert np.all(got.occupancy == 0.0)
 
 
 def test_denominator_matches_log_on_random_tables(rng):
-    # hand-built tables with states entered on several labels, a start
-    # state with incoming transitions, and dead ends
+    # hand-built tables with one label per destination state, a start
+    # state with incoming transitions, dead ends and -inf transitions
     checked = 0
     for _ in range(60):
         n = int(rng.integers(1, 5))
         width = int(rng.integers(1, 4))
         arcs = int(rng.integers(1, 10))
         final = np.where(rng.random(n) < 0.6, rng.normal(size=n), ZERO)
+        state_label = rng.integers(0, width, n)
+        to_state = rng.integers(0, n, arcs)
+        weight = np.where(rng.random(arcs) < 0.2, ZERO, rng.normal(size=arcs))
         table = DenominatorTable(
-            n, int(rng.integers(0, n)), rng.integers(0, n, arcs),
-            rng.integers(0, n, arcs), rng.integers(0, width, arcs),
-            rng.normal(size=arcs), final, width)
+            n, int(rng.integers(0, n)), rng.integers(0, n, arcs), to_state,
+            state_label[to_state], weight, final, width)
         post = random_log_softmax(rng, int(rng.integers(0, 6)), width)
         got = denominator_forward(post, table)
-        want = _denominator_forward_log(post, table)
+        want = _forward_backward_log(post, table)
         assert got.feasible == want.feasible
         if want.feasible:
             _assert_matches_log(got, want)
@@ -278,41 +322,6 @@ def test_denominator_matches_log_on_random_tables(rng):
         else:
             assert got.score == ZERO and np.all(got.occupancy == 0.0)
     assert checked > 20
-
-
-def _mixed_label_acceptor(ab1):
-    """One state looping on blank and on label a at different weights."""
-    isyms = ab1.pi_symbol_table()
-    fst = Wfst(LOG, isyms, isyms)
-    s0 = fst.add_state()
-    fst.set_start(s0)
-    fst.add_arc(s0, 1, 1, -0.4, s0)   # blank
-    fst.add_arc(s0, 2, 2, -1.3, s0)   # label a
-    fst.set_final(s0, -0.2)
-    return fst
-
-
-def test_mixed_label_table_matches_enumeration(ab1, rng):
-    fst = _mixed_label_acceptor(ab1)
-    table = flatten_denominator(fst)
-    assert table.num_states == 1 and table.num_transitions == 2
-    assert len(table._state_label) == 2   # split: one copy per label
-    for frames in (1, 2, 3, 4):
-        post = random_log_softmax(rng, frames, 2)
-        got = denominator_forward(post, table)
-        assert got.score == pytest.approx(brute_acceptor(post, fst), abs=1e-9)
-        assert np.allclose(got.occupancy.sum(axis=1), 1.0, atol=1e-12)
-
-
-def test_mixed_label_table_file_loads(tmp_path, ab1, rng):
-    fst = _mixed_label_acceptor(ab1)
-    path = tmp_path / "den.fst"
-    write_fst_text(fst, path)
-    table = flatten_denominator(read_fst_text(path, LOG, fst.isyms, fst.osyms))
-    for frames in (1, 2, 3, 4):
-        post = random_log_softmax(rng, frames, 2)
-        assert denominator_forward(post, table).score == pytest.approx(
-            brute_acceptor(post, fst), abs=1e-9)
 
 
 def test_import_does_not_load_scipy():
@@ -412,7 +421,8 @@ def test_flatten_light_epsilon_cycle_is_data_error(ab1):
 def _random_epsilon_dag(rng, alphabet):
     """A log acceptor over state symbols whose epsilon arcs follow the order
     of a random numbering p: two epsilon paths p0 ~> p2, one epsilon arc of
-    weight -inf, and states p1 and p2 entered by epsilon arcs only."""
+    weight -inf, states p1 and p2 entered by epsilon arcs only, and one
+    label per state entered by labeled arcs."""
     isyms = alphabet.pi_symbol_table()
     fst = Wfst(LOG, isyms, isyms)
     n = int(rng.integers(4, 7))
@@ -427,10 +437,11 @@ def _random_epsilon_dag(rng, alphabet):
     for k, (q, r) in enumerate(eps):
         fst.add_arc(p[q], EPS, EPS,
                     ZERO if k == dead else rng.normal(-0.5, 0.5), p[r])
+    state_label = [int(lab) for lab in rng.integers(1, len(isyms), n)]
     for _ in range(int(rng.integers(3, 10))):
-        lab = int(rng.integers(1, len(isyms)))
-        fst.add_arc(int(rng.integers(n)), lab, lab, rng.normal(0.0, 0.5),
-                    p[int(rng.integers(3, n))])
+        dst = p[int(rng.integers(3, n))]
+        fst.add_arc(int(rng.integers(n)), state_label[dst], state_label[dst],
+                    rng.normal(0.0, 0.5), dst)
     for q in range(n):
         if rng.random() < 0.5:
             fst.set_final(q, rng.normal(0.0, 0.5))

@@ -12,8 +12,7 @@ from ctc_crf import (AcousticModel, Adam, Alphabet, DataError, LayerSpec,
                      train)
 from ctc_crf.model import _param_count
 from ctc_crf.toydata import generate_dataset
-
-from oracles import random_log_softmax
+from ctc_crf.verify import random_log_softmax
 
 
 def tiny_model(seed=0):
@@ -387,6 +386,17 @@ def test_train_empty_dataset_rejected(den_table_ab, ab2):
     model = tiny_model()
     with pytest.raises(DataError):
         train(model, [], den_table_ab, [], TrainConfig(epochs=1), ab2)
+
+
+def test_train_rejects_zero_frame_utterance():
+    train_set, _, alphabet, table, log_pls = _toy_setup()
+    features, _ = train_set[5]
+    train_set[5] = (features[:0], [])
+    model = AcousticModel(8, [LayerSpec("affine", 8), LayerSpec("tanh")],
+                          alphabet.num_state_symbols, seed=0)
+    with pytest.raises(DataError, match="training utterance 5 has no frames"):
+        train(model, train_set, table, log_pls, TrainConfig(epochs=1),
+              alphabet)
 
 
 def test_divergence_aborts_and_restores(den_table_ab, ab2, rng):
