@@ -324,6 +324,61 @@ def test_denominator_matches_log_on_random_tables(rng):
     assert checked > 20
 
 
+def _mixed_label_acceptor(ab1):
+    """One state looping on blank and on label a at different weights."""
+    isyms = ab1.pi_symbol_table()
+    fst = Wfst(LOG, isyms, isyms)
+    s0 = fst.add_state()
+    fst.set_start(s0)
+    fst.add_arc(s0, 1, 1, -0.4, s0)   # blank
+    fst.add_arc(s0, 2, 2, -1.3, s0)   # label a
+    fst.set_final(s0, -0.2)
+    return fst
+
+
+def _one_label_acceptor(ab1):
+    """The same weighted language with one state per last-emitted label."""
+    isyms = ab1.pi_symbol_table()
+    fst = Wfst(LOG, isyms, isyms)
+    start, blank, a = fst.add_state(), fst.add_state(), fst.add_state()
+    fst.set_start(start)
+    for q in (start, blank, a):
+        fst.add_arc(q, 1, 1, -0.4, blank)
+        fst.add_arc(q, 2, 2, -1.3, a)
+        fst.set_final(q, -0.2)
+    return fst
+
+
+def test_mixed_label_table_matches_enumeration(ab1, rng):
+    # a state entered on two labels is refused; its one-label equivalent
+    # scores what the mixed graph scores
+    mixed = _mixed_label_acceptor(ab1)
+    with pytest.raises(DataError, match="state 0 is entered on labels 1 and 2"):
+        flatten_denominator(mixed)
+    table = flatten_denominator(_one_label_acceptor(ab1))
+    assert table.num_states == 3 and table.num_transitions == 6
+    for frames in (1, 2, 3, 4):
+        post = random_log_softmax(rng, frames, 2)
+        got = denominator_forward(post, table)
+        assert got.score == pytest.approx(brute_acceptor(post, mixed), abs=1e-9)
+        assert np.allclose(got.occupancy.sum(axis=1), 1.0, atol=1e-12)
+
+
+def test_mixed_label_table_file_loads(tmp_path, ab1, rng):
+    mixed = _mixed_label_acceptor(ab1)
+    path = tmp_path / "den.fst"
+    write_fst_text(mixed, path)
+    with pytest.raises(DataError, match="state 0 is entered on labels 1 and 2"):
+        flatten_denominator(read_fst_text(path, LOG, mixed.isyms, mixed.osyms))
+    write_fst_text(_one_label_acceptor(ab1), path)
+    table = flatten_denominator(read_fst_text(path, LOG, mixed.isyms,
+                                              mixed.osyms))
+    for frames in (1, 2, 3, 4):
+        post = random_log_softmax(rng, frames, 2)
+        assert denominator_forward(post, table).score == pytest.approx(
+            brute_acceptor(post, mixed), abs=1e-9)
+
+
 def test_import_does_not_load_scipy():
     # the denominator is numpy only; scipy.sparse would add ~22 MB of
     # resident memory to every run
