@@ -191,6 +191,8 @@ def _load_dataset(manifest_path, alphabet):
     utts = []
     for utt, _, feat_path, names in dataio.read_manifest(manifest_path):
         feats = dataio.read_matrix(feat_path)
+        if not len(feats):
+            raise DataError(f"utterance {utt}: no frames in {feat_path}")
         dataset.append((feats, [alphabet.state_id(n) for n in names]))
         utts.append(utt)
     return utts, dataset

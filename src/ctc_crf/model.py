@@ -85,38 +85,38 @@ class _RecurrentDirection:
         self.grads = {k: np.zeros_like(v) for k, v in self.params.items()}
         self.reverse = reverse
         self.hidden = hidden
-        self._x = None
+        self._xs = None
         self._h = None
 
+    def _in_steps(self, a):
+        """The rows of ``a`` in the order the recurrence visits them; being
+        its own inverse, it also maps step order back to time order."""
+        return a[::-1] if self.reverse else a
+
     def forward(self, x):
-        t_frames = x.shape[0]
-        order = range(t_frames - 1, -1, -1) if self.reverse else range(t_frames)
-        h = np.zeros((t_frames + 1, self.hidden))
-        out = np.zeros((t_frames, self.hidden))
-        prev = np.zeros(self.hidden)
-        for step, t in enumerate(order):
-            prev = np.tanh(x[t] @ self.params["Wx"] + prev @ self.params["Wh"]
-                           + self.params["b"])
-            h[step + 1] = prev
-            out[t] = prev
-        self._x = x
+        xs = self._in_steps(x)
+        xw = xs @ self.params["Wx"] + self.params["b"]
+        h = np.zeros((len(xs) + 1, self.hidden))
+        for step in range(len(xs)):
+            h[step + 1] = np.tanh(xw[step] + h[step] @ self.params["Wh"])
+        self._xs = xs
         self._h = h
-        self._order = list(order)
-        return out
+        return self._in_steps(h[1:]).copy()
 
     def backward(self, dy):
-        dx = np.zeros_like(self._x)
+        # pre[step] is the gradient at the pre-activation of that step; the
+        # weight gradients sum its outer products, done as matmuls after
+        # the loop
+        dys = self._in_steps(dy)
+        pre = np.empty_like(dys)
         carry = np.zeros(self.hidden)
-        for step in range(len(self._order) - 1, -1, -1):
-            t = self._order[step]
-            dh = dy[t] + carry
-            pre = dh * (1.0 - self._h[step + 1] ** 2)
-            self.grads["Wx"] += np.outer(self._x[t], pre)
-            self.grads["Wh"] += np.outer(self._h[step], pre)
-            self.grads["b"] += pre
-            dx[t] = pre @ self.params["Wx"].T
-            carry = pre @ self.params["Wh"].T
-        return dx
+        for step in range(len(dys) - 1, -1, -1):
+            pre[step] = (dys[step] + carry) * (1.0 - self._h[step + 1] ** 2)
+            carry = pre[step] @ self.params["Wh"].T
+        self.grads["Wx"] += self._xs.T @ pre
+        self.grads["Wh"] += self._h[:-1].T @ pre
+        self.grads["b"] += pre.sum(axis=0)
+        return self._in_steps(pre @ self.params["Wx"].T)
 
 
 class _Recurrent:

@@ -436,3 +436,39 @@ def test_decode_corrupt_checkpoint_is_data_error(pipeline, toy_dir, tmp_path):
                 "--graph", pipeline / "graphs" / "TLG.fst",
                 "--hyp", tmp_path / "hyp.tsv") == 2
     assert not (tmp_path / "hyp.tsv").exists()
+
+
+def _zero_frame_manifest(pipeline, tmp_path):
+    """The dev manifest with its second utterance's features cut to no
+    rows, as a hand-written manifest can give; returns it and the id."""
+    entries = dataio.read_manifest(pipeline / "dev" / "manifest.tsv")
+    utt, _, feat_path, labels = entries[1]
+    empty = tmp_path / f"{utt}.mat"
+    dataio.write_matrix(empty, dataio.read_matrix(feat_path)[:0])
+    entries[1] = (utt, 0, str(empty), labels)
+    dataio.write_manifest(tmp_path / "manifest.tsv", entries)
+    return tmp_path / "manifest.tsv", utt
+
+
+def test_train_zero_frame_heldout_utterance_is_data_error(pipeline, toy_dir,
+                                                          tmp_path, capsys):
+    manifest, utt = _zero_frame_manifest(pipeline, tmp_path)
+    argv = _train_argv(pipeline, toy_dir, tmp_path,
+                       pipeline / "graphs" / "den.fst")
+    assert _run(*argv, "--heldout-manifest", manifest) == 2
+    assert f"utterance {utt}: no frames in {tmp_path / utt}.mat" \
+        in capsys.readouterr().err
+    assert not (tmp_path / "model.ckpt").exists()
+
+
+def test_decode_zero_frame_utterance_is_data_error(pipeline, toy_dir,
+                                                   tmp_path, capsys):
+    manifest, utt = _zero_frame_manifest(pipeline, tmp_path)
+    assert _run("decode",
+                "--manifest", manifest,
+                "--alphabet", toy_dir / "alphabet.txt",
+                "--checkpoint", pipeline / "model.ckpt",
+                "--graph", pipeline / "graphs" / "TLG.fst",
+                "--hyp", tmp_path / "hyp.tsv") == 2
+    assert f"utterance {utt}: no frames in" in capsys.readouterr().err
+    assert not (tmp_path / "hyp.tsv").exists()

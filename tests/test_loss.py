@@ -1,3 +1,4 @@
+import copy
 import math
 import subprocess
 import sys
@@ -15,7 +16,7 @@ from ctc_crf import (Alphabet, DataError, DenominatorTable, LOG, NGramModel,
 from ctc_crf import loss
 from ctc_crf.loss import _forward_backward_log, _reference_chain
 from ctc_crf.semiring import ZERO
-from ctc_crf.toydata import generate_utterance
+from ctc_crf.toydata import generate_dataset, generate_utterance
 from ctc_crf.verify import random_log_softmax
 from ctc_crf.wfst import EPS, Wfst
 
@@ -245,14 +246,76 @@ def test_trigram_table_matches_unflattened_graph(trigram_graph,
         graph_forward(post, trigram_graph), rel=1e-9)
 
 
+def _one_factor(table):
+    """The table rebuilt from its transitions, so its pass runs over them."""
+    return DenominatorTable(table.num_states, table.start, table.from_state,
+                            table.to_state, table.label, table.weight,
+                            table.final, table.num_labels)
+
+
+def _both_forms(fst):
+    """The flattened table over one factor, its transitions, and over two,
+    the closure and the labeled arcs, whichever one flatten_denominator
+    would pick for this graph."""
+    table, factors = loss._flatten(fst)
+    factored = copy.copy(table)
+    factored._factors = factors
+    return table, factored
+
+
+def _dense(factor):
+    """The factor as a dense matrix, read from its by-source CSR."""
+    rows = len(factor.bwd_starts)
+    cols = len(factor.fwd_starts)
+    counts = np.diff(np.append(factor.bwd_starts, len(factor.bwd_dst)))
+    mat = np.zeros((rows, cols))
+    np.add.at(mat, (np.repeat(np.arange(rows), counts), factor.bwd_dst),
+              factor.bwd_prob)
+    return mat
+
+
+def test_trigram_table_runs_over_closure_and_arcs(trigram_table):
+    closure, arcs = trigram_table._factors
+    assert 4700 <= closure.nnz <= 4900
+    assert 21100 <= arcs.nnz <= 21300
+    assert closure.nnz + arcs.nnz < trigram_table.num_transitions / 2
+
+
+def test_toy_bigram_table_runs_over_its_transitions():
+    # 41 closure pairs and 210 labeled arcs against 210 transitions
+    train_set, _, alphabet = generate_dataset(200, 0, seed=7)
+    lm = estimate([[alphabet.state_name(lab) for lab in labels]
+                   for _, labels in train_set], order=2, discount=0.5,
+                  vocab=list(alphabet.labels))
+    table = flatten_denominator(build_denominator_graph(alphabet, lm))
+    assert len(table._factors) == 1
+    assert table._factors[0].nnz == table.num_transitions
+
+
+def test_closure_times_arcs_is_the_transition_matrix():
+    alphabet = Alphabet([f"p{i}" for i in range(5)])
+    rng = np.random.default_rng(0)
+    corpus = [[alphabet.state_name(lab) for lab in generate_utterance(
+        rng, alphabet, alphabet.num_state_symbols)[1]] for _ in range(100)]
+    lm = estimate(corpus, order=3, discount=0.5, vocab=list(alphabet.labels))
+    table = flatten_denominator(build_denominator_graph(alphabet, lm))
+    closure, arcs = table._factors
+    want = np.zeros((table.num_states, table.num_states))
+    np.add.at(want, (table.from_state, table.to_state), np.exp(table.weight))
+    assert np.all(np.abs(_dense(closure) @ _dense(arcs) - want) <= 1e-12)
+
+
 @pytest.mark.parametrize("frames", [200, 1000])
 def test_denominator_matches_log_domain_on_trigram(trigram_table, frames):
     post = random_log_softmax(np.random.default_rng(frames), frames, 31)
-    _assert_matches_log(denominator_forward(post, trigram_table),
-                        _forward_backward_log(post, trigram_table))
+    got = denominator_forward(post, trigram_table)
+    _assert_matches_log(got, _forward_backward_log(post, trigram_table))
+    _assert_matches_log(got, denominator_forward(post,
+                                                 _one_factor(trigram_table)),
+                        occ_abs=1e-12)
 
 
-def _chain_table(ab1):
+def _chain_acceptor(ab1):
     """blank, a, blank: a strict 3-arc chain."""
     isyms = ab1.pi_symbol_table()
     fst = Wfst(LOG, isyms, isyms)
@@ -261,21 +324,21 @@ def _chain_table(ab1):
     for i in range(3):
         fst.add_arc(states[i], 1 + (i % 2), 0, -0.1, states[i + 1])
     fst.set_final(states[3], 0.0)
-    return flatten_denominator(fst)
+    return fst
 
 
 def test_denominator_underflow_falls_back_to_log_domain(ab1):
     # the only reachable label of each frame sits 800 nats below the row
     # maximum, so the rescaled frame mass underflows to zero
-    table = _chain_table(ab1)
     post = np.array([[-800.0, 0.0], [0.0, -800.0], [-800.0, 0.0]])
-    got = denominator_forward(post, table)
-    want = _forward_backward_log(post, table)
-    assert got.feasible and np.isfinite(got.score)
-    assert got.score == want.score
-    assert got.score == pytest.approx(-2400.3, abs=1e-9)
-    assert np.array_equal(got.occupancy, want.occupancy)
-    assert np.array_equal(got.occupancy, [[1, 0], [0, 1], [1, 0]])
+    for table in _both_forms(_chain_acceptor(ab1)):
+        got = denominator_forward(post, table)
+        want = _forward_backward_log(post, table)
+        assert got.feasible and np.isfinite(got.score)
+        assert got.score == want.score
+        assert got.score == pytest.approx(-2400.3, abs=1e-9)
+        assert np.array_equal(got.occupancy, want.occupancy)
+        assert np.array_equal(got.occupancy, [[1, 0], [0, 1], [1, 0]])
 
 
 def test_denominator_neg_inf_columns_match_log_domain(den_table_ab, rng):
@@ -509,27 +572,28 @@ def test_flatten_random_epsilon_dags_match_enumeration(rng):
         alphabet = Alphabet([f"l{i}" for i in range(int(rng.integers(1, 3)))])
         fst = _random_epsilon_dag(rng, alphabet)
         try:
-            table = flatten_denominator(fst)
+            tables = _both_forms(fst)
             # pairs joined only through the -inf arc give no transition
-            assert np.isfinite(table.weight).all()
+            assert np.isfinite(tables[0].weight).all()
         except DataError as exc:
             assert "no complete path" in str(exc)
-            table = None
+            tables = ()
         for frames in (1, 2, 3):
             post = random_log_softmax(rng, frames, alphabet.num_state_symbols)
             want = brute_acceptor(post, fst)
-            got = denominator_forward(post, table) if table else None
-            if want == ZERO:
-                assert got is None or not got.feasible
-            else:
-                assert got.score == pytest.approx(want, abs=1e-9)
-                checked += 1
-    assert checked > 60
+            for table in tables or (None,):
+                got = denominator_forward(post, table) if table else None
+                if want == ZERO:
+                    assert got is None or not got.feasible
+                else:
+                    assert got.score == pytest.approx(want, abs=1e-9)
+                    checked += 1
+    assert checked > 120
 
 
 def test_denominator_no_complete_path_flagged(ab1):
     # a strict 3-arc chain cannot realize a 2-frame utterance
-    table = _chain_table(ab1)
+    table = flatten_denominator(_chain_acceptor(ab1))
     res = denominator_forward(uniform_post(2, 2), table)
     assert not res.feasible
     assert res.score == ZERO
