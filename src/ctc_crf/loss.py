@@ -12,19 +12,21 @@ epsilons ``flatten_denominator`` folds into its labeled arcs in memory); and
 ``aux`` is the plain alignment log-likelihood (the numerator without the LM
 constant).  Both are one forward-backward over a ``DenominatorTable``, a
 machine whose states each emit one symbol: T∘G for the denominator, the
-reference's blank-augmented chain for the numerator.  The pass runs in the
-probability domain with a per-frame rescale, as in lattice-free MMI: per
-frame, one sparse matrix-vector product by each factor of the transition
-matrix (for T∘G of a trigram, the epsilon closure and then the labeled
-arcs, which hold about a third of the entries of their product), with a
-log-domain pass kept as the exact fallback for an utterance whose rescaled
-mass underflows.  Gradients
-are with respect to the node potentials: the difference between the
-reference-conditioned and unconstrained per-frame symbol occupancies.
+reference's blank-augmented chain for the numerator.  A table holds its
+transition matrix only as sparse factors whose product it is: for T∘G the
+epsilon closure and then the labeled arcs (for a trigram, about a third of
+the entries of their product), for the chain the chain itself.  The pass
+runs in the probability domain with a per-frame rescale, as in lattice-free
+MMI: per frame, one sparse matrix-vector product by each factor.  A
+log-domain pass over the same factors is the exact fallback for an
+utterance whose rescaled mass underflows.  Gradients are with respect to
+the node potentials: the difference between the reference-conditioned and
+unconstrained per-frame symbol occupancies.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -57,11 +59,6 @@ class PosteriorMatrix:
     @property
     def width(self) -> int:
         return self.values.shape[1]
-
-    def assert_log_softmax(self, tol: float = 1e-5) -> None:
-        row_mass = np.log(np.sum(np.exp(self.values), axis=1))
-        if np.max(np.abs(row_mass)) > tol:
-            raise DataError("rows are not normalized log-probabilities")
 
     def __array__(self, dtype=None, copy=None):
         if dtype is not None and dtype != self.values.dtype:
@@ -100,113 +97,95 @@ class DenominatorTable:
     """A machine over the state alphabet whose states each emit one symbol:
     the numerator and the denominator run their forward-backward on one.
 
-    Arrays are parallel over transitions; labels are state-symbol ids that
-    index posterior columns.  Immutable.  A table has no file format of its
-    own: ``flatten_denominator`` builds it from the T∘G graph, which is
-    stored and read as a text FST, and ``numerator_forward`` builds one per
-    reference.
-
-    Every transition entering a state carries the state's label, and a
-    table that enters one state on two labels is a DataError: T∘G enters
-    each state on its own symbol, the reference chain each position on its
-    symbol.
-
-    The pass reads the transition matrix as a list of sparse factors whose
-    product it is, each sorted by destination and by source in the
-    probability domain.  The constructor makes one factor, the transitions
-    themselves.  ``flatten_denominator`` replaces it by two, the epsilon
-    closure and the labeled arcs, when they hold fewer entries than the
-    transitions: for a 30-label trigram, ~4.8k closure pairs and ~21.2k
-    arcs against 72,851 transitions.  The transition arrays stay, for the
-    log-domain pass and for ``num_transitions``.
+    State ``q`` emits ``state_label[q]``, a state-symbol id that indexes
+    posterior columns, and ends a path with log weight ``final[q]``.  The
+    transition matrix is never formed: ``factors`` lists sparse matrices
+    whose product it is, each as ``(src, dst, log_weight, num_src,
+    num_dst)``, from the states through any inner dimensions back to the
+    states.  Labels are not checked against ``num_labels``: both builders
+    take them from checked input.  Immutable.  A table has no file format
+    of its own: ``flatten_denominator`` builds it from the T∘G graph, which
+    is stored and read as a text FST, with two factors, the epsilon closure
+    and the labeled arcs; ``numerator_forward`` builds one per reference
+    with one factor, the chain itself.
     """
 
-    def __init__(self, num_states: int, start: int, from_state, to_state,
-                 label, weight, final, num_labels: int):
-        self.num_states = int(num_states)
+    def __init__(self, start: int, final, state_label, num_labels: int,
+                 factors):
         self.start = int(start)
-        self.from_state = np.ascontiguousarray(from_state, dtype=np.int64)
-        self.to_state = np.ascontiguousarray(to_state, dtype=np.int64)
-        self.label = np.ascontiguousarray(label, dtype=np.int64)
-        self.weight = np.ascontiguousarray(weight, dtype=np.float64)
         self.final = np.ascontiguousarray(final, dtype=np.float64)
+        self.state_label = np.ascontiguousarray(state_label, dtype=np.int64)
+        self.num_states = len(self.state_label)
         self.num_labels = int(num_labels)
-        n = len(self.from_state)
-        if not (len(self.to_state) == len(self.label) == len(self.weight) == n):
-            raise DataError("transition arrays have mismatched lengths")
         if len(self.final) != self.num_states:
             raise DataError("final-weight array does not match state count")
         if self.num_labels < 1:
             raise DataError("a table needs at least one label")
-        if n and (self.label.min() < 0 or self.label.max() >= self.num_labels):
-            raise DataError("transition label out of range")
         if not 0 <= self.start < self.num_states:
             raise DataError("start state out of range")
-        if n and (min(self.from_state.min(), self.to_state.min()) < 0
-                  or max(self.from_state.max(), self.to_state.max())
-                  >= self.num_states):
-            raise DataError("transition state out of range")
+        # each factor's rows must be the previous factor's columns, the
+        # first's the states and the last's columns the states again
+        dims = [self.num_states, *(d for *_, rows, cols in factors
+                                   for d in (rows, cols)), self.num_states]
+        if len(dims) < 4 or dims[::2] != dims[1::2]:
+            raise DataError(f"factor shapes {dims[1:-1]} do not map the "
+                            f"{self.num_states} states to themselves")
 
-        self._state_label = _state_labels(self.num_states, self.to_state,
-                                          self.label)
-        with np.errstate(over="ignore"):
-            prob = np.exp(self.weight)
-            self._final_prob = np.exp(self.final)
         # state posteriors times these one-hot rows sum them by label
-        self._label_onehot = np.eye(self.num_labels)[self._state_label]
-        self._factors = [_factor(self.from_state, self.to_state, prob,
-                                 self.num_states, self.num_states)]
+        self._label_onehot = np.eye(self.num_labels)[self.state_label]
+        with np.errstate(over="ignore"):
+            self._final_prob = np.exp(self.final)
+            self._factors = [_factor(*f) for f in factors]
 
-    @property
+    @cached_property
     def num_transitions(self) -> int:
-        return len(self.from_state)
+        """The transitions of the flattened machine, counted without forming
+        them: the paths through one nonzero entry of each factor.  For T∘G,
+        the sum over closure pairs of the labeled arcs leaving their ends."""
+        paths = np.ones(self.num_states)
+        for f in self._factors:
+            paths = np.add.reduceat(paths[f.fwd_src] * (f.fwd_logw > NEG_INF),
+                                    f.fwd_starts)
+        return int(paths.sum())
 
 
 class _Factor(NamedTuple):
-    """A sparse ``num_src`` x ``num_dst`` matrix in the probability domain
-    as two CSRs: by destination (``fwd_*``, for the forward pass) and by
-    source (``bwd_*``, for the backward pass).  ``nnz`` counts its entries
-    before padding."""
+    """A sparse ``num_src`` x ``num_dst`` matrix as two CSRs: by destination
+    (``fwd_*``, for the forward pass) and by source (``bwd_*``, for the
+    backward pass), each with its log weights and, for the rescaled pass,
+    their exponentials.  ``nnz`` counts its entries before padding."""
     fwd_src: np.ndarray
+    fwd_logw: np.ndarray
     fwd_prob: np.ndarray
     fwd_starts: np.ndarray
     bwd_dst: np.ndarray
+    bwd_logw: np.ndarray
     bwd_prob: np.ndarray
     bwd_starts: np.ndarray
     nnz: int
 
 
-def _factor(src, dst, prob, num_src: int, num_dst: int) -> _Factor:
-    """The factor with entries ``prob`` at ``(src, dst)``.  Each index ``k``
-    whose row or column is empty or missing (``k`` past the smaller
-    dimension) gets a zero-probability pair ``(k, k)``, clipped to the
-    shape, so every ``reduceat`` segment is non-empty."""
+def _factor(src, dst, log_weight, num_src: int, num_dst: int) -> _Factor:
+    """The factor with log weights ``log_weight`` at ``(src, dst)``.  Each
+    index ``k`` whose row or column is empty or missing (``k`` past the
+    smaller dimension) gets a -inf pair ``(k, k)``, clipped to the shape,
+    so every ``reduceat`` segment is non-empty."""
+    src = np.asarray(src, dtype=np.int64)
+    dst = np.asarray(dst, dtype=np.int64)
     size = max(num_src, num_dst)
     pad = (np.bincount(src, minlength=size)
            * np.bincount(dst, minlength=size) == 0).nonzero()[0]
     nnz = len(src)
     src = np.concatenate([src, np.minimum(pad, num_src - 1)])
     dst = np.concatenate([dst, np.minimum(pad, num_dst - 1)])
-    prob = np.concatenate([prob, np.zeros(len(pad))])
+    logw = np.concatenate([log_weight, np.full(len(pad), NEG_INF)])
+    prob = np.exp(logw)
     by_dst = np.argsort(dst, kind="stable")
     by_src = np.argsort(src, kind="stable")
-    return _Factor(src[by_dst], prob[by_dst],
+    return _Factor(src[by_dst], logw[by_dst], prob[by_dst],
                    np.searchsorted(dst[by_dst], np.arange(num_dst)),
-                   dst[by_src], prob[by_src],
+                   dst[by_src], logw[by_src], prob[by_src],
                    np.searchsorted(src[by_src], np.arange(num_src)), nnz)
-
-
-def _state_labels(num_states: int, to_state, label) -> np.ndarray:
-    """Each state's label, that of every transition entering it; 0 where
-    none does, as such a state holds mass only before the first frame."""
-    state_label = np.zeros(num_states, dtype=np.int64)
-    state_label[to_state] = label
-    clash = np.flatnonzero(state_label[to_state] != label)
-    if len(clash):
-        q = to_state[clash[0]]
-        raise DataError(f"state {q} is entered on labels {label[clash[0]]} "
-                        f"and {state_label[q]}")
-    return state_label
 
 
 def _expand(indptr: np.ndarray, rows: np.ndarray):
@@ -230,18 +209,24 @@ def _merge_pairs(origin, reached, mass, num_states: int):
             np.logaddexp.reduceat(mass[order], starts))
 
 
-def _reachable(seeds, src, dst, num_states: int) -> np.ndarray:
-    """Mask of the states reachable from ``seeds`` along edges ``src -> dst``,
-    found one breadth-first level at a time."""
+def _reachable(seeds, src, dst, num_nodes: int) -> np.ndarray:
+    """Mask of the nodes reachable from ``seeds`` along edges ``src -> dst``.
+    The walk runs over Python lists, one step per edge, so a deep graph
+    costs no more than a shallow one with as many edges."""
     order = np.argsort(src, kind="stable")
-    indptr = np.searchsorted(src[order], np.arange(num_states + 1))
-    seen = np.zeros(num_states, dtype=bool)
-    frontier = np.asarray(seeds, dtype=np.int64)
-    while len(frontier):
-        seen[frontier] = True
-        nxt = dst[order[_expand(indptr, frontier)[1]]]
-        frontier = np.unique(nxt[~seen[nxt]])
-    return seen
+    indptr = np.searchsorted(src[order], np.arange(num_nodes + 1)).tolist()
+    succ = dst[order].tolist()
+    seen = [False] * num_nodes
+    stack = np.unique(seeds).tolist()
+    for q in stack:
+        seen[q] = True
+    while stack:
+        q = stack.pop()
+        for r in succ[indptr[q]:indptr[q + 1]]:
+            if not seen[r]:
+                seen[r] = True
+                stack.append(r)
+    return np.array(seen, dtype=bool)
 
 
 def flatten_denominator(den_fst: Wfst) -> DenominatorTable:
@@ -249,29 +234,19 @@ def flatten_denominator(den_fst: Wfst) -> DenominatorTable:
     them, then trim.
 
     Each epsilon path ``q ~> r`` and labeled arc ``r -> s`` give a
-    transition ``q -> s``, in (q, r, arc) order; the final weight of ``q``
-    sums those of the ``r``.  The closure grows one epsilon level at a time
-    as (origin, reached, log mass) rows from (q, q, 0), one row per pair
-    and level however many paths join them.  Backoff epsilons go to a
+    transition ``q -> s``; the final weight of ``q`` sums those of the
+    ``r``.  The table never forms these transitions: its two factors are
+    the epsilon closure C, from each state ``q`` to the ends ``r`` of its
+    epsilon paths, and the labeled arcs L from those ends.  For a 30-label
+    trigram's backoff graph that is ~4.8k closure pairs and ~21.2k arcs
+    against 72,851 transitions.  The closure grows one epsilon level at a
+    time as (origin, reached, log mass) rows from (q, q, 0), one row per
+    pair and level however many paths join them.  Backoff epsilons go to a
     shorter context, so they form no cycle and the levels run out; an
     epsilon cycle is a DataError.  States on no start-to-final path are
-    dropped.  A live state entered on two input labels is a DataError that
-    names it.
-
-    The transition matrix is the product of the closure C and the labeled
-    arcs L.  When C and L hold fewer entries than their product, as for a
-    trigram's backoff graph, the table's pass runs over C and L in turn.
+    dropped, and so are the closure's ends on none.  A live state entered
+    on two input labels is a DataError that names it.
     """
-    table, factors = _flatten(den_fst)
-    if sum(f.nnz for f in factors) < table.num_transitions:
-        table._factors = factors
-    return table
-
-
-def _flatten(den_fst: Wfst) -> tuple[DenominatorTable, list[_Factor]]:
-    """The flattened table and factors whose product is its transition
-    matrix: the live part of the closure C, from the table's states to the
-    states with a labeled arc to a live state, and those arcs L."""
     if den_fst.semiring.kind != "log":
         raise DataError("denominator graph must be in the log semiring")
     if den_fst.start is None:
@@ -282,66 +257,67 @@ def _flatten(den_fst: Wfst) -> tuple[DenominatorTable, list[_Factor]]:
     src, ilabel, dst = arcs[:, [0, 1, 4]].T.astype(np.int64)
     weight = arcs[:, 3]
     indptr = np.searchsorted(src, np.arange(n + 1))
-
-    def follow(origin, reached, mass, eps):
-        """Extend each row by the epsilon (or labeled) arcs of its state."""
-        i, arc = _expand(indptr, reached)
-        take = (ilabel[arc] == EPS) == eps
-        i, arc = i[take], arc[take]
-        return origin[i], dst[arc], ilabel[arc], mass[i] + weight[arc]
+    eps = ilabel == EPS
 
     levels = [(np.arange(n), np.arange(n), np.zeros(n))]
     while len(levels[-1][0]):
         if len(levels) > n:
             raise DataError("epsilon cycle in the denominator graph")
-        origin, reached, _, mass = follow(*levels[-1], eps=True)
-        levels.append(_merge_pairs(origin, reached, mass, n))
+        origin, reached, mass = levels[-1]
+        i, arc = _expand(indptr, reached)
+        take = eps[arc]
+        i, arc = i[take], arc[take]
+        levels.append(_merge_pairs(origin[i], dst[arc], mass[i] + weight[arc],
+                                   n))
     origin, reached, mass = _merge_pairs(
         *(np.concatenate(rows) for rows in zip(*levels)), n)
     nonzero = mass > NEG_INF
     origin, reached, mass = origin[nonzero], reached[nonzero], mass[nonzero]
 
-    from_s, to_s, ilab, w = follow(origin, reached, mass, eps=False)
     final_in = np.full(n, NEG_INF)
     final_in[list(den_fst.finals)] = list(den_fst.finals.values())
     final = np.full(n, NEG_INF)
     np.logaddexp.at(final, origin, mass + final_in[reached])
 
-    live = (_reachable([den_fst.start], from_s, to_s, n)
-            & _reachable(np.flatnonzero(final > NEG_INF), to_s, from_s, n))
+    # trimmed as one graph whose nodes are the states, 0 .. n - 1, and the
+    # closure's ends, n .. 2n - 1: a closure pair (q, r) is an edge q -> n + r
+    # and a labeled arc r -> s an edge n + r -> s
+    labeled = ~eps
+    edge_src = np.concatenate([origin, n + src[labeled]])
+    edge_dst = np.concatenate([n + reached, dst[labeled]])
+    live = (_reachable([den_fst.start], edge_src, edge_dst, 2 * n)
+            & _reachable(np.flatnonzero(final > NEG_INF), edge_dst, edge_src,
+                         2 * n))
     if not live[den_fst.start]:
         raise DataError("denominator graph has no complete path")
-    renumber = np.cumsum(live) - 1
-    sel = live[from_s] & live[to_s]
-    # checked before the renumbering, so an error names the graph's state
-    _state_labels(n, to_s[sel], ilab[sel])
-    table = DenominatorTable(
-        num_states=int(live.sum()),
-        start=renumber[den_fst.start],
-        from_state=renumber[from_s[sel]],
-        to_state=renumber[to_s[sel]],
-        label=ilab[sel] - 1,
-        weight=w[sel],
-        final=final[live],
-        num_labels=len(den_fst.isyms) - 1,
-    )
+    state, end = live[:n], live[n:]
+    row = state[origin] & end[reached]
+    arc = labeled & end[src] & state[dst]
 
-    arc = (ilabel != EPS) & live[dst]
-    mid = np.zeros(n, dtype=bool)
-    mid[reached[live[origin]]] = True
-    mid &= np.bincount(src[arc], minlength=n) > 0
-    k = int(mid.sum())
-    if not k:   # no live transition: the table's own factor is the product
-        return table, table._factors
-    row = live[origin] & mid[reached]
-    arc &= mid[src]
-    to_mid = np.cumsum(mid) - 1
-    with np.errstate(over="ignore"):
-        return table, [
-            _factor(renumber[origin[row]], to_mid[reached[row]],
-                    np.exp(mass[row]), table.num_states, k),
-            _factor(to_mid[src[arc]], renumber[dst[arc]],
-                    np.exp(weight[arc]), k, table.num_states)]
+    # checked before the renumbering, so an error names the graph's state;
+    # a state no arc enters holds mass only before the first frame, and its
+    # label, blank's, is never read
+    into, label = dst[arc], ilabel[arc]
+    state_label = np.ones(n, dtype=np.int64)
+    state_label[into] = label
+    clash = np.flatnonzero(state_label[into] != label)
+    if len(clash):
+        q = into[clash[0]]
+        raise DataError(f"state {q} is entered on labels {label[clash[0]]} "
+                        f"and {state_label[q]}")
+
+    renumber = np.cumsum(state) - 1
+    to_end = np.cumsum(end) - 1
+    num_states = int(state.sum())
+    # a table with no transition keeps one (empty) inner dimension
+    num_ends = max(int(end.sum()), 1)
+    return DenominatorTable(
+        renumber[den_fst.start], final[state], state_label[state] - 1,
+        len(den_fst.isyms) - 1,
+        [(renumber[origin[row]], to_end[reached[row]], mass[row],
+          num_states, num_ends),
+         (to_end[src[arc]], renumber[dst[arc]], weight[arc],
+          num_ends, num_states)])
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +325,7 @@ def _flatten(den_fst: Wfst) -> tuple[DenominatorTable, list[_Factor]]:
 # ---------------------------------------------------------------------------
 
 def _reference_chain(labels: Sequence[int], width: int) -> DenominatorTable:
-    """The reference's blank-augmented chain as a table.
+    """The reference's blank-augmented chain as a one-factor table.
 
     Positions 0 .. 2U are labelled blank, l1, blank, ..., lU, blank.  Each
     position loops and steps to the next, and a label also skips the blank
@@ -370,8 +346,8 @@ def _reference_chain(labels: Sequence[int], width: int) -> DenominatorTable:
     dst = np.concatenate([pos, pos[1:], skip])
     final = np.full(n, NEG_INF)
     final[-2:] = 0.0
-    return DenominatorTable(n, 0, src, dst, ext[dst], np.zeros(len(dst)),
-                            final, width)
+    return DenominatorTable(0, final, ext, width,
+                            [(src, dst, np.zeros(len(dst)), n, n)])
 
 
 def numerator_forward(posterior, labels: Sequence[int],
@@ -420,7 +396,7 @@ def _forward_backward(post: np.ndarray,
     if not np.isfinite(peak).all():
         return _forward_backward_log(post, table)
     emit = np.exp(post - peak[:, None])
-    lab = table._state_label
+    lab = table.state_label
     # the factors' arrays unpacked and reduceat bound once, as a short
     # utterance's frames cost mostly Python overhead
     fwd = [(f.fwd_src, f.fwd_prob, f.fwd_starts) for f in table._factors]
@@ -472,34 +448,40 @@ def _forward_backward(post: np.ndarray,
 
 def _forward_backward_log(post: np.ndarray,
                           table: DenominatorTable) -> ForwardResult:
-    """The same pass in the log domain over the table's own transitions:
-    two scatters per frame and no rescaling, so it cannot underflow.  The
-    exact fallback of ``_forward_backward``."""
+    """The same pass in the log domain, the exact fallback of
+    ``_forward_backward``: each factor's product is a ``logaddexp``
+    reduction over the same padded CSRs, the emission ``post[t]`` is added
+    per state, and nothing is rescaled, so it cannot underflow."""
     t_frames, width = post.shape
-    src, dst = table.from_state, table.to_state
-    lab, w = table.label, table.weight
+    emit = post[:, table.state_label]
+    reduceat = np.logaddexp.reduceat
     alpha = np.full((t_frames + 1, table.num_states), NEG_INF)
     alpha[0, table.start] = 0.0
     for t in range(t_frames):
-        contrib = alpha[t, src] + w + post[t, lab]
-        np.logaddexp.at(alpha[t + 1], dst, contrib)
+        v = alpha[t]
+        for f in table._factors:
+            v = reduceat(v[f.fwd_src] + f.fwd_logw, f.fwd_starts)
+        alpha[t + 1] = v + emit[t]
 
     score = logsumexp(alpha[t_frames] + table.final)
     if score == NEG_INF:
         return ForwardResult(NEG_INF, np.zeros((t_frames, width)), False)
 
-    beta = np.full((t_frames + 1, table.num_states), NEG_INF)
+    # beta[t + 1] completes a path from a state occupied at frame t
+    beta = np.empty_like(alpha)
     beta[t_frames] = table.final
-    for t in range(t_frames - 1, -1, -1):
-        contrib = beta[t + 1, dst] + w + post[t, lab]
-        np.logaddexp.at(beta[t], src, contrib)
-
-    occupancy = np.zeros((t_frames, width))
-    with np.errstate(over="ignore", under="ignore"):
-        for t in range(t_frames):
-            arc_post = np.exp(alpha[t, src] + w + post[t, lab]
-                              + beta[t + 1, dst] - score)
-            np.add.at(occupancy[t], lab, arc_post)
+    for t in range(t_frames - 1, 0, -1):
+        v = beta[t + 1] + emit[t]
+        for f in reversed(table._factors):
+            v = reduceat(v[f.bwd_dst] + f.bwd_logw, f.bwd_starts)
+        beta[t] = v
+    # each frame's state posteriors, rescaled to sum to one: exact where one
+    # state holds all the frame's mass, and still not finite where a huge
+    # potential lost the pass its precision
+    with np.errstate(over="ignore", invalid="ignore"):
+        gamma = np.exp(alpha[1:] + beta[1:] - score)
+        gamma /= gamma.sum(axis=1, keepdims=True)
+        occupancy = gamma @ table._label_onehot
     return ForwardResult(score, occupancy, True)
 
 
@@ -528,4 +510,3 @@ def crf_loss(posterior, labels: Sequence[int], log_pl: float,
     objective = (num.score - den_res.score) + alpha * aux
     grad = (1.0 + alpha) * num.occupancy - den_res.occupancy
     return LossResult(objective, grad, num.score, den_res.score, aux)
-

@@ -179,6 +179,75 @@ def graph_forward(post, fst):
     return float(m + np.log(np.exp(arr - m).sum()))
 
 
+def flattened_transitions(fst):
+    """The machine that folding a log acceptor's epsilon arcs into its
+    labeled arcs should give, found by following every epsilon path:
+    ``(start, final, transitions)`` over the states on a start-to-final
+    path, numbered in their order.  ``final`` holds their final log weights
+    through epsilon paths, and ``transitions`` maps ``(q, s, label)`` to
+    the log mass of the epsilon paths ``q ~> r`` times the labeled arcs
+    ``r -> s`` on input ``label + 1``.  The epsilon arcs must form no
+    cycle."""
+    def epsilon_paths(q):
+        ends, stack = {}, [(q, 0.0)]
+        while stack:
+            r, mass = stack.pop()
+            ends[r] = np.logaddexp(ends.get(r, ZERO), mass)
+            stack.extend((a.nextstate, mass + a.weight) for a in fst.arcs(r)
+                         if a.ilabel == EPS)
+        return ends
+
+    final, trans = {}, {}
+    for q in fst.states():
+        for r, mass in epsilon_paths(q).items():
+            if mass == ZERO:
+                continue
+            if r in fst.finals:
+                final[q] = np.logaddexp(final.get(q, ZERO),
+                                        mass + fst.finals[r])
+            for a in fst.arcs(r):
+                if a.ilabel != EPS:
+                    key = (q, a.nextstate, a.ilabel - 1)
+                    trans[key] = np.logaddexp(trans.get(key, ZERO),
+                                              mass + a.weight)
+
+    def reach(seeds, edges):
+        seen, stack = set(seeds), list(seeds)
+        while stack:
+            for r in edges.get(stack.pop(), ()):
+                if r not in seen:
+                    seen.add(r)
+                    stack.append(r)
+        return seen
+
+    succ, pred = {}, {}
+    for q, s, _ in trans:
+        succ.setdefault(q, []).append(s)
+        pred.setdefault(s, []).append(q)
+    live = sorted(reach([fst.start], succ)
+                  & reach([q for q, w in final.items() if w > ZERO], pred))
+    num = {q: i for i, q in enumerate(live)}
+    return (num[fst.start], np.array([final.get(q, ZERO) for q in live]),
+            {(num[q], num[s], lab): w for (q, s, lab), w in trans.items()
+             if q in num and s in num})
+
+
+def flattened_matrix(fst):
+    """The flattened transition matrix of ``flattened_transitions``, dense:
+    entry (q, s) is the probability of q -> s summed over labels."""
+    _, final, trans = flattened_transitions(fst)
+    mat = np.zeros((len(final), len(final)))
+    for (q, s, _), w in trans.items():
+        mat[q, s] += np.exp(w)
+    return mat
+
+
+def assert_log_softmax(values, tol=1e-5):
+    """Every row of a posterior matrix is a normalized log-distribution."""
+    row_mass = np.log(np.sum(np.exp(np.asarray(values)), axis=1))
+    assert np.max(np.abs(row_mass)) <= tol, "rows are not normalized"
+
+
 def exhaustive_best_path(graph, post):
     """Best complete-path score and output string by explicit search."""
     t_frames = post.shape[0]

@@ -1,4 +1,3 @@
-import copy
 import math
 import subprocess
 import sys
@@ -20,8 +19,9 @@ from ctc_crf.toydata import generate_dataset, generate_utterance
 from ctc_crf.verify import random_log_softmax
 from ctc_crf.wfst import EPS, Wfst
 
-from oracles import (brute_acceptor, brute_denominator, brute_numerator,
-                     finite_difference, graph_forward)
+from oracles import (assert_log_softmax, brute_acceptor, brute_denominator,
+                     brute_numerator, finite_difference, flattened_matrix,
+                     flattened_transitions, graph_forward)
 
 
 def uniform_post(frames, width):
@@ -42,18 +42,18 @@ def degenerate_lm(labels):
 
 def test_posterior_matrix_validation(rng):
     post = PosteriorMatrix(random_log_softmax(rng, 4, 3))
-    post.assert_log_softmax()
+    assert_log_softmax(post)
     assert post.frames == 4 and post.width == 3
     with pytest.raises(DataError):
         PosteriorMatrix(np.array([[0.0, np.nan]]))
     skewed = PosteriorMatrix(np.zeros((2, 3)))
-    with pytest.raises(DataError):
-        skewed.assert_log_softmax()
+    with pytest.raises(AssertionError):
+        assert_log_softmax(skewed)
 
 
 def test_posterior_matrix_allows_neg_inf():
     post = PosteriorMatrix(np.array([[0.0, ZERO], [ZERO, 0.0]]))
-    post.assert_log_softmax()
+    assert_log_softmax(post)
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +221,11 @@ def trigram_table(trigram_graph):
     return flatten_denominator(trigram_graph)
 
 
+@pytest.fixture(scope="module")
+def trigram_flat(trigram_graph):
+    return flattened_transitions(trigram_graph)
+
+
 def _assert_matches_log(got, want, rel=1e-9, occ_abs=1e-9):
     assert got.feasible and want.feasible
     assert got.score == pytest.approx(want.score, rel=rel, abs=1e-12)
@@ -228,12 +233,12 @@ def _assert_matches_log(got, want, rel=1e-9, occ_abs=1e-9):
     assert np.all(np.abs(got.occupancy - want.occupancy) <= occ_abs)
 
 
-def test_trigram_table_needs_no_state_split(trigram_table):
+def test_trigram_table_needs_no_state_split(trigram_table, trigram_flat):
     # every T∘G transition into a state carries that state's symbol
-    assert trigram_table.num_states > 2500
-    entries = np.unique(np.stack([trigram_table.to_state,
-                                  trigram_table.label]), axis=1)
-    assert entries.shape[1] == len(np.unique(trigram_table.to_state))
+    _, final, trans = trigram_flat
+    assert trigram_table.num_states == len(final) > 2500
+    _, s, label = np.array(list(trans)).T
+    assert np.array_equal(trigram_table.state_label[s], label)
 
 
 def test_trigram_table_matches_unflattened_graph(trigram_graph,
@@ -246,21 +251,23 @@ def test_trigram_table_matches_unflattened_graph(trigram_graph,
         graph_forward(post, trigram_graph), rel=1e-9)
 
 
-def _one_factor(table):
-    """The table rebuilt from its transitions, so its pass runs over them."""
-    return DenominatorTable(table.num_states, table.start, table.from_state,
-                            table.to_state, table.label, table.weight,
-                            table.final, table.num_labels)
+def _one_factor(flat, num_labels):
+    """A table over one factor, the transitions ``flattened_transitions``
+    found, so its pass runs over them."""
+    start, final, trans = flat
+    src, dst, label = np.array(list(trans), dtype=np.int64).reshape(-1, 3).T
+    state_label = np.zeros(len(final), dtype=np.int64)
+    state_label[dst] = label
+    return DenominatorTable(start, final, state_label, num_labels,
+                            [(src, dst, np.array(list(trans.values())),
+                              len(final), len(final))])
 
 
 def _both_forms(fst):
-    """The flattened table over one factor, its transitions, and over two,
-    the closure and the labeled arcs, whichever one flatten_denominator
-    would pick for this graph."""
-    table, factors = loss._flatten(fst)
-    factored = copy.copy(table)
-    factored._factors = factors
-    return table, factored
+    """The flattened table over two factors, the closure and the labeled
+    arcs, and the oracle's transitions as one factor."""
+    table = flatten_denominator(fst)
+    return table, _one_factor(flattened_transitions(fst), table.num_labels)
 
 
 def _dense(factor):
@@ -282,14 +289,18 @@ def test_trigram_table_runs_over_closure_and_arcs(trigram_table):
 
 
 def test_toy_bigram_table_runs_over_its_transitions():
-    # 41 closure pairs and 210 labeled arcs against 210 transitions
+    # 35 live closure pairs and 210 labeled arcs against 210 transitions:
+    # a bigram runs over the two factors too
     train_set, _, alphabet = generate_dataset(200, 0, seed=7)
     lm = estimate([[alphabet.state_name(lab) for lab in labels]
                    for _, labels in train_set], order=2, discount=0.5,
                   vocab=list(alphabet.labels))
-    table = flatten_denominator(build_denominator_graph(alphabet, lm))
-    assert len(table._factors) == 1
-    assert table._factors[0].nnz == table.num_transitions
+    graph = build_denominator_graph(alphabet, lm)
+    table = flatten_denominator(graph)
+    closure, arcs = table._factors
+    assert (closure.nnz, arcs.nnz, table.num_transitions) == (35, 210, 210)
+    want = flattened_matrix(graph)
+    assert np.all(np.abs(_dense(closure) @ _dense(arcs) - want) <= 1e-12)
 
 
 def test_closure_times_arcs_is_the_transition_matrix():
@@ -298,21 +309,20 @@ def test_closure_times_arcs_is_the_transition_matrix():
     corpus = [[alphabet.state_name(lab) for lab in generate_utterance(
         rng, alphabet, alphabet.num_state_symbols)[1]] for _ in range(100)]
     lm = estimate(corpus, order=3, discount=0.5, vocab=list(alphabet.labels))
-    table = flatten_denominator(build_denominator_graph(alphabet, lm))
-    closure, arcs = table._factors
-    want = np.zeros((table.num_states, table.num_states))
-    np.add.at(want, (table.from_state, table.to_state), np.exp(table.weight))
+    graph = build_denominator_graph(alphabet, lm)
+    closure, arcs = flatten_denominator(graph)._factors
+    want = flattened_matrix(graph)
     assert np.all(np.abs(_dense(closure) @ _dense(arcs) - want) <= 1e-12)
 
 
 @pytest.mark.parametrize("frames", [200, 1000])
-def test_denominator_matches_log_domain_on_trigram(trigram_table, frames):
+def test_denominator_matches_log_domain_on_trigram(trigram_table,
+                                                   trigram_flat, frames):
     post = random_log_softmax(np.random.default_rng(frames), frames, 31)
     got = denominator_forward(post, trigram_table)
     _assert_matches_log(got, _forward_backward_log(post, trigram_table))
-    _assert_matches_log(got, denominator_forward(post,
-                                                 _one_factor(trigram_table)),
-                        occ_abs=1e-12)
+    _assert_matches_log(got, denominator_forward(
+        post, _one_factor(trigram_flat, 31)), occ_abs=1e-12)
 
 
 def _chain_acceptor(ab1):
@@ -361,20 +371,26 @@ def test_denominator_neg_inf_row_is_infeasible(den_table_ab, rng):
 
 
 def test_denominator_matches_log_on_random_tables(rng):
-    # hand-built tables with one label per destination state, a start
-    # state with incoming transitions, dead ends and -inf transitions
-    checked = 0
-    for _ in range(60):
+    # hand-built tables of one factor or two, whose inner dimension may
+    # differ from the state count, with a start state with incoming
+    # transitions, dead ends, empty rows and columns and -inf entries
+    checked, two_factor, uneven, padded = 0, 0, 0, 0
+    for _ in range(80):
         n = int(rng.integers(1, 5))
         width = int(rng.integers(1, 4))
-        arcs = int(rng.integers(1, 10))
         final = np.where(rng.random(n) < 0.6, rng.normal(size=n), ZERO)
-        state_label = rng.integers(0, width, n)
-        to_state = rng.integers(0, n, arcs)
-        weight = np.where(rng.random(arcs) < 0.2, ZERO, rng.normal(size=arcs))
-        table = DenominatorTable(
-            n, int(rng.integers(0, n)), rng.integers(0, n, arcs), to_state,
-            state_label[to_state], weight, final, width)
+        dims = [n, *rng.integers(1, 6, int(rng.integers(0, 2))), n]
+        factors = []
+        for rows, cols in zip(dims, dims[1:]):
+            entries = int(rng.integers(1, 10))
+            weight = np.where(rng.random(entries) < 0.2, ZERO,
+                              rng.normal(size=entries))
+            factors.append((rng.integers(0, rows, entries),
+                            rng.integers(0, cols, entries), weight,
+                            int(rows), int(cols)))
+        table = DenominatorTable(int(rng.integers(0, n)), final,
+                                 rng.integers(0, width, n), width, factors)
+        padded += any(f.nnz < len(f.fwd_src) for f in table._factors)
         post = random_log_softmax(rng, int(rng.integers(0, 6)), width)
         got = denominator_forward(post, table)
         want = _forward_backward_log(post, table)
@@ -382,9 +398,12 @@ def test_denominator_matches_log_on_random_tables(rng):
         if want.feasible:
             _assert_matches_log(got, want)
             checked += 1
+            if len(dims) == 3:
+                two_factor += 1
+                uneven += dims[1] != n
         else:
             assert got.score == ZERO and np.all(got.occupancy == 0.0)
-    assert checked > 20
+    assert checked > 20 and two_factor > 10 and uneven > 5 and padded > 20
 
 
 def _mixed_label_acceptor(ab1):
@@ -468,8 +487,11 @@ def test_flatten_no_epsilons_is_transcription(ab1):
     table = flatten_denominator(fst)
     assert table.num_transitions == 2
     assert table.num_states == 2
-    assert sorted(table.label.tolist()) == [0, 1]
+    assert sorted(table.state_label.tolist()) == [0, 1]
     assert table.final[table.start] == pytest.approx(-0.1)
+    closure, arcs = table._factors
+    assert np.array_equal(_dense(closure) @ _dense(arcs),
+                          flattened_matrix(fst))
 
 
 def test_flatten_trims_states_off_every_complete_path(ab1):
@@ -573,8 +595,10 @@ def test_flatten_random_epsilon_dags_match_enumeration(rng):
         fst = _random_epsilon_dag(rng, alphabet)
         try:
             tables = _both_forms(fst)
-            # pairs joined only through the -inf arc give no transition
-            assert np.isfinite(tables[0].weight).all()
+            # pairs joined only through the -inf arc give no closure entry:
+            # its finite entries are those before padding
+            closure = tables[0]._factors[0]
+            assert np.isfinite(closure.fwd_logw).sum() == closure.nnz
         except DataError as exc:
             assert "no complete path" in str(exc)
             tables = ()
@@ -589,6 +613,25 @@ def test_flatten_random_epsilon_dags_match_enumeration(rng):
                     assert got.score == pytest.approx(want, abs=1e-9)
                     checked += 1
     assert checked > 120
+
+
+def test_flatten_deep_chain(ab1):
+    # 100,000 states in one chain of labeled arcs, final at states 3 and
+    # n - 1: the trim walks the whole depth both ways, one step per edge
+    n = 100_000
+    isyms = ab1.pi_symbol_table()
+    fst = Wfst(LOG, isyms, isyms)
+    for _ in range(n):
+        fst.add_state()
+    fst.set_start(0)
+    for q in range(n - 1):
+        fst.add_arc(q, 1 + q % 2, 0, -0.1, q + 1)
+    fst.set_final(3, -0.2)
+    fst.set_final(n - 1, 0.0)
+    table = flatten_denominator(fst)
+    assert (table.num_states, table.num_transitions) == (n, n - 1)
+    got = denominator_forward(uniform_post(3, 2), table)
+    assert got.score == pytest.approx(3 * math.log(0.5) - 0.5, abs=1e-9)
 
 
 def test_denominator_no_complete_path_flagged(ab1):
@@ -614,10 +657,14 @@ def test_table_round_trip_through_graph_file(tmp_path, ab2, bigram_ab, rng):
     back = _load_den(path, ab2)
     assert (back.num_states, back.start, back.num_labels) == \
         (table.num_states, table.start, table.num_labels)
-    for name in ("from_state", "to_state", "label"):
-        assert np.array_equal(getattr(back, name), getattr(table, name)), name
-    assert np.allclose(back.weight, table.weight, rtol=0, atol=1e-7)
+    assert np.array_equal(back.state_label, table.state_label)
     assert np.allclose(back.final, table.final, rtol=0, atol=1e-7)
+    for got, want in zip(back._factors, table._factors, strict=True):
+        for name in ("fwd_src", "fwd_starts", "bwd_dst", "bwd_starts"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+        for name in ("fwd_logw", "bwd_logw"):
+            assert np.allclose(getattr(got, name), getattr(want, name),
+                               rtol=0, atol=1e-7)
     for post in (uniform_post(3, 3), random_log_softmax(rng, 6, 3)):
         assert denominator_forward(post, back).score == pytest.approx(
             denominator_forward(post, table).score, abs=1e-7)
@@ -659,11 +706,16 @@ def test_table_load_rejects_malformed_lines(tmp_path, ab2, body):
         _load_den(path, ab2)
 
 
-@pytest.mark.parametrize("start,to_state", [(0, 2), (2, 1), (-1, 1)],
-                         ids=["transition-state", "start", "negative-start"])
-def test_table_rejects_out_of_range_states(start, to_state):
-    with pytest.raises(DataError, match="out of range"):
-        DenominatorTable(2, start, [0], [to_state], [0], [0.0], [0.0, 0.0], 1)
+@pytest.mark.parametrize("start,final,cols,match", [
+    (0, [0.0, 0.0], 3, "factor shapes"),
+    (2, [0.0, 0.0], 2, "start state out of range"),
+    (-1, [0.0, 0.0], 2, "start state out of range"),
+    (0, [0.0], 2, "final-weight array does not match"),
+], ids=["transition-state", "start", "negative-start", "final-length"])
+def test_table_rejects_out_of_range_states(start, final, cols, match):
+    # "transition-state": a factor whose columns reach a third state
+    with pytest.raises(DataError, match=match):
+        DenominatorTable(start, final, [0, 0], 1, [([0], [1], [0.0], 2, cols)])
 
 
 def _graph_length_mass(graph, frames):
