@@ -21,8 +21,7 @@ from .symbols import Alphabet, SymbolTable
 from .training import EpochMetrics, TrainConfig, train
 from .wfst import (Arc, Wfst, build_ctc_topology, build_decoding_graph,
                    build_denominator_graph, build_lexicon_fst, compose,
-                   identity_acceptor, map_b, read_fst_text, trim,
-                   write_fst_text)
+                   map_b, read_fst_text, trim, write_fst_text)
 
 __all__ = [
     "Alphabet", "Arc", "AcousticModel", "Adam", "ArpaError", "BeamConfig",
@@ -33,7 +32,6 @@ __all__ = [
     "build_ctc_topology", "build_decoding_graph", "build_denominator_graph",
     "build_lexicon_fst", "compose", "crf_loss", "denominator_forward",
     "emit_arpa", "estimate", "evaluate_error_rate", "flatten_denominator",
-    "greedy_decode", "identity_acceptor", "lm_to_fst", "map_b",
-    "numerator_forward", "parse_arpa", "read_fst_text", "score_sequence",
-    "train", "trim", "write_fst_text",
+    "greedy_decode", "lm_to_fst", "map_b", "numerator_forward", "parse_arpa",
+    "read_fst_text", "score_sequence", "train", "trim", "write_fst_text",
 ]

@@ -234,12 +234,25 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _decode_one(job):
-    feats, graph, config, model = job
+def _decode_one(feats, graph, config, model):
     started = time.perf_counter()
     post = model.forward(feats)
     result = beam_decode(post, graph, config)
     return result, time.perf_counter() - started
+
+
+# (graph, config, model), set once in each pool worker by its initializer,
+# so that the jobs the pool pickles carry only features
+_worker_decoder: tuple = ()
+
+
+def _init_worker(*decoder) -> None:
+    global _worker_decoder
+    _worker_decoder = decoder
+
+
+def _decode_in_worker(feats):
+    return _decode_one(feats, *_worker_decoder)
 
 
 def cmd_decode(args) -> int:
@@ -256,12 +269,13 @@ def cmd_decode(args) -> int:
     config = BeamConfig(width=args.beam_width, slack=args.beam_slack,
                         blank_threshold=None if args.no_blank_skip
                         else args.blank_skip)
-    jobs = [(feats, graph, config, model) for feats, _ in dataset]
+    jobs = [feats for feats, _ in dataset]
     if args.workers > 1 and len(jobs) > 1:
-        with multiprocessing.Pool(args.workers) as pool:
-            outcomes = pool.map(_decode_one, jobs)
+        with multiprocessing.Pool(args.workers, _init_worker,
+                                  (graph, config, model)) as pool:
+            outcomes = pool.map(_decode_in_worker, jobs)
     else:
-        outcomes = [_decode_one(j) for j in jobs]
+        outcomes = [_decode_one(j, graph, config, model) for j in jobs]
 
     hyps = {}
     total_frames = 0

@@ -12,7 +12,7 @@ from typing import Iterable, Sequence
 
 from .dataio import read_lines
 from .errors import ArpaError, DataError
-from .semiring import LOG, ONE, Semiring
+from .semiring import LOG, ONE
 from .symbols import EPS_NAME, SymbolTable
 from .wfst import EPS, Wfst
 
@@ -333,7 +333,7 @@ def emit_arpa(lm: NGramModel) -> str:
 # WFST conversion
 # ---------------------------------------------------------------------------
 
-def lm_to_fst(lm: NGramModel, semiring: Semiring = LOG) -> Wfst:
+def lm_to_fst(lm: NGramModel, semiring: str = LOG) -> Wfst:
     """Acceptor with one state per context and epsilon backoff arcs.
 
     Every stored n-gram becomes a weighted arc from its context state to the

@@ -32,8 +32,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DataError
-from .semiring import ZERO, logsumexp
-from .wfst import EPS, Wfst
+from .semiring import LOG, ZERO, logsumexp
+from .wfst import EPS, Wfst, reachable
 
 NEG_INF = ZERO
 # A frame's rescale mass below this is built from subnormal terms and would
@@ -209,26 +209,6 @@ def _merge_pairs(origin, reached, mass, num_states: int):
             np.logaddexp.reduceat(mass[order], starts))
 
 
-def _reachable(seeds, src, dst, num_nodes: int) -> np.ndarray:
-    """Mask of the nodes reachable from ``seeds`` along edges ``src -> dst``.
-    The walk runs over Python lists, one step per edge, so a deep graph
-    costs no more than a shallow one with as many edges."""
-    order = np.argsort(src, kind="stable")
-    indptr = np.searchsorted(src[order], np.arange(num_nodes + 1)).tolist()
-    succ = dst[order].tolist()
-    seen = [False] * num_nodes
-    stack = np.unique(seeds).tolist()
-    for q in stack:
-        seen[q] = True
-    while stack:
-        q = stack.pop()
-        for r in succ[indptr[q]:indptr[q + 1]]:
-            if not seen[r]:
-                seen[r] = True
-                stack.append(r)
-    return np.array(seen, dtype=bool)
-
-
 def flatten_denominator(den_fst: Wfst) -> DenominatorTable:
     """Fold the epsilon-input (backoff) arcs into the labeled arcs after
     them, then trim.
@@ -247,7 +227,7 @@ def flatten_denominator(den_fst: Wfst) -> DenominatorTable:
     dropped, and so are the closure's ends on none.  A live state entered
     on two input labels is a DataError that names it.
     """
-    if den_fst.semiring.kind != "log":
+    if den_fst.semiring != LOG:
         raise DataError("denominator graph must be in the log semiring")
     if den_fst.start is None:
         raise DataError("denominator graph is empty")
@@ -285,9 +265,9 @@ def flatten_denominator(den_fst: Wfst) -> DenominatorTable:
     labeled = ~eps
     edge_src = np.concatenate([origin, n + src[labeled]])
     edge_dst = np.concatenate([n + reached, dst[labeled]])
-    live = (_reachable([den_fst.start], edge_src, edge_dst, 2 * n)
-            & _reachable(np.flatnonzero(final > NEG_INF), edge_dst, edge_src,
-                         2 * n))
+    live = (reachable([den_fst.start], edge_src, edge_dst, 2 * n)
+            & reachable(np.flatnonzero(final > NEG_INF), edge_dst, edge_src,
+                        2 * n))
     if not live[den_fst.start]:
         raise DataError("denominator graph has no complete path")
     state, end = live[:n], live[n:]

@@ -1,27 +1,18 @@
-"""Log and tropical semirings over natural-log weights.
+"""The two weight kinds a machine carries, and their shared constants.
 
-Weights are plain floats in natural log. The additive identity is a genuine
--inf (never a large negative stand-in), so ``plus(ZERO, w) == w`` exactly.
+Weights are plain floats in natural log, and along a path they add. A
+``LOG`` machine sums alternative paths (the denominator graph T∘G); a
+``TROPICAL`` machine keeps the best one (the decoding graph TLG). The
+additive identity is a genuine -inf, never a large negative stand-in.
 """
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
+LOG = "log"
+TROPICAL = "tropical"
 ZERO = float("-inf")
 ONE = 0.0
-
-
-def log_add(a: float, b: float) -> float:
-    """Stable log(exp(a) + exp(b)); exact when either operand is -inf."""
-    if a == ZERO:
-        return b
-    if b == ZERO:
-        return a
-    if a < b:
-        a, b = b, a
-    return a + math.log1p(math.exp(b - a))
 
 
 def logsumexp(values) -> float:
@@ -33,43 +24,3 @@ def logsumexp(values) -> float:
     if m == ZERO:
         return ZERO
     return m + float(np.log(np.sum(np.exp(arr - m))))
-
-
-class Semiring:
-    """Operations for combining path weights: plus along alternatives, times
-    along a path."""
-
-    kind: str = ""
-    zero = ZERO
-    one = ONE
-
-    @staticmethod
-    def plus(a: float, b: float) -> float:
-        raise NotImplementedError
-
-    @staticmethod
-    def times(a: float, b: float) -> float:
-        return a + b
-
-    def __repr__(self):
-        return f"Semiring({self.kind})"
-
-
-class _LogSemiring(Semiring):
-    kind = "log"
-
-    @staticmethod
-    def plus(a: float, b: float) -> float:
-        return log_add(a, b)
-
-
-class _TropicalSemiring(Semiring):
-    kind = "tropical"
-
-    @staticmethod
-    def plus(a: float, b: float) -> float:
-        return a if a >= b else b
-
-
-LOG = _LogSemiring()
-TROPICAL = _TropicalSemiring()

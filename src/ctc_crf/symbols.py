@@ -11,7 +11,6 @@ plain label tables ``fst_id == state_id`` (both are ``i + 1`` for label i).
 """
 from __future__ import annotations
 
-import hashlib
 from typing import Iterable, Sequence
 
 from .dataio import read_lines
@@ -61,15 +60,6 @@ class SymbolTable:
         if not 0 <= sym_id < len(self._symbols):
             raise DataError(f"symbol id {sym_id} out of range")
         return self._symbols[sym_id]
-
-    @property
-    def digest(self) -> str:
-        """Content hash; composition checks table identity with this."""
-        h = hashlib.sha1()
-        for s in self._symbols:
-            h.update(s.encode("utf-8"))
-            h.update(b"\x00")
-        return h.hexdigest()
 
     def write(self, path):
         with open(path, "w", encoding="utf-8") as f:

@@ -10,9 +10,11 @@ from __future__ import annotations
 from collections import deque
 from typing import NamedTuple, Sequence
 
+import numpy as np
+
 from .dataio import read_lines
 from .errors import DataError
-from .semiring import LOG, ONE, Semiring
+from .semiring import LOG, ONE, TROPICAL, ZERO
 from .symbols import EPS, Alphabet, SymbolTable
 
 
@@ -25,9 +27,10 @@ class Arc(NamedTuple):
 
 class Wfst:
     """A transducer with per-state arc lists, explicit per-state final
-    weights, and symbol tables carried alongside."""
+    weights, and symbol tables carried alongside.  ``semiring`` is ``LOG``
+    or ``TROPICAL``."""
 
-    def __init__(self, semiring: Semiring, isyms: SymbolTable, osyms: SymbolTable):
+    def __init__(self, semiring: str, isyms: SymbolTable, osyms: SymbolTable):
         self.semiring = semiring
         self.isyms = isyms
         self.osyms = osyms
@@ -74,14 +77,11 @@ class Wfst:
         return range(len(self._arcs))
 
     def final_weight(self, state: int) -> float:
-        return self.finals.get(state, self.semiring.zero)
-
-    def is_empty(self) -> bool:
-        return self.start is None or not self.finals
+        return self.finals.get(state, ZERO)
 
     def __eq__(self, other):
         return (isinstance(other, Wfst)
-                and self.semiring.kind == other.semiring.kind
+                and self.semiring == other.semiring
                 and self.start == other.start
                 and self.finals == other.finals
                 and self._arcs == other._arcs
@@ -89,7 +89,7 @@ class Wfst:
                 and self.osyms == other.osyms)
 
     def __repr__(self):
-        return (f"Wfst({self.semiring.kind}, states={self.num_states}, "
+        return (f"Wfst({self.semiring}, states={self.num_states}, "
                 f"arcs={self.num_arcs}, finals={len(self.finals)})")
 
 
@@ -114,7 +114,7 @@ def map_b(pi: Sequence[int], alphabet: Alphabet) -> list[int]:
     return out
 
 
-def build_ctc_topology(alphabet: Alphabet, semiring: Semiring = LOG) -> Wfst:
+def build_ctc_topology(alphabet: Alphabet, semiring: str = LOG) -> Wfst:
     """Transducer realizing the blank-collapsing map with |labels|+1 states.
 
     State 0 is start and keeps a blank self-loop; each label owns one state
@@ -150,54 +150,57 @@ def build_ctc_topology(alphabet: Alphabet, semiring: Semiring = LOG) -> Wfst:
 # Trimming
 # ---------------------------------------------------------------------------
 
+def reachable(seeds, src, dst, num_nodes: int) -> np.ndarray:
+    """Mask of the nodes reachable from ``seeds`` along edges ``src -> dst``.
+    The walk runs over Python lists, one step per edge, so a deep graph
+    costs no more than a shallow one with as many edges."""
+    order = np.argsort(src, kind="stable")
+    indptr = np.searchsorted(src[order], np.arange(num_nodes + 1)).tolist()
+    succ = dst[order].tolist()
+    seen = [False] * num_nodes
+    stack = np.unique(seeds).tolist()
+    for q in stack:
+        seen[q] = True
+    while stack:
+        q = stack.pop()
+        for r in succ[indptr[q]:indptr[q + 1]]:
+            if not seen[r]:
+                seen[r] = True
+                stack.append(r)
+    return np.array(seen, dtype=bool)
+
+
 def trim(a: Wfst) -> Wfst:
     """Drop states that are not on any start-to-final path.
 
     State numbering of the surviving states is preserved in order, so
     trimming an already-trim machine returns an identical machine.
     """
-    if a.start is None:
-        return Wfst(a.semiring, a.isyms, a.osyms)
-
-    reachable = set()
-    queue = deque([a.start])
-    reachable.add(a.start)
-    while queue:
-        q = queue.popleft()
-        for arc in a.arcs(q):
-            if arc.nextstate not in reachable:
-                reachable.add(arc.nextstate)
-                queue.append(arc.nextstate)
-
-    rev: dict[int, list[int]] = {}
-    for q in a.states():
-        for arc in a.arcs(q):
-            rev.setdefault(arc.nextstate, []).append(q)
-    coaccessible = set(a.finals)
-    queue = deque(a.finals)
-    while queue:
-        q = queue.popleft()
-        for p in rev.get(q, ()):
-            if p not in coaccessible:
-                coaccessible.add(p)
-                queue.append(p)
-
-    keep = sorted(reachable & coaccessible)
-    if a.start not in coaccessible:
-        return Wfst(a.semiring, a.isyms, a.osyms)
-
-    remap = {old: new for new, old in enumerate(keep)}
     out = Wfst(a.semiring, a.isyms, a.osyms)
+    if a.start is None:
+        return out
+    n = a.num_states
+    src = np.repeat(np.arange(n), [len(arcs) for arcs in a._arcs])
+    dst = np.array([arc.nextstate for arcs in a._arcs for arc in arcs],
+                   dtype=np.int64)
+    live = (reachable([a.start], src, dst, n)
+            & reachable(list(a.finals), dst, src, n))
+    if not live[a.start]:
+        return out
+
+    keep = np.flatnonzero(live).tolist()
+    renumber = (np.cumsum(live) - 1).tolist()
+    live = live.tolist()
     for _ in keep:
         out.add_state()
-    out.set_start(remap[a.start])
+    out.set_start(renumber[a.start])
     for old in keep:
         for arc in a.arcs(old):
-            if arc.nextstate in remap:
-                out.add_arc(remap[old], arc.ilabel, arc.olabel, arc.weight,
-                            remap[arc.nextstate])
+            if live[arc.nextstate]:
+                out.add_arc(renumber[old], arc.ilabel, arc.olabel, arc.weight,
+                            renumber[arc.nextstate])
         if old in a.finals:
-            out.set_final(remap[old], a.finals[old])
+            out.set_final(renumber[old], a.finals[old])
     return out
 
 
@@ -219,14 +222,12 @@ def compose(a: Wfst, b: Wfst) -> Wfst:
     with a three-state composition filter so that every pair of compatible
     paths contributes exactly once.  The result is trimmed.
     """
-    if a.semiring.kind != b.semiring.kind:
-        raise DataError(
-            f"semiring mismatch: {a.semiring.kind} vs {b.semiring.kind}")
-    if a.osyms.digest != b.isyms.digest:
+    if a.semiring != b.semiring:
+        raise DataError(f"semiring mismatch: {a.semiring} vs {b.semiring}")
+    if a.osyms != b.isyms:
         raise DataError("symbol table mismatch between left output and right input")
 
-    sr = a.semiring
-    out = Wfst(sr, a.isyms, b.osyms)
+    out = Wfst(a.semiring, a.isyms, b.osyms)
     if a.start is None or b.start is None:
         return out
 
@@ -266,7 +267,7 @@ def compose(a: Wfst, b: Wfst) -> Wfst:
                 for arc_b in b_idx.get(arc_a.olabel, ()):
                     dst = state_for((arc_a.nextstate, arc_b.nextstate, _F_NEUTRAL))
                     out.add_arc(src, arc_a.ilabel, arc_b.olabel,
-                                sr.times(arc_a.weight, arc_b.weight), dst)
+                                arc_a.weight + arc_b.weight, dst)
             else:
                 if f != _F_RIGHT:
                     dst = state_for((arc_a.nextstate, qb, _F_LEFT))
@@ -275,28 +276,16 @@ def compose(a: Wfst, b: Wfst) -> Wfst:
                     for arc_b in b_eps:
                         dst = state_for((arc_a.nextstate, arc_b.nextstate, _F_NEUTRAL))
                         out.add_arc(src, arc_a.ilabel, arc_b.olabel,
-                                    sr.times(arc_a.weight, arc_b.weight), dst)
+                                    arc_a.weight + arc_b.weight, dst)
         if f != _F_LEFT:
             for arc_b in b_eps:
                 dst = state_for((qa, arc_b.nextstate, _F_RIGHT))
                 out.add_arc(src, EPS, arc_b.olabel, arc_b.weight, dst)
 
         if qa in a.finals and qb in b.finals:
-            out.set_final(src, sr.times(a.finals[qa], b.finals[qb]))
+            out.set_final(src, a.finals[qa] + b.finals[qb])
 
     return trim(out)
-
-
-def identity_acceptor(syms: SymbolTable, semiring: Semiring = LOG) -> Wfst:
-    """Single-state acceptor looping over every non-epsilon symbol with
-    weight one; the identity element of composition."""
-    fst = Wfst(semiring, syms, syms)
-    s = fst.add_state()
-    fst.set_start(s)
-    fst.set_final(s, ONE)
-    for sym_id in range(1, len(syms)):
-        fst.add_arc(s, sym_id, sym_id, ONE, s)
-    return fst
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +302,7 @@ def build_denominator_graph(alphabet: Alphabet, lm) -> Wfst:
     from .lm import lm_to_fst  # local import to avoid a module cycle
 
     g = lm_to_fst(lm, semiring=LOG)
-    if g.isyms.digest != alphabet.label_symbol_table().digest:
+    if g.isyms != alphabet.label_symbol_table():
         raise DataError("label LM vocabulary does not match the alphabet")
     t = build_ctc_topology(alphabet, semiring=LOG)
     return compose(t, g)
@@ -321,7 +310,7 @@ def build_denominator_graph(alphabet: Alphabet, lm) -> Wfst:
 
 def build_lexicon_fst(alphabet: Alphabet, lexicon: dict[str, list[list[str]]],
                       word_syms: SymbolTable,
-                      semiring: Semiring) -> Wfst:
+                      semiring: str) -> Wfst:
     """Closure of per-word label chains: first label emits the word, the rest
     emit epsilon.  Words are required to have at least one pronunciation."""
     label_syms = alphabet.label_symbol_table()
@@ -356,13 +345,11 @@ def build_decoding_graph(alphabet: Alphabet, word_lm,
     """
     from .lm import lm_to_fst
 
-    from .semiring import TROPICAL
-
     g = lm_to_fst(word_lm, semiring=TROPICAL)
     if len(g.isyms) <= 1:
         raise DataError("word LM has an empty vocabulary")
     if lexicon is None:
-        if g.isyms.digest != alphabet.label_symbol_table().digest:
+        if g.isyms != alphabet.label_symbol_table():
             raise DataError("lexicon-free decoding needs a word LM over the labels")
         lg = g
     else:
@@ -394,7 +381,7 @@ def write_fst_text(fst: Wfst, path) -> None:
                 f.write(f"{remap[old]}\t{fst.finals[old]:.9g}\n")
 
 
-def read_fst_text(path, semiring: Semiring, isyms: SymbolTable,
+def read_fst_text(path, semiring: str, isyms: SymbolTable,
                   osyms: SymbolTable) -> Wfst:
     """Read the format ``write_fst_text`` writes.  Every state id from 0 to
     the largest must appear on some line, as it does for any trimmed

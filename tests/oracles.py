@@ -9,8 +9,8 @@ from math import inf, isinf
 
 import numpy as np
 
-from ctc_crf.semiring import ZERO
-from ctc_crf.wfst import EPS
+from ctc_crf.semiring import LOG, ONE, ZERO
+from ctc_crf.wfst import EPS, Wfst
 
 
 def collapse_reference(pi):
@@ -38,6 +38,18 @@ def transducer_outputs(fst, input_ids, eps_budget=None):
             elif pos < len(input_ids) and arc.ilabel == input_ids[pos]:
                 stack.append((arc.nextstate, pos + 1, new_out, eps_budget))
     return results
+
+
+def identity_acceptor(syms):
+    """Single-state acceptor looping over every non-epsilon symbol with
+    weight one; the identity element of composition."""
+    fst = Wfst(LOG, syms, syms)
+    s = fst.add_state()
+    fst.set_start(s)
+    fst.set_final(s, ONE)
+    for sym_id in range(1, len(syms)):
+        fst.add_arc(s, sym_id, sym_id, ONE, s)
+    return fst
 
 
 def weighted_language(fst, max_arcs, plus):

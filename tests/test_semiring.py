@@ -1,50 +1,8 @@
 import math
 
-import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
-from ctc_crf.semiring import LOG, ONE, TROPICAL, ZERO, log_add, logsumexp
-
-weights = st.one_of(st.just(ZERO),
-                    st.floats(min_value=-50, max_value=50))
-
-
-def test_identities():
-    for sr in (LOG, TROPICAL):
-        assert sr.plus(ZERO, -1.5) == -1.5
-        assert sr.plus(-1.5, ZERO) == -1.5
-        assert sr.times(ONE, -1.5) == -1.5
-        assert sr.times(ZERO, -1.5) == ZERO  # annihilator
-        assert sr.times(ZERO, ZERO) == ZERO
-
-
-def test_log_add_matches_numpy():
-    assert log_add(-1.0, -2.0) == pytest.approx(np.logaddexp(-1.0, -2.0), abs=1e-15)
-    assert log_add(ZERO, ZERO) == ZERO
-
-
-@given(weights, weights, weights)
-def test_plus_commutative_associative(a, b, c):
-    for sr in (LOG, TROPICAL):
-        assert sr.plus(a, b) == pytest.approx(sr.plus(b, a), abs=1e-12)
-        left = sr.plus(sr.plus(a, b), c)
-        right = sr.plus(a, sr.plus(b, c))
-        if math.isinf(left):
-            assert left == right
-        else:
-            assert left == pytest.approx(right, abs=1e-12)
-
-
-@given(weights, weights, weights)
-def test_times_distributes_over_plus(a, b, c):
-    for sr in (LOG, TROPICAL):
-        left = sr.times(a, sr.plus(b, c))
-        right = sr.plus(sr.times(a, b), sr.times(a, c))
-        if math.isinf(left):
-            assert left == right
-        else:
-            assert left == pytest.approx(right, abs=1e-12)
+from ctc_crf.semiring import ZERO, logsumexp
 
 
 def test_logsumexp_empty_and_degenerate():

@@ -8,13 +8,13 @@ import pytest
 from ctc_crf import (Alphabet, DataError, LOG, TROPICAL, ONE, Wfst,
                      build_ctc_topology, build_decoding_graph,
                      build_denominator_graph, build_lexicon_fst, compose,
-                     estimate, identity_acceptor, lm_to_fst, map_b,
-                     read_fst_text, trim, write_fst_text)
-from ctc_crf.semiring import ZERO, log_add
+                     estimate, lm_to_fst, map_b, read_fst_text, trim,
+                     write_fst_text)
+from ctc_crf.semiring import ZERO
 from ctc_crf.symbols import SymbolTable
 
-from oracles import (acceptor_mass, collapse_reference, transducer_outputs,
-                     weighted_language)
+from oracles import (acceptor_mass, collapse_reference, identity_acceptor,
+                     transducer_outputs, weighted_language)
 
 
 def pi_to_fst_ids(pi):
@@ -137,8 +137,19 @@ def test_trim_no_final_reachable_gives_empty():
     fst.set_start(a)
     fst.add_arc(a, 1, 1, ONE, b)  # no finals anywhere
     trimmed = trim(fst)
-    assert trimmed.is_empty()
+    assert trimmed.start is None
     assert trimmed.num_states == 0
+
+
+def test_trim_deep_chain():
+    # 100,000 states in one labelled chain plus a dead branch off its
+    # middle: the trim walks the whole depth both ways, one step per edge
+    n = 100_000
+    fst = _chain([-0.1] * (n - 1))
+    branch = [fst.add_state() for _ in range(3)]
+    for p, q in zip([n // 2] + branch, branch):
+        fst.add_arc(p, 1, 1, -0.1, q)
+    assert trim(fst) == _chain([-0.1] * (n - 1))
 
 
 def test_trim_idempotent():
@@ -162,8 +173,8 @@ def test_trim_preserves_weighted_language(rng):
                         int(rng.integers(0, n)))
         fst.set_final(int(rng.integers(0, n)), ONE)
         trimmed = trim(fst)
-        before = weighted_language(fst, 6, log_add)
-        after = weighted_language(trimmed, 6, log_add)
+        before = weighted_language(fst, 6, np.logaddexp)
+        after = weighted_language(trimmed, 6, np.logaddexp)
         assert before.keys() == after.keys()
         for key in before:
             assert before[key] == pytest.approx(after[key], abs=1e-12)
@@ -175,10 +186,10 @@ def test_trim_preserves_weighted_language(rng):
 
 def test_compose_identity(ab2):
     t = build_ctc_topology(ab2)
-    ident = identity_acceptor(t.osyms, LOG)
+    ident = identity_acceptor(t.osyms)
     composed = compose(t, ident)
-    lang_t = weighted_language(t, 5, log_add)
-    lang_c = weighted_language(composed, 5, log_add)
+    lang_t = weighted_language(t, 5, np.logaddexp)
+    lang_c = weighted_language(composed, 5, np.logaddexp)
     assert lang_t.keys() == lang_c.keys()
     for key in lang_t:
         assert lang_t[key] == pytest.approx(lang_c[key], abs=1e-12)
@@ -186,7 +197,7 @@ def test_compose_identity(ab2):
 
 def test_compose_symbol_table_mismatch(ab2):
     t = build_ctc_topology(ab2)
-    other = identity_acceptor(SymbolTable(["<eps>", "q"]), LOG)
+    other = identity_acceptor(SymbolTable(["<eps>", "q"]))
     with pytest.raises(DataError):
         compose(t, other)
 
@@ -196,7 +207,7 @@ def test_compose_two_linear_chains():
     a = _chain([-1.0, -2.0])
     b = _chain([-0.25, -0.5])
     c = compose(a, b)
-    lang = weighted_language(c, 4, log_add)
+    lang = weighted_language(c, 4, np.logaddexp)
     assert set(lang) == {((1, 1), (1, 1))}
     assert lang[((1, 1), (1, 1))] == pytest.approx(-3.75, abs=1e-12)
 
@@ -245,8 +256,8 @@ def test_compose_associativity(rng):
         c = _random_dag_machine(rng, sz, sw)
         left = compose(compose(a, b), c)
         right = compose(a, compose(b, c))
-        lang_l = weighted_language(left, 16, log_add)
-        lang_r = weighted_language(right, 16, log_add)
+        lang_l = weighted_language(left, 16, np.logaddexp)
+        lang_r = weighted_language(right, 16, np.logaddexp)
         assert lang_l.keys() == lang_r.keys(), trial
         for key in lang_l:
             assert lang_l[key] == pytest.approx(lang_r[key], abs=1e-10), trial
@@ -271,7 +282,7 @@ def test_compose_no_epsilon_path_double_counting(rng):
     b.add_arc(b1, 0, 1, math.log(0.125), b2)  # input epsilon
     b.set_final(b2, ONE)
     c = compose(a, b)
-    lang = weighted_language(c, 6, log_add)
+    lang = weighted_language(c, 6, np.logaddexp)
     key = ((1, 1), (1, 1))
     assert set(lang) == {key}
     assert lang[key] == pytest.approx(math.log(0.5 * 0.25 * 0.5 * 0.125), abs=1e-12)
@@ -287,10 +298,10 @@ def test_denominator_graph_unigram_brute_force(ab2, unigram_ab):
     # total mass over all length-2 state sequences with unit node potentials
     total = ZERO
     for pi in itertools.product(range(3), repeat=2):
-        total = log_add(total, acceptor_mass(g, map_b(list(pi), ab2)))
+        total = np.logaddexp(total, acceptor_mass(g, map_b(list(pi), ab2)))
     got = ZERO
     for pi in itertools.product(range(3), repeat=2):
-        got = log_add(got, acceptor_mass(tden, pi_to_fst_ids(pi)))
+        got = np.logaddexp(got, acceptor_mass(tden, pi_to_fst_ids(pi)))
     assert got == pytest.approx(total, abs=1e-10)
 
 
@@ -317,9 +328,15 @@ def test_denominator_graph_wrong_vocabulary(ab2):
 
 def test_decoding_graph_lexicon_free(ab2, unigram_ab):
     graph = build_decoding_graph(ab2, unigram_ab)
-    assert graph.semiring.kind == "tropical"
+    assert graph.semiring == TROPICAL
     assert list(graph.isyms) == ["<eps>", "<blk>", "a", "b"]
     assert list(graph.osyms) == ["<eps>", "a", "b"]
+
+
+def test_decoding_graph_lexicon_free_needs_label_words(ab2):
+    word_lm = estimate([["go", "stop"]], order=1, discount=0.5)
+    with pytest.raises(DataError, match="word LM over the labels"):
+        build_decoding_graph(ab2, word_lm)
 
 
 def test_decoding_graph_lexicon_transduction(ab2):
@@ -358,8 +375,8 @@ def test_fst_text_round_trip(tmp_path, ab2, unigram_ab):
     assert back.num_states == tden.num_states
     assert back.num_arcs == tden.num_arcs
     assert back.start == 0
-    lang_a = weighted_language(tden, 4, log_add)
-    lang_b = weighted_language(back, 4, log_add)
+    lang_a = weighted_language(tden, 4, np.logaddexp)
+    lang_b = weighted_language(back, 4, np.logaddexp)
     assert lang_a.keys() == lang_b.keys()
     for key in lang_a:
         assert lang_a[key] == pytest.approx(lang_b[key], abs=1e-7)
