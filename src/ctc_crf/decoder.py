@@ -24,7 +24,7 @@ class BeamConfig:
     def __post_init__(self):
         if self.width < 1:
             raise DataError("beam width must be >= 1")
-        if self.slack < 0:
+        if not self.slack >= 0:   # NaN fails too
             raise DataError("beam slack must be >= 0")
         if self.blank_threshold is not None and not 0.0 < self.blank_threshold <= 1.0:
             raise DataError("blank threshold must be in (0, 1]")

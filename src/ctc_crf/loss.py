@@ -12,21 +12,23 @@ epsilons ``flatten_denominator`` folds into its labeled arcs in memory); and
 ``aux`` is the plain alignment log-likelihood (the numerator without the LM
 constant).  Both are one forward-backward over a ``DenominatorTable``, a
 machine whose states each emit one symbol: T∘G for the denominator, the
-reference's blank-augmented chain for the numerator.  A table holds its
-transition matrix only as sparse factors whose product it is: for T∘G the
-epsilon closure and then the labeled arcs (for a trigram, about a third of
-the entries of their product), for the chain the chain itself.  The pass
-runs in the probability domain with a per-frame rescale, as in lattice-free
-MMI: per frame, one sparse matrix-vector product by each factor.  A
-log-domain pass over the same factors is the exact fallback for an
-utterance whose rescaled mass underflows.  Gradients are with respect to
-the node potentials: the difference between the reference-conditioned and
-unconstrained per-frame symbol occupancies.
+reference's blank-augmented chain for the numerator.  A table is given its
+transition matrix as factors whose product it is: for T∘G the epsilon
+closure and then the labeled arcs (for a trigram, about a third of the
+entries of their product), for the chain the chain itself.  The pass runs
+in the probability domain with a per-frame rescale, as in lattice-free
+MMI.  A table of at most ``_DENSE_MAX`` states (the toy bigram, every short
+reference chain) forms its dense transition matrix once and makes one
+matrix-vector product per frame; a larger one makes one sparse product by
+each factor.  A log-domain pass over the sparse factors is the exact
+fallback for an utterance whose rescaled mass underflows.  Gradients are
+with respect to the node potentials: the difference between the
+reference-conditioned and unconstrained per-frame symbol occupancies.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -39,6 +41,11 @@ NEG_INF = ZERO
 # A frame's rescale mass below this is built from subnormal terms and would
 # lose precision; such an utterance takes the log-domain pass instead.
 _MIN_SCALE = 1e-250
+# A table of at most this many states runs its pass over its dense
+# transition matrix: one matrix-vector product per frame costs less than the
+# numpy calls of the sparse products by its factors.  A trigram's thousands
+# of states stay sparse, where a dense product costs N^2 per frame.
+_DENSE_MAX = 64
 
 
 class PosteriorMatrix:
@@ -98,16 +105,20 @@ class DenominatorTable:
     the numerator and the denominator run their forward-backward on one.
 
     State ``q`` emits ``state_label[q]``, a state-symbol id that indexes
-    posterior columns, and ends a path with log weight ``final[q]``.  The
-    transition matrix is never formed: ``factors`` lists sparse matrices
-    whose product it is, each as ``(src, dst, log_weight, num_src,
-    num_dst)``, from the states through any inner dimensions back to the
-    states.  Labels are not checked against ``num_labels``: both builders
-    take them from checked input.  Immutable.  A table has no file format
-    of its own: ``flatten_denominator`` builds it from the T∘G graph, which
-    is stored and read as a text FST, with two factors, the epsilon closure
-    and the labeled arcs; ``numerator_forward`` builds one per reference
-    with one factor, the chain itself.
+    posterior columns, and ends a path with log weight ``final[q]``.
+    ``factors`` lists sparse matrices whose product is the transition
+    matrix, each as ``(src, dst, log_weight, num_src, num_dst)``, from the
+    states through any inner dimensions back to the states; repeated entries
+    add.  The pass reads the product in one of two forms, each built on
+    first use: a table of at most ``_DENSE_MAX`` states forms the dense
+    matrix, a larger one never does and runs over the factors as CSRs, which
+    the log-domain fallback and ``num_transitions`` also read.  Labels are
+    not checked against ``num_labels``: both builders take them from checked
+    input.  Immutable.  A table has no file format of its own:
+    ``flatten_denominator`` builds it from the T∘G graph, which is stored and
+    read as a text FST, with two factors, the epsilon closure and the
+    labeled arcs; ``numerator_forward`` builds one per reference with one
+    factor, the chain itself.
     """
 
     def __init__(self, start: int, final, state_label, num_labels: int,
@@ -131,11 +142,24 @@ class DenominatorTable:
             raise DataError(f"factor shapes {dims[1:-1]} do not map the "
                             f"{self.num_states} states to themselves")
 
+        self._factor_entries = tuple(factors)
         # state posteriors times these one-hot rows sum them by label
         self._label_onehot = np.eye(self.num_labels)[self.state_label]
         with np.errstate(over="ignore"):
             self._final_prob = np.exp(self.final)
-            self._factors = [_factor(*f) for f in factors]
+
+    @cached_property
+    def _factors(self) -> list[_Factor]:
+        """The factors as CSRs."""
+        with np.errstate(over="ignore"):
+            return [_factor(*f) for f in self._factor_entries]
+
+    @cached_property
+    def _matrix(self) -> np.ndarray:
+        """The dense transition matrix in the probability domain."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return reduce(np.matmul, [_dense(*f)
+                                      for f in self._factor_entries])
 
     @cached_property
     def num_transitions(self) -> int:
@@ -186,6 +210,14 @@ def _factor(src, dst, log_weight, num_src: int, num_dst: int) -> _Factor:
                    np.searchsorted(dst[by_dst], np.arange(num_dst)),
                    dst[by_src], logw[by_src], prob[by_src],
                    np.searchsorted(src[by_src], np.arange(num_src)), nnz)
+
+
+def _dense(src, dst, log_weight, num_src: int, num_dst: int) -> np.ndarray:
+    """The factor as a dense matrix of probabilities."""
+    cell = (np.asarray(src, dtype=np.int64) * num_dst
+            + np.asarray(dst, dtype=np.int64))
+    return np.bincount(cell, np.exp(log_weight), num_src * num_dst).reshape(
+        num_src, num_dst)
 
 
 def _expand(indptr: np.ndarray, rows: np.ndarray):
@@ -357,18 +389,44 @@ def denominator_forward(posterior, den: DenominatorTable) -> ForwardResult:
     return _forward_backward(post, den)
 
 
+def _products(table: DenominatorTable):
+    """Functions taking a forward vector ``v`` to ``v M`` and a backward
+    vector ``v`` to ``M v``, where ``M`` is the table's transition matrix:
+    the dense matrix's own products for a table of at most ``_DENSE_MAX``
+    states, else one sparse product by each factor in turn."""
+    if table.num_states <= _DENSE_MAX:
+        return table._matrix.T.dot, table._matrix.dot
+    # the factors' arrays unpacked and reduceat bound once, as a frame's
+    # cost is mostly numpy call overhead
+    fwd = [(f.fwd_src, f.fwd_prob, f.fwd_starts) for f in table._factors]
+    bwd = [(f.bwd_dst, f.bwd_prob, f.bwd_starts)
+           for f in reversed(table._factors)]
+    reduceat = np.add.reduceat
+
+    def forward(v):
+        for src, prob, starts in fwd:
+            v = reduceat(v[src] * prob, starts)
+        return v
+
+    def backward(v):
+        for dst, prob, starts in bwd:
+            v = reduceat(v[dst] * prob, starts)
+        return v
+
+    return forward, backward
+
+
 def _forward_backward(post: np.ndarray,
                       table: DenominatorTable) -> ForwardResult:
     """Score and per-frame occupancy of all paths through ``table``.
 
-    Each frame multiplies the forward masses by the table's factors in
-    turn, one sparse matrix-vector product each, then by a per-state
-    emission ``exp(post[t] - max(post[t]))``, and rescales the result to
-    sum to one.  The score adds back the logs of the rescale masses and of
-    the row maxima.  The backward pass multiplies by the factors'
-    transposes in reverse order and divides by the forward rescale masses,
-    so ``alpha * beta`` is a state posterior and the occupancy is its sum
-    by state label.  An utterance whose rescale mass underflows or is not
+    Each frame multiplies the forward masses by the transition matrix, then
+    by a per-state emission ``exp(post[t] - max(post[t]))``, and rescales
+    the result to sum to one.  The score adds back the logs of the rescale
+    masses and of the row maxima.  The backward pass multiplies by the
+    matrix's transpose and divides by the forward rescale masses, so
+    ``alpha * beta`` is a state posterior and the occupancy is its sum by
+    state label.  An utterance whose rescale mass underflows or is not
     finite takes the exact log-domain pass.
     """
     t_frames = len(post)
@@ -377,12 +435,8 @@ def _forward_backward(post: np.ndarray,
         return _forward_backward_log(post, table)
     emit = np.exp(post - peak[:, None])
     lab = table.state_label
-    # the factors' arrays unpacked and reduceat bound once, as a short
-    # utterance's frames cost mostly Python overhead
-    fwd = [(f.fwd_src, f.fwd_prob, f.fwd_starts) for f in table._factors]
-    bwd = [(f.bwd_dst, f.bwd_prob, f.bwd_starts)
-           for f in reversed(table._factors)]
-    reduceat = np.add.reduceat
+    forward, backward = _products(table)
+    add = np.add.reduce
 
     # rows 1 .. T start as the emissions and end as the rescaled forward
     # masses; with mode="clip" take writes them in place, where the default
@@ -392,33 +446,25 @@ def _forward_backward(post: np.ndarray,
     alpha[0, table.start] = 1.0
     np.take(emit, lab, axis=1, out=alpha[1:], mode="clip")
     scale = np.empty(t_frames)
-    # rows are indexed before their columns: alpha[t][src] takes numpy's
-    # fast path, alpha[t, src] does not
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for t in range(t_frames):
-            v = alpha[t]
-            for src, prob, starts in fwd:
-                v = reduceat(v[src] * prob, starts)
             nxt = alpha[t + 1]
-            nxt *= v
-            scale[t] = mass = nxt.sum()
+            nxt *= forward(alpha[t])
+            scale[t] = mass = add(nxt)
             nxt /= mass
         end = float(alpha[t_frames] @ table._final_prob)
-    if not (np.all((_MIN_SCALE < scale) & (scale < np.inf))
-            and _MIN_SCALE < end < np.inf):
-        return _forward_backward_log(post, table)
+        if not (np.all((_MIN_SCALE < scale) & (scale < np.inf))
+                and _MIN_SCALE < end < np.inf):
+            return _forward_backward_log(post, table)
 
-    # row t + 1 of alpha becomes the state posterior of frame t
-    beta = table._final_prob / end
-    with np.errstate(over="ignore", invalid="ignore"):
+        # row t + 1 of alpha becomes the state posterior of frame t
+        beta = table._final_prob / end
         for t in range(t_frames - 1, -1, -1):
             gamma = alpha[t + 1]
             gamma *= beta
             if t:
-                v = beta * emit[t][lab]
-                for dst, prob, starts in bwd:
-                    v = reduceat(v[dst] * prob, starts)
-                beta = v / scale[t]
+                beta = backward(beta * emit[t][lab])
+                beta /= scale[t]
         occupancy = alpha[1:] @ table._label_onehot
     if not np.isfinite(occupancy).all():
         return _forward_backward_log(post, table)
@@ -478,7 +524,7 @@ def crf_loss(posterior, labels: Sequence[int], log_pl: float,
     negate.  An infeasible numerator against a finite denominator marks the
     utterance degenerate: -inf objective, zero gradient.
     """
-    if alpha < 0:
+    if not alpha >= 0:   # NaN fails too
         raise DataError("auxiliary weight must be >= 0")
     post = _as_matrix(posterior)
     num = numerator_forward(post, labels, log_pl)

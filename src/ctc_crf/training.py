@@ -22,9 +22,12 @@ class TrainConfig:
     clip_norm: float = 5.0
 
     def __post_init__(self):
-        if self.learning_rate < 0 or self.epochs < 1 or self.batch_size < 1:
+        # each check holds for valid values, so NaN, which fails every
+        # comparison, fails it
+        if not (self.learning_rate >= 0 and self.epochs >= 1
+                and self.batch_size >= 1):
             raise DataError("learning rate, epochs and batch size must be positive")
-        if self.alpha < 0 or self.clip_norm <= 0:
+        if not (self.alpha >= 0 and self.clip_norm > 0):
             raise DataError("alpha must be >= 0 and clip norm positive")
         if self.optimizer not in ("sgd", "adam"):
             raise DataError(f"unknown optimizer {self.optimizer!r}")

@@ -34,6 +34,9 @@ class Wfst:
         self.semiring = semiring
         self.isyms = isyms
         self.osyms = osyms
+        # symbol tables are immutable: add_arc checks labels against these
+        self._num_isyms = len(isyms)
+        self._num_osyms = len(osyms)
         self._arcs: list[list[Arc]] = []
         self.start: int | None = None
         self.finals: dict[int, float] = {}
@@ -48,9 +51,9 @@ class Wfst:
                 nextstate: int) -> None:
         if not 0 <= nextstate < len(self._arcs):
             raise DataError(f"arc target {nextstate} does not exist")
-        if not 0 <= ilabel < len(self.isyms):
+        if not 0 <= ilabel < self._num_isyms:
             raise DataError(f"input label {ilabel} not in symbol table")
-        if not 0 <= olabel < len(self.osyms):
+        if not 0 <= olabel < self._num_osyms:
             raise DataError(f"output label {olabel} not in symbol table")
         self._arcs[state].append(Arc(ilabel, olabel, float(weight), nextstate))
 

@@ -379,6 +379,14 @@ def test_train_bad_config_value_is_data_error(pipeline, toy_dir, tmp_path):
     assert not (tmp_path / "model.ckpt").exists()
 
 
+def test_train_nan_clip_norm_is_data_error(pipeline, toy_dir, tmp_path):
+    # NaN would turn clipping off: no gradient norm compares above it
+    argv = _train_argv(pipeline, toy_dir, tmp_path,
+                       pipeline / "graphs" / "den.fst")
+    assert _run(*argv, "--clip-norm", "nan") == 2
+    assert not (tmp_path / "model.ckpt").exists()
+
+
 def test_train_bad_layer_size_is_data_error(pipeline, toy_dir, tmp_path):
     argv = _train_argv(pipeline, toy_dir, tmp_path,
                        pipeline / "graphs" / "den.fst")

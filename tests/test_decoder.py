@@ -148,6 +148,8 @@ def test_beam_config_validation():
     with pytest.raises(DataError):
         BeamConfig(slack=-1.0)
     with pytest.raises(DataError):
+        BeamConfig(slack=float("nan"))
+    with pytest.raises(DataError):
         BeamConfig(blank_threshold=0.0)
     with pytest.raises(DataError):
         BeamConfig(blank_threshold=1.5)

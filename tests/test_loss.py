@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,15 @@ from oracles import (assert_log_softmax, brute_acceptor, brute_denominator,
 
 def uniform_post(frames, width):
     return np.full((frames, width), math.log(1.0 / width))
+
+
+def dense_then_sparse(monkeypatch):
+    """Yield twice, with the size bound set first so that every table of at
+    most ``_DENSE_MAX`` states runs over its dense matrix, then so that
+    every table runs over its sparse factors."""
+    for bound in (loss._DENSE_MAX, 0):
+        monkeypatch.setattr(loss, "_DENSE_MAX", bound)
+        yield
 
 
 def degenerate_lm(labels):
@@ -95,7 +105,7 @@ def test_numerator_bad_label(ab2):
         numerator_forward(uniform_post(2, 3), [5], log_pl=0.0)
 
 
-def test_numerator_matches_enumeration(rng):
+def test_numerator_matches_enumeration(rng, monkeypatch):
     for _ in range(40):
         frames = int(rng.integers(1, 6))
         width = int(rng.integers(2, 4))
@@ -104,12 +114,13 @@ def test_numerator_matches_enumeration(rng):
         labels = [int(rng.integers(1, width)) for _ in range(n_ref)]
         log_pl = float(rng.normal())
         want = brute_numerator(post, labels, log_pl)
-        got = numerator_forward(post, labels, log_pl)
-        if want == ZERO:
-            assert not got.feasible
-        else:
-            assert got.score == pytest.approx(want, abs=1e-9)
-            assert np.allclose(got.occupancy.sum(axis=1), 1.0, atol=1e-6)
+        for _ in dense_then_sparse(monkeypatch):
+            got = numerator_forward(post, labels, log_pl)
+            if want == ZERO:
+                assert not got.feasible
+            else:
+                assert got.score == pytest.approx(want, abs=1e-9)
+                assert np.allclose(got.occupancy.sum(axis=1), 1.0, atol=1e-6)
 
 
 def test_numerator_zero_frames():
@@ -139,16 +150,17 @@ def test_numerator_matches_log_domain_on_long_references(frames,
     _assert_matches_log(numerator_forward(post, labels, log_pl=0.0), want)
 
 
-def test_numerator_underflow_falls_back_to_log_domain():
+def test_numerator_underflow_falls_back_to_log_domain(monkeypatch):
     # blank and a sit 800 nats below b on every frame, so the rescaled
     # frame mass of the chain for "a" underflows to zero
     post = np.tile([-800.0, -800.0, 0.0], (3, 1))
-    got = numerator_forward(post, [1], log_pl=0.0)
     want = _forward_backward_log(post, _reference_chain([1], 3))
-    assert got.feasible
-    assert got.score == want.score
-    assert got.score == pytest.approx(-2400 + math.log(6), abs=1e-9)
-    assert np.array_equal(got.occupancy, want.occupancy)
+    for _ in dense_then_sparse(monkeypatch):
+        got = numerator_forward(post, [1], log_pl=0.0)
+        assert got.feasible
+        assert got.score == want.score
+        assert got.score == pytest.approx(-2400 + math.log(6), abs=1e-9)
+        assert np.array_equal(got.occupancy, want.occupancy)
 
 
 # ---------------------------------------------------------------------------
@@ -161,13 +173,15 @@ def test_denominator_degenerate_lm_uniform_posterior(ab1):
     assert res.score == pytest.approx(0.0, abs=1e-12)  # log 4 + 2 log 0.5
 
 
-def test_denominator_unigram_matches_enumeration(ab2, unigram_ab):
+def test_denominator_unigram_matches_enumeration(ab2, unigram_ab,
+                                                 monkeypatch):
     g = lm_to_fst(unigram_ab, LOG)
     table = flatten_denominator(build_denominator_graph(ab2, unigram_ab))
     post = uniform_post(2, 3)
     want = brute_denominator(post, g)
-    got = denominator_forward(post, table)
-    assert got.score == pytest.approx(want, abs=1e-9)
+    for _ in dense_then_sparse(monkeypatch):
+        got = denominator_forward(post, table)
+        assert got.score == pytest.approx(want, abs=1e-9)
 
 
 def test_denominator_occupancy_rows_sum_to_one(ab2, bigram_ab, rng):
@@ -185,7 +199,7 @@ def test_denominator_width_mismatch(den_table_ab):
         denominator_forward(uniform_post(2, 5), den_table_ab)
 
 
-def test_denominator_matches_enumeration_randomized(rng):
+def test_denominator_matches_enumeration_randomized(rng, monkeypatch):
     for _ in range(30):
         n_labels = int(rng.integers(1, 3))
         alphabet = Alphabet([f"l{i}" for i in range(n_labels)])
@@ -200,8 +214,9 @@ def test_denominator_matches_enumeration_randomized(rng):
         frames = int(rng.integers(1, 5))
         post = random_log_softmax(rng, frames, alphabet.num_state_symbols)
         want = brute_denominator(post, g)
-        got = denominator_forward(post, table)
-        assert got.score == pytest.approx(want, abs=1e-9)
+        for _ in dense_then_sparse(monkeypatch):
+            got = denominator_forward(post, table)
+            assert got.score == pytest.approx(want, abs=1e-9)
 
 
 @pytest.fixture(scope="module")
@@ -288,19 +303,63 @@ def test_trigram_table_runs_over_closure_and_arcs(trigram_table):
     assert closure.nnz + arcs.nnz < trigram_table.num_transitions / 2
 
 
-def test_toy_bigram_table_runs_over_its_transitions():
-    # 35 live closure pairs and 210 labeled arcs against 210 transitions:
-    # a bigram runs over the two factors too
+@pytest.fixture(scope="module")
+def toy_bigram_graph():
+    """The T∘G graph of perfbench's train-toy workload: 5 labels, bigram."""
     train_set, _, alphabet = generate_dataset(200, 0, seed=7)
     lm = estimate([[alphabet.state_name(lab) for lab in labels]
                    for _, labels in train_set], order=2, discount=0.5,
                   vocab=list(alphabet.labels))
-    graph = build_denominator_graph(alphabet, lm)
-    table = flatten_denominator(graph)
+    return build_denominator_graph(alphabet, lm)
+
+
+def test_toy_bigram_table_runs_over_its_transitions(toy_bigram_graph):
+    # 29 states: the pass runs over the dense transition matrix, the product
+    # of the 35 live closure pairs and the 210 labeled arcs, and never
+    # builds their CSRs
+    table = flatten_denominator(toy_bigram_graph)
+    assert table.num_states == 29 <= loss._DENSE_MAX
+    post = random_log_softmax(np.random.default_rng(0), 13, 6)
+    assert denominator_forward(post, table).feasible
+    assert "_factors" not in vars(table)
+    want = flattened_matrix(toy_bigram_graph)
+    assert np.all(np.abs(table._matrix - want) <= 1e-12)
     closure, arcs = table._factors
     assert (closure.nnz, arcs.nnz, table.num_transitions) == (35, 210, 210)
-    want = flattened_matrix(graph)
     assert np.all(np.abs(_dense(closure) @ _dense(arcs) - want) <= 1e-12)
+
+
+def _random_chain(rng, n, width):
+    """An n-state table over one factor: each state loops and steps to the
+    next at random weights, with random labels, final in its last two."""
+    pos = np.arange(n)
+    src = np.concatenate([pos, pos[:-1]])
+    dst = np.concatenate([pos, pos[1:]])
+    final = np.full(n, ZERO)
+    final[-2:] = rng.normal(size=2)
+    return DenominatorTable(0, final, rng.integers(0, width, n), width,
+                            [(src, dst, rng.normal(-0.5, 0.5, len(src)), n,
+                              n)])
+
+
+def test_dense_and_sparse_passes_agree(toy_bigram_graph, monkeypatch):
+    # the toy bigram, and chains on both sides of the size bound: the bound
+    # picks the dense form for 63 and 64 states and the sparse form for 65
+    rng = np.random.default_rng(15)
+    tables = [flatten_denominator(toy_bigram_graph),
+              *(_random_chain(rng, n, 6) for n in (63, 64, 65))]
+    for table in tables:
+        denominator_forward(random_log_softmax(rng, 1, 6), table)
+        assert ("_matrix" in vars(table)) == (table.num_states <= 64)
+    for table in tables:
+        post = random_log_softmax(rng, 100, 6)
+        monkeypatch.setattr(loss, "_DENSE_MAX", table.num_states)
+        dense = denominator_forward(post, table)
+        monkeypatch.setattr(loss, "_DENSE_MAX", 0)
+        sparse = denominator_forward(post, table)
+        assert dense.feasible and sparse.feasible
+        assert dense.score == pytest.approx(sparse.score, rel=1e-12, abs=0)
+        assert np.all(np.abs(dense.occupancy - sparse.occupancy) <= 1e-12)
 
 
 def test_closure_times_arcs_is_the_transition_matrix():
@@ -325,6 +384,20 @@ def test_denominator_matches_log_domain_on_trigram(trigram_table,
         post, _one_factor(trigram_flat, 31)), occ_abs=1e-12)
 
 
+def test_trigram_pass_keeps_one_frames_by_states_array(trigram_table):
+    # the forward masses are the pass's one T x N array; a second one would
+    # double the pass's peak memory on a long utterance
+    frames = 1000
+    post = random_log_softmax(np.random.default_rng(1), frames, 31)
+    tracemalloc.start()
+    try:
+        assert denominator_forward(post, trigram_table).feasible
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * frames * trigram_table.num_states * 8, peak
+
+
 def _chain_acceptor(ab1):
     """blank, a, blank: a strict 3-arc chain."""
     isyms = ab1.pi_symbol_table()
@@ -337,40 +410,45 @@ def _chain_acceptor(ab1):
     return fst
 
 
-def test_denominator_underflow_falls_back_to_log_domain(ab1):
+def test_denominator_underflow_falls_back_to_log_domain(ab1, monkeypatch):
     # the only reachable label of each frame sits 800 nats below the row
     # maximum, so the rescaled frame mass underflows to zero
     post = np.array([[-800.0, 0.0], [0.0, -800.0], [-800.0, 0.0]])
     for table in _both_forms(_chain_acceptor(ab1)):
-        got = denominator_forward(post, table)
         want = _forward_backward_log(post, table)
-        assert got.feasible and np.isfinite(got.score)
-        assert got.score == want.score
-        assert got.score == pytest.approx(-2400.3, abs=1e-9)
-        assert np.array_equal(got.occupancy, want.occupancy)
-        assert np.array_equal(got.occupancy, [[1, 0], [0, 1], [1, 0]])
+        for _ in dense_then_sparse(monkeypatch):
+            got = denominator_forward(post, table)
+            assert got.feasible and np.isfinite(got.score)
+            assert got.score == want.score
+            assert got.score == pytest.approx(-2400.3, abs=1e-9)
+            assert np.array_equal(got.occupancy, want.occupancy)
+            assert np.array_equal(got.occupancy, [[1, 0], [0, 1], [1, 0]])
 
 
-def test_denominator_neg_inf_columns_match_log_domain(den_table_ab, rng):
+def test_denominator_neg_inf_columns_match_log_domain(den_table_ab, rng,
+                                                     monkeypatch):
     post = random_log_softmax(rng, 6, 3)
     post[:, 2] = ZERO
     post[3, 1] = ZERO
     post -= np.log(np.exp(post).sum(axis=1, keepdims=True))
-    _assert_matches_log(denominator_forward(post, den_table_ab),
-                        _forward_backward_log(post, den_table_ab))
+    for _ in dense_then_sparse(monkeypatch):
+        _assert_matches_log(denominator_forward(post, den_table_ab),
+                            _forward_backward_log(post, den_table_ab))
 
 
-def test_denominator_neg_inf_row_is_infeasible(den_table_ab, rng):
+def test_denominator_neg_inf_row_is_infeasible(den_table_ab, rng,
+                                               monkeypatch):
     # a frame no symbol can emit: no complete path, as in the log domain
     post = random_log_softmax(rng, 4, 3)
     post[2] = ZERO
-    got = denominator_forward(post, den_table_ab)
     assert not _forward_backward_log(post, den_table_ab).feasible
-    assert not got.feasible and got.score == ZERO
-    assert np.all(got.occupancy == 0.0)
+    for _ in dense_then_sparse(monkeypatch):
+        got = denominator_forward(post, den_table_ab)
+        assert not got.feasible and got.score == ZERO
+        assert np.all(got.occupancy == 0.0)
 
 
-def test_denominator_matches_log_on_random_tables(rng):
+def test_denominator_matches_log_on_random_tables(rng, monkeypatch):
     # hand-built tables of one factor or two, whose inner dimension may
     # differ from the state count, with a start state with incoming
     # transitions, dead ends, empty rows and columns and -inf entries
@@ -392,17 +470,19 @@ def test_denominator_matches_log_on_random_tables(rng):
                                  rng.integers(0, width, n), width, factors)
         padded += any(f.nnz < len(f.fwd_src) for f in table._factors)
         post = random_log_softmax(rng, int(rng.integers(0, 6)), width)
-        got = denominator_forward(post, table)
         want = _forward_backward_log(post, table)
-        assert got.feasible == want.feasible
+        for _ in dense_then_sparse(monkeypatch):
+            got = denominator_forward(post, table)
+            assert got.feasible == want.feasible
+            if want.feasible:
+                _assert_matches_log(got, want)
+            else:
+                assert got.score == ZERO and np.all(got.occupancy == 0.0)
         if want.feasible:
-            _assert_matches_log(got, want)
             checked += 1
             if len(dims) == 3:
                 two_factor += 1
                 uneven += dims[1] != n
-        else:
-            assert got.score == ZERO and np.all(got.occupancy == 0.0)
     assert checked > 20 and two_factor > 10 and uneven > 5 and padded > 20
 
 
@@ -431,7 +511,7 @@ def _one_label_acceptor(ab1):
     return fst
 
 
-def test_mixed_label_table_matches_enumeration(ab1, rng):
+def test_mixed_label_table_matches_enumeration(ab1, rng, monkeypatch):
     # a state entered on two labels is refused; its one-label equivalent
     # scores what the mixed graph scores
     mixed = _mixed_label_acceptor(ab1)
@@ -441,9 +521,11 @@ def test_mixed_label_table_matches_enumeration(ab1, rng):
     assert table.num_states == 3 and table.num_transitions == 6
     for frames in (1, 2, 3, 4):
         post = random_log_softmax(rng, frames, 2)
-        got = denominator_forward(post, table)
-        assert got.score == pytest.approx(brute_acceptor(post, mixed), abs=1e-9)
-        assert np.allclose(got.occupancy.sum(axis=1), 1.0, atol=1e-12)
+        want = brute_acceptor(post, mixed)
+        for _ in dense_then_sparse(monkeypatch):
+            got = denominator_forward(post, table)
+            assert got.score == pytest.approx(want, abs=1e-9)
+            assert np.allclose(got.occupancy.sum(axis=1), 1.0, atol=1e-12)
 
 
 def test_mixed_label_table_file_loads(tmp_path, ab1, rng):
@@ -588,7 +670,7 @@ def _random_epsilon_dag(rng, alphabet):
     return fst
 
 
-def test_flatten_random_epsilon_dags_match_enumeration(rng):
+def test_flatten_random_epsilon_dags_match_enumeration(rng, monkeypatch):
     checked = 0
     for _ in range(60):
         alphabet = Alphabet([f"l{i}" for i in range(int(rng.integers(1, 3)))])
@@ -606,11 +688,13 @@ def test_flatten_random_epsilon_dags_match_enumeration(rng):
             post = random_log_softmax(rng, frames, alphabet.num_state_symbols)
             want = brute_acceptor(post, fst)
             for table in tables or (None,):
-                got = denominator_forward(post, table) if table else None
-                if want == ZERO:
-                    assert got is None or not got.feasible
-                else:
-                    assert got.score == pytest.approx(want, abs=1e-9)
+                for _ in dense_then_sparse(monkeypatch):
+                    got = denominator_forward(post, table) if table else None
+                    if want == ZERO:
+                        assert got is None or not got.feasible
+                    else:
+                        assert got.score == pytest.approx(want, abs=1e-9)
+                if want != ZERO:
                     checked += 1
     assert checked > 120
 
@@ -766,6 +850,12 @@ def test_loss_alpha_combines_parts(ab2, bigram_ab, den_table_ab, rng):
     want = (num.score - den.score) + 0.1 * (num.score - log_pl)
     assert res.objective == pytest.approx(want, abs=1e-12)
     assert res.aux == pytest.approx(num.score - log_pl, abs=1e-12)
+
+
+def test_loss_rejects_negative_or_nan_alpha(den_table_ab):
+    for alpha in (-0.1, math.nan):
+        with pytest.raises(DataError, match="auxiliary weight"):
+            crf_loss(uniform_post(2, 3), [1], 0.0, den_table_ab, alpha=alpha)
 
 
 def test_loss_gradient_matches_finite_differences(rng):

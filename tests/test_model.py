@@ -382,6 +382,17 @@ def test_adam_and_sgd_step_shapes():
         assert changed
 
 
+@pytest.mark.parametrize("field,value", [
+    ("alpha", -0.1), ("alpha", math.nan),
+    ("learning_rate", -1e-2), ("learning_rate", math.nan),
+    ("clip_norm", 0.0), ("clip_norm", math.nan),
+])
+def test_train_config_rejects_out_of_range_values(field, value):
+    # NaN fails every comparison, so a check written as `x < 0` lets it by
+    with pytest.raises(DataError):
+        TrainConfig(**{field: value})
+
+
 def test_train_empty_dataset_rejected(den_table_ab, ab2):
     model = tiny_model()
     with pytest.raises(DataError):
