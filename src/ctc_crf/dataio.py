@@ -15,6 +15,14 @@ from .errors import DataError
 MATRIX_MAGIC = b"CATM"
 
 
+def nonfinite(values, allow_neg_inf: bool = False):
+    """Where ``values`` (a float or an array) holds a number no input file
+    may hold: NaN, +inf, and -inf unless ``allow_neg_inf``, for the weights
+    whose semiring zero is -inf.  A float gives a bool, an array a mask."""
+    return ((values != values) | (values == np.inf)
+            | ((values == -np.inf) & (not allow_neg_inf)))
+
+
 def write_matrix(path, matrix) -> None:
     """Binary matrix: magic, u32 rows, u32 cols, row-major f32 little-endian."""
     arr = np.ascontiguousarray(matrix, dtype="<f4")
@@ -38,7 +46,14 @@ def read_matrix(path) -> np.ndarray:
         if 4 * rows * cols > os.fstat(f.fileno()).st_size - f.tell():
             raise DataError(f"{path}: truncated matrix")
         raw = f.read(4 * rows * cols)
-    return np.frombuffer(raw, dtype="<f4").reshape(rows, cols).astype(np.float64)
+    matrix = np.frombuffer(raw, dtype="<f4").reshape(rows, cols)
+    matrix = matrix.astype(np.float64)
+    bad = nonfinite(matrix)
+    if bad.any():
+        row = int(np.argmax(bad.any(axis=1)))
+        value = matrix[row][bad[row]][0]
+        raise DataError(f"{path}: row {row + 1}: value {value} is not finite")
+    return matrix
 
 
 def read_lines(path, parse: Callable[[str], object]) -> list:

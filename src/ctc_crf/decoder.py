@@ -1,5 +1,14 @@
 """Decoding: greedy argmax, graph-driven Viterbi beam search with
-blank-frame skipping, and error-rate scoring."""
+blank-frame skipping, and error-rate scoring.
+
+The beam search runs on plain Python values.  The graph's arcs are split
+once per graph, on the first decode, into per-state lists by kind
+(``Wfst.arcs_by_kind``): the input-consuming arcs a frame expands, the blank
+arcs a skipped frame expands, and the epsilon arcs the closure relaxes.  The
+posterior becomes one list of float rows per utterance, a hypothesis is a
+``(score, trace)`` pair in a dict keyed by state, and a trace is a linked
+``(olabel, parent)`` tuple chain of the path's words.
+"""
 from __future__ import annotations
 
 from collections import deque
@@ -50,24 +59,6 @@ def greedy_decode(posterior, alphabet: Alphabet) -> list[int]:
     return map_b(np.argmax(post, axis=1).tolist(), alphabet)
 
 
-class _Trace:
-    __slots__ = ("olabel", "parent")
-
-    def __init__(self, olabel, parent):
-        self.olabel = olabel
-        self.parent = parent
-
-
-def _emit(trace: _Trace | None) -> list[int]:
-    out = []
-    while trace is not None:
-        if trace.olabel != EPS:
-            out.append(trace.olabel)
-        trace = trace.parent
-    out.reverse()
-    return out
-
-
 def beam_decode(posterior, graph: Wfst, config: BeamConfig) -> DecodeResult:
     """Time-synchronous Viterbi beam search over the decoding graph.
 
@@ -83,88 +74,96 @@ def beam_decode(posterior, graph: Wfst, config: BeamConfig) -> DecodeResult:
         return DecodeResult([], ZERO, t_frames, 0)
     if len(graph.isyms) - 1 != width:
         raise DataError("posterior width does not match the graph alphabet")
+    labelled, blanks, eps = graph.arcs_by_kind()
+    threshold = config.blank_threshold
+    free = [0.0] * width
 
-    # the initial closure is never pruned: the beam applies per frame
-    active: dict[int, tuple[float, _Trace | None]] = {graph.start: (0.0, None)}
-    _close_epsilon(graph, active)
+    # a hypothesis is (score, trace); a trace links the word-emitting arcs
+    # of its path as (olabel, parent trace) back to None, and an
+    # epsilon-output arc passes its trace on unchanged.  The initial closure
+    # is never pruned: the beam applies per frame.
+    active: dict[int, tuple] = {graph.start: (0.0, None)}
+    _close_epsilon(eps, active)
     skipped = 0
 
-    blank_ilabel = 1
-
-    for t in range(t_frames):
-        skip = (config.blank_threshold is not None
-                and np.exp(post[t, 0]) > config.blank_threshold)
-        if skip:
+    for row in post.tolist():
+        arcs_of = labelled
+        if threshold is not None and np.exp(row[0]) > threshold:
             # the frame is taken as a sure blank: traverse only blank arcs,
             # free of acoustic cost (graph blank arcs carry weight one, so
             # hypothesis scores pass through unchanged)
             skipped += 1
-        nxt: dict[int, tuple[float, _Trace | None]] = {}
+            arcs_of, row = blanks, free
+        nxt: dict[int, tuple] = {}
+        get = nxt.get
         for state in sorted(active):
             score, trace = active[state]
-            for arc in graph.arcs(state):
-                if arc.ilabel == EPS or (skip and arc.ilabel != blank_ilabel):
-                    continue
-                cand = score + arc.weight + (0.0 if skip
-                                             else post[t, arc.ilabel - 1])
+            for ilabel, olabel, weight, dst in arcs_of[state]:
+                cand = score + weight + row[ilabel - 1]
                 if cand == ZERO:
                     continue
-                cur = nxt.get(arc.nextstate)
+                cur = get(dst)
                 if cur is None or cand > cur[0]:
-                    nxt[arc.nextstate] = (cand, _Trace(arc.olabel, trace))
-        _close_epsilon(graph, nxt)
-        _prune(nxt, config)
-        if not nxt:
+                    nxt[dst] = (cand, trace if olabel == EPS
+                                else (olabel, trace))
+        _close_epsilon(eps, nxt)
+        active = _prune(nxt, config)
+        if not active:
             return DecodeResult([], ZERO, t_frames - skipped, skipped)
-        active = nxt
 
     best_score = ZERO
-    best_trace: _Trace | None = None
+    best_trace = None
     for state in sorted(active):
-        if state not in graph.finals:
+        final = graph.finals.get(state)
+        if final is None:
             continue
         score, trace = active[state]
-        total = score + graph.finals[state]
+        total = score + final
         if total > best_score:
             best_score = total
             best_trace = trace
     if best_score == ZERO:
         return DecodeResult([], ZERO, t_frames - skipped, skipped)
-    return DecodeResult(_emit(best_trace), best_score, t_frames - skipped,
-                        skipped)
+    words = []
+    while best_trace is not None:
+        olabel, best_trace = best_trace
+        words.append(olabel)
+    words.reverse()
+    return DecodeResult(words, best_score, t_frames - skipped, skipped)
 
 
-def _close_epsilon(graph: Wfst, active: dict) -> None:
-    """Relax epsilon arcs until no score improves; first writer wins ties."""
-    queue = deque(sorted(active))
+def _close_epsilon(eps: list, active: dict) -> None:
+    """Relax epsilon arcs until no score improves; first writer wins ties.
+    ``eps`` holds each state's epsilon arcs; a state with none never enters
+    the queue, as relaxing it would change nothing."""
+    queue = deque(state for state in sorted(active) if eps[state])
     queued = set(queue)
+    get = active.get
     while queue:
         state = queue.popleft()
         queued.remove(state)
         score, trace = active[state]
-        for arc in graph.arcs(state):
-            if arc.ilabel != EPS:
-                continue
-            cand = score + arc.weight
-            cur = active.get(arc.nextstate)
+        for _, olabel, weight, dst in eps[state]:
+            cand = score + weight
+            cur = get(dst)
             if cur is None or cand > cur[0]:
-                active[arc.nextstate] = (cand, _Trace(arc.olabel, trace))
-                if arc.nextstate not in queued:
-                    queue.append(arc.nextstate)
-                    queued.add(arc.nextstate)
+                active[dst] = (cand, trace if olabel == EPS
+                               else (olabel, trace))
+                if eps[dst] and dst not in queued:
+                    queue.append(dst)
+                    queued.add(dst)
 
 
-def _prune(active: dict, config: BeamConfig) -> None:
-    if not active:
-        return
-    best = max(score for score, _ in active.values())
-    if config.slack != float("inf"):
-        for state in [s for s, (sc, _) in active.items() if sc < best - config.slack]:
-            del active[state]
+def _prune(active: dict, config: BeamConfig) -> dict:
+    """The hypotheses within ``slack`` of the best and, of those, the
+    ``width`` best, ties broken by lower state id."""
+    if active and config.slack != float("inf"):
+        floor = max(score for score, _ in active.values()) - config.slack
+        active = {s: hyp for s, hyp in active.items() if not hyp[0] < floor}
     if len(active) > config.width:
         ranked = sorted(active.items(), key=lambda kv: (-kv[1][0], kv[0]))
-        for state, _ in ranked[config.width:]:
-            del active[state]
+        active = dict(ranked[:config.width])
+    return active
 
 
 # ---------------------------------------------------------------------------

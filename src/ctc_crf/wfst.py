@@ -12,10 +12,14 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .dataio import read_lines
+from .dataio import nonfinite, read_lines
 from .errors import DataError
 from .semiring import LOG, ONE, TROPICAL, ZERO
 from .symbols import EPS, Alphabet, SymbolTable
+
+# input label of the blank in a machine whose inputs are the topology's state
+# symbols (state symbol 0 is <blk>, input label 0 is epsilon)
+BLANK = 1
 
 
 class Arc(NamedTuple):
@@ -40,10 +44,12 @@ class Wfst:
         self._arcs: list[list[Arc]] = []
         self.start: int | None = None
         self.finals: dict[int, float] = {}
+        self._by_kind = None  # arcs_by_kind's cache; not part of the value
 
     # -- construction -----------------------------------------------------
 
     def add_state(self) -> int:
+        self._by_kind = None
         self._arcs.append([])
         return len(self._arcs) - 1
 
@@ -55,6 +61,7 @@ class Wfst:
             raise DataError(f"input label {ilabel} not in symbol table")
         if not 0 <= olabel < self._num_osyms:
             raise DataError(f"output label {olabel} not in symbol table")
+        self._by_kind = None
         self._arcs[state].append(Arc(ilabel, olabel, float(weight), nextstate))
 
     def set_start(self, state: int) -> None:
@@ -79,6 +86,23 @@ class Wfst:
     def states(self) -> range:
         return range(len(self._arcs))
 
+    def arcs_by_kind(self) -> tuple[list[tuple[Arc, ...]], ...]:
+        """Three per-state arc lists, built on the first call and kept until
+        the machine changes: the arcs that consume input, those of them that
+        consume the blank (input label ``BLANK``), and the epsilon-input
+        arcs.  Each keeps graph order and holds the machine's own ``Arc``
+        tuples; a state's arcs of one kind are a tuple, as tuples take less
+        memory than lists and all empty ones are one object."""
+        if self._by_kind is None:
+            labelled = [tuple(a for a in arcs if a.ilabel != EPS)
+                        for arcs in self._arcs]
+            blanks = [tuple(a for a in arcs if a.ilabel == BLANK)
+                      for arcs in labelled]
+            eps = [tuple(a for a in arcs if a.ilabel == EPS)
+                   for arcs in self._arcs]
+            self._by_kind = (labelled, blanks, eps)
+        return self._by_kind
+
     def final_weight(self, state: int) -> float:
         return self.finals.get(state, ZERO)
 
@@ -90,6 +114,9 @@ class Wfst:
                 and self._arcs == other._arcs
                 and self.isyms == other.isyms
                 and self.osyms == other.osyms)
+
+    def __getstate__(self):
+        return {**self.__dict__, "_by_kind": None}
 
     def __repr__(self):
         return (f"Wfst({self.semiring}, states={self.num_states}, "
@@ -134,15 +161,13 @@ def build_ctc_topology(alphabet: Alphabet, semiring: str = LOG) -> Wfst:
     for s in range(n + 1):
         fst.set_final(s, ONE)
 
-    blank_il = 1  # fst id of <blk> (state symbol 0)
-
-    fst.add_arc(0, blank_il, EPS, ONE, 0)
+    fst.add_arc(0, BLANK, EPS, ONE, 0)
     for i in range(1, n + 1):
         # label i occupies state i; fst ilabel i+1, olabel i
         fst.add_arc(0, i + 1, i, ONE, i)
     for i in range(1, n + 1):
         fst.add_arc(i, i + 1, EPS, ONE, i)
-        fst.add_arc(i, blank_il, EPS, ONE, 0)
+        fst.add_arc(i, BLANK, EPS, ONE, 0)
         for j in range(1, n + 1):
             if j != i:
                 fst.add_arc(i, j + 1, j, ONE, j)
@@ -155,22 +180,24 @@ def build_ctc_topology(alphabet: Alphabet, semiring: str = LOG) -> Wfst:
 
 def reachable(seeds, src, dst, num_nodes: int) -> np.ndarray:
     """Mask of the nodes reachable from ``seeds`` along edges ``src -> dst``.
-    The walk runs over Python lists, one step per edge, so a deep graph
-    costs no more than a shallow one with as many edges."""
+    The walk runs over a CSR of the edges, one step per edge, so a deep graph
+    costs no more than a shallow one with as many edges.  The CSR stays in
+    int64 arrays, read through memoryviews: an edge's target becomes a
+    Python int only while the walk reads it."""
     order = np.argsort(src, kind="stable")
-    indptr = np.searchsorted(src[order], np.arange(num_nodes + 1)).tolist()
-    succ = dst[order].tolist()
-    seen = [False] * num_nodes
+    indptr = memoryview(np.searchsorted(src[order], np.arange(num_nodes + 1)))
+    succ = memoryview(np.asarray(dst, dtype=np.int64)[order])
+    seen = bytearray(num_nodes)
     stack = np.unique(seeds).tolist()
     for q in stack:
-        seen[q] = True
+        seen[q] = 1
     while stack:
         q = stack.pop()
         for r in succ[indptr[q]:indptr[q + 1]]:
             if not seen[r]:
-                seen[r] = True
+                seen[r] = 1
                 stack.append(r)
-    return np.array(seen, dtype=bool)
+    return np.frombuffer(seen, dtype=bool)
 
 
 def trim(a: Wfst) -> Wfst:
@@ -388,7 +415,8 @@ def read_fst_text(path, semiring: str, isyms: SymbolTable,
                   osyms: SymbolTable) -> Wfst:
     """Read the format ``write_fst_text`` writes.  Every state id from 0 to
     the largest must appear on some line, as it does for any trimmed
-    machine, so a file cannot size the machine by an id alone."""
+    machine, so a file cannot size the machine by an id alone.  A weight
+    may be -inf, the semiring zero, but not NaN or +inf."""
     def entry(line):
         *ids, weight = line.split("\t")
         if len(ids) not in (1, 4):
@@ -400,7 +428,10 @@ def read_fst_text(path, semiring: str, isyms: SymbolTable,
                                      (isyms, osyms)):
             if not 0 <= label < len(syms):
                 raise ValueError(f"{side} label {label} not in symbol table")
-        return ids, float(weight)
+        weight = float(weight)
+        if nonfinite(weight, allow_neg_inf=True):
+            raise ValueError(f"weight {weight} is neither finite nor -inf")
+        return ids, weight
 
     entries = read_lines(path, entry)
     named = {s for ids, _ in entries for s in ids[:2]}

@@ -6,8 +6,9 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from ctc_crf import (Alphabet, build_denominator_graph, estimate,
-                     flatten_denominator)
+from ctc_crf import (Alphabet, build_decoding_graph, build_denominator_graph,
+                     estimate, flatten_denominator)
+from ctc_crf.toydata import generate_utterance
 
 
 @pytest.fixture
@@ -41,3 +42,22 @@ def den_table_ab(ab2, bigram_ab):
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture(scope="session")
+def trigram_lm():
+    """(alphabet, LM): 30 labels, a trigram from 1000 generated sentences,
+    the benchmark's large recipe."""
+    alphabet = Alphabet([f"p{i:02d}" for i in range(30)])
+    rng = np.random.default_rng(0)
+    corpus = [[alphabet.state_name(lab) for lab in generate_utterance(
+        rng, alphabet, alphabet.num_state_symbols)[1]] for _ in range(1000)]
+    lm = estimate(corpus, order=3, discount=0.5, vocab=list(alphabet.labels))
+    return alphabet, lm
+
+
+@pytest.fixture(scope="session")
+def trigram_tlg(trigram_lm):
+    """The decoding graph of the 30-label trigram: 2,954 states, 22,230
+    arcs, 994 of them backoff epsilons."""
+    return build_decoding_graph(*trigram_lm)

@@ -5,10 +5,14 @@ expected values come from explicit path enumeration so that agreement is
 evidence, not circularity.
 """
 import itertools
+from collections import deque
 from math import inf, isinf
 
 import numpy as np
 
+from ctc_crf.decoder import BeamConfig, DecodeResult
+from ctc_crf.errors import DataError
+from ctc_crf.loss import _as_matrix
 from ctc_crf.semiring import LOG, ONE, ZERO
 from ctc_crf.wfst import EPS, Wfst
 
@@ -302,3 +306,128 @@ def finite_difference(objective, matrix, step=1e-4):
             matrix[t, s] = saved
             grad[t, s] = (hi - lo) / (2 * step)
     return grad
+
+
+# ---------------------------------------------------------------------------
+# Frozen beam search
+# ---------------------------------------------------------------------------
+# The dict-of-tuples beam search ``ctc_crf.decoder.beam_decode`` replaced,
+# kept verbatim (only the entry point is renamed) so that the faster search
+# can be checked against it for exact equality, ties included.
+
+class _Trace:
+    __slots__ = ("olabel", "parent")
+
+    def __init__(self, olabel, parent):
+        self.olabel = olabel
+        self.parent = parent
+
+
+def _emit(trace: _Trace | None) -> list[int]:
+    out = []
+    while trace is not None:
+        if trace.olabel != EPS:
+            out.append(trace.olabel)
+        trace = trace.parent
+    out.reverse()
+    return out
+
+
+def frozen_beam_decode(posterior, graph: Wfst,
+                       config: BeamConfig) -> DecodeResult:
+    """Time-synchronous Viterbi beam search over the decoding graph.
+
+    Each frame expands labeled arcs scored by the matching posterior column,
+    then closes epsilon arcs; hypotheses outside the beam are dropped.  When
+    blank skipping is on, frames whose blank probability exceeds the
+    threshold advance time with all scores unchanged.  With an unlimited
+    beam and skipping off the search is exact.
+    """
+    post = _as_matrix(posterior)
+    t_frames, width = post.shape
+    if graph.start is None:
+        return DecodeResult([], ZERO, t_frames, 0)
+    if len(graph.isyms) - 1 != width:
+        raise DataError("posterior width does not match the graph alphabet")
+
+    # the initial closure is never pruned: the beam applies per frame
+    active: dict[int, tuple[float, _Trace | None]] = {graph.start: (0.0, None)}
+    _close_epsilon(graph, active)
+    skipped = 0
+
+    blank_ilabel = 1
+
+    for t in range(t_frames):
+        skip = (config.blank_threshold is not None
+                and np.exp(post[t, 0]) > config.blank_threshold)
+        if skip:
+            # the frame is taken as a sure blank: traverse only blank arcs,
+            # free of acoustic cost (graph blank arcs carry weight one, so
+            # hypothesis scores pass through unchanged)
+            skipped += 1
+        nxt: dict[int, tuple[float, _Trace | None]] = {}
+        for state in sorted(active):
+            score, trace = active[state]
+            for arc in graph.arcs(state):
+                if arc.ilabel == EPS or (skip and arc.ilabel != blank_ilabel):
+                    continue
+                cand = score + arc.weight + (0.0 if skip
+                                             else post[t, arc.ilabel - 1])
+                if cand == ZERO:
+                    continue
+                cur = nxt.get(arc.nextstate)
+                if cur is None or cand > cur[0]:
+                    nxt[arc.nextstate] = (cand, _Trace(arc.olabel, trace))
+        _close_epsilon(graph, nxt)
+        _prune(nxt, config)
+        if not nxt:
+            return DecodeResult([], ZERO, t_frames - skipped, skipped)
+        active = nxt
+
+    best_score = ZERO
+    best_trace: _Trace | None = None
+    for state in sorted(active):
+        if state not in graph.finals:
+            continue
+        score, trace = active[state]
+        total = score + graph.finals[state]
+        if total > best_score:
+            best_score = total
+            best_trace = trace
+    if best_score == ZERO:
+        return DecodeResult([], ZERO, t_frames - skipped, skipped)
+    return DecodeResult(_emit(best_trace), best_score, t_frames - skipped,
+                        skipped)
+
+
+def _close_epsilon(graph: Wfst, active: dict) -> None:
+    """Relax epsilon arcs until no score improves; first writer wins ties."""
+    queue = deque(sorted(active))
+    queued = set(queue)
+    while queue:
+        state = queue.popleft()
+        queued.remove(state)
+        score, trace = active[state]
+        for arc in graph.arcs(state):
+            if arc.ilabel != EPS:
+                continue
+            cand = score + arc.weight
+            cur = active.get(arc.nextstate)
+            if cur is None or cand > cur[0]:
+                active[arc.nextstate] = (cand, _Trace(arc.olabel, trace))
+                if arc.nextstate not in queued:
+                    queue.append(arc.nextstate)
+                    queued.add(arc.nextstate)
+
+
+def _prune(active: dict, config: BeamConfig) -> None:
+    if not active:
+        return
+    best = max(score for score, _ in active.values())
+    if config.slack != float("inf"):
+        for state in [s for s, (sc, _) in active.items() if sc < best - config.slack]:
+            del active[state]
+    if len(active) > config.width:
+        ranked = sorted(active.items(), key=lambda kv: (-kv[1][0], kv[0]))
+        for state, _ in ranked[config.width:]:
+            del active[state]

@@ -480,3 +480,46 @@ def test_decode_zero_frame_utterance_is_data_error(pipeline, toy_dir,
                 "--hyp", tmp_path / "hyp.tsv") == 2
     assert f"utterance {utt}: no frames in" in capsys.readouterr().err
     assert not (tmp_path / "hyp.tsv").exists()
+
+
+@pytest.mark.parametrize("weight", ["nan", "inf"])
+def test_decode_non_finite_graph_weight_is_data_error(pipeline, toy_dir,
+                                                      tmp_path, capsys,
+                                                      weight):
+    # the first arc is the start state's blank loop: a NaN there used to
+    # empty every hypothesis with exit 0
+    for syms in ("TLG.isyms", "TLG.osyms"):
+        shutil.copy(pipeline / "graphs" / syms, tmp_path / syms)
+    lines = (pipeline / "graphs" / "TLG.fst").read_text().splitlines(True)
+    lines[0] = lines[0].rsplit("\t", 1)[0] + f"\t{weight}\n"
+    graph = tmp_path / "TLG.fst"
+    graph.write_text("".join(lines))
+    assert _run("decode",
+                "--manifest", pipeline / "dev" / "manifest.tsv",
+                "--alphabet", toy_dir / "alphabet.txt",
+                "--checkpoint", pipeline / "model.ckpt",
+                "--graph", graph,
+                "--hyp", tmp_path / "hyp.tsv") == 2
+    assert f"{graph}: line 1: weight {weight} is" in capsys.readouterr().err
+    assert not (tmp_path / "hyp.tsv").exists()
+
+
+def test_decode_infinite_feature_is_data_error(pipeline, toy_dir, tmp_path,
+                                               capsys):
+    entries = dataio.read_manifest(pipeline / "dev" / "manifest.tsv")
+    utt, frames, feat_path, labels = entries[1]
+    feats = dataio.read_matrix(feat_path)
+    feats[3, 0] = np.inf
+    bad = tmp_path / f"{utt}.mat"
+    dataio.write_matrix(bad, feats)
+    entries[1] = (utt, frames, str(bad), labels)
+    dataio.write_manifest(tmp_path / "manifest.tsv", entries)
+    assert _run("decode",
+                "--manifest", tmp_path / "manifest.tsv",
+                "--alphabet", toy_dir / "alphabet.txt",
+                "--checkpoint", pipeline / "model.ckpt",
+                "--graph", pipeline / "graphs" / "TLG.fst",
+                "--hyp", tmp_path / "hyp.tsv") == 2
+    assert f"{bad}: row 4: value inf is not finite" in capsys.readouterr().err
+    assert not (tmp_path / "hyp.tsv").exists()
+

@@ -53,6 +53,16 @@ def test_matrix_truncated_header(tmp_path, rng):
         read_matrix(path)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_matrix_non_finite_value_names_the_row(tmp_path, rng, value):
+    mat = rng.normal(size=(4, 3))
+    mat[2, 1] = value
+    path = tmp_path / "m.mat"
+    write_matrix(path, mat)
+    with pytest.raises(DataError, match=f"{path}: row 3: value {value} is"):
+        read_matrix(path)
+
+
 def test_logpl_non_numeric_score(tmp_path):
     path = tmp_path / "logpl.tsv"
     path.write_text("utt-1\t-1.5\nutt-2\tminus-two\n")

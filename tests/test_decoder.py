@@ -4,13 +4,15 @@ import time
 import numpy as np
 import pytest
 
-from ctc_crf import (Alphabet, BeamConfig, DataError, beam_decode,
-                     build_decoding_graph, estimate, evaluate_error_rate,
-                     greedy_decode)
+from ctc_crf import (Alphabet, BeamConfig, DataError, TROPICAL, Wfst,
+                     beam_decode, build_decoding_graph, estimate,
+                     evaluate_error_rate, greedy_decode)
 from ctc_crf.semiring import ZERO
+from ctc_crf.toydata import generate_utterance
 from ctc_crf.verify import random_log_softmax
+from ctc_crf.wfst import BLANK, EPS
 
-from oracles import exhaustive_best_path
+from oracles import exhaustive_best_path, frozen_beam_decode
 
 
 def spiky_posterior(symbols, width, peak=0.95):
@@ -62,6 +64,85 @@ def test_greedy_agrees_with_beam_on_spiky(ab2, graph_ab, rng):
 # ---------------------------------------------------------------------------
 # beam search
 # ---------------------------------------------------------------------------
+
+# every combination of width {1, 3, 64, unlimited}, slack {off, 2.0} and
+# blank skipping {off, 0.7}
+FROZEN_GRID = [BeamConfig(width=width, slack=slack, blank_threshold=threshold)
+               for width in (1, 3, 64, 100_000)
+               for slack in (float("inf"), 2.0)
+               for threshold in (None, 0.7)]
+
+
+def _outcome(result):
+    return (result.words, result.score, result.frames_processed,
+            result.frames_skipped)
+
+
+def _assert_decodes_as_frozen(post, graph, configs):
+    for config in configs:
+        got = beam_decode(post, graph, config)
+        want = frozen_beam_decode(post, graph, config)
+        assert _outcome(got) == _outcome(want), config
+
+
+def test_beam_matches_frozen_search_on_graph_ab(graph_ab, rng):
+    posts = [random_log_softmax(rng, int(rng.integers(1, 9)), 3)
+             for _ in range(12)]
+    posts += [spiky_posterior(rng.integers(0, 3, size=8).tolist(), 3, peak)
+              for peak in (0.6, 0.8, 0.95)]
+    for post in posts:
+        _assert_decodes_as_frozen(post, graph_ab, FROZEN_GRID)
+
+
+def test_beam_matches_frozen_search_on_trigram_tlg(trigram_lm, trigram_tlg):
+    # the benchmark's posteriors: log-softmax of 8 x noisy one-hot features
+    alphabet, _ = trigram_lm
+    rng = np.random.default_rng(7)
+    posts = [random_log_softmax(rng, 4, 31)]
+    for _ in range(3):
+        feats = generate_utterance(rng, alphabet, 31, min_labels=2,
+                                   max_labels=4)[0]
+        logits = 8.0 * feats
+        posts.append(logits - np.log(np.exp(logits).sum(axis=1,
+                                                        keepdims=True)))
+    for post in posts:
+        _assert_decodes_as_frozen(post, trigram_tlg, FROZEN_GRID)
+
+
+def test_exact_ties_decode_as_frozen_search(ab2):
+    # a and b score alike in every frame, so:
+    #  - two arcs into state 1 tie; the first in graph order (b) keeps it
+    #  - the epsilon arc 3 -> 2 ties the labelled arc a: 0 -> 2, which keeps it
+    #  - states 1, 2 and 3 tie after frame one; a width of one keeps state 1
+    #  - both blank arcs into state 4 tie; state 1, expanded first, keeps it
+    #  - state 5 sits exactly one below the best, on a slack of one
+    a, b = 2, 3
+    g = Wfst(TROPICAL, ab2.pi_symbol_table(), ab2.label_symbol_table())
+    for _ in range(6):
+        g.add_state()
+    g.set_start(0)
+    g.add_arc(0, b, 2, 0.0, 1)
+    g.add_arc(0, a, 1, 0.0, 1)
+    g.add_arc(0, a, 1, 0.0, 2)
+    g.add_arc(0, b, EPS, 0.0, 3)
+    g.add_arc(3, EPS, 2, 0.0, 2)
+    g.add_arc(1, BLANK, EPS, 0.0, 4)
+    g.add_arc(2, BLANK, EPS, 0.0, 4)
+    g.add_arc(0, a, 2, -1.0, 5)
+    g.set_final(2, 0.0)
+    g.set_final(4, 0.0)
+    g.set_final(5, 2.0)
+    rows = np.log([[0.5, 0.25, 0.25], [0.6, 0.2, 0.2], [0.8, 0.1, 0.1]])
+    configs = [BeamConfig(width=width, slack=slack, blank_threshold=threshold)
+               for width in (1, 2, 3, 100) for slack in (float("inf"), 1.0)
+               for threshold in (None, 0.7)]
+    for post in (rows[:1], rows[:2], rows[[0, 2]]):
+        _assert_decodes_as_frozen(post, g, configs)
+    assert beam_decode(rows[:1], g, BeamConfig(width=1)).words == []
+    assert beam_decode(rows[:1], g, BeamConfig(width=2)).words == [1]
+    assert beam_decode(rows[:1], g, BeamConfig(width=4, slack=1.0)).words == [2]
+    assert beam_decode(rows[:2], g, BeamConfig(width=2)).words == [2]
+
 
 def test_beam_unlimited_matches_exhaustive(ab2, graph_ab, rng):
     for trial in range(25):

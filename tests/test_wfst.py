@@ -1,5 +1,6 @@
 import itertools
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -12,6 +13,7 @@ from ctc_crf import (Alphabet, DataError, LOG, TROPICAL, ONE, Wfst,
                      write_fst_text)
 from ctc_crf.semiring import ZERO
 from ctc_crf.symbols import SymbolTable
+from ctc_crf.wfst import BLANK, EPS, reachable
 
 from oracles import (acceptor_mass, collapse_reference, identity_acceptor,
                      transducer_outputs, weighted_language)
@@ -150,6 +152,55 @@ def test_trim_deep_chain():
     for p, q in zip([n // 2] + branch, branch):
         fst.add_arc(p, 1, 1, -0.1, q)
     assert trim(fst) == _chain([-0.1] * (n - 1))
+
+
+def test_trim_memory_on_trigram_tlg(trigram_tlg):
+    # the reachability walks keep their CSR in int64 arrays: about 22 bytes
+    # an edge at the walk's peak, against 56 with lists of Python ints; trim
+    # itself holds little beyond the machine it returns
+    g = trigram_tlg
+    src = np.repeat(np.arange(g.num_states),
+                    [len(g.arcs(q)) for q in g.states()])
+    dst = np.array([a.nextstate for q in g.states() for a in g.arcs(q)])
+    tracemalloc.start()
+    try:
+        reachable(list(g.finals), dst, src, g.num_states)
+        walk_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        trimmed = trim(g)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert trimmed == g
+    assert walk_peak < 32 * g.num_arcs, walk_peak
+    assert peak - held < 32 * g.num_arcs, (peak - before, held - before)
+
+
+def test_arcs_by_kind_is_a_cache_outside_the_value(tmp_path, ab2,
+                                                   unigram_ab):
+    g = build_decoding_graph(ab2, unigram_ab)
+    fresh = pickle.loads(pickle.dumps(g))
+    labelled, blanks, eps = g.arcs_by_kind()
+    for q in g.states():
+        arcs = g.arcs(q)
+        assert labelled[q] == tuple(a for a in arcs if a.ilabel != EPS)
+        assert blanks[q] == tuple(a for a in arcs if a.ilabel == BLANK)
+        assert eps[q] == tuple(a for a in arcs if a.ilabel == EPS)
+        # the machine's own arcs, not copies
+        assert {id(a) for a in labelled[q] + eps[q]} == {id(a) for a in arcs}
+    # equality, pickling and the text format ignore the cache
+    assert g == fresh
+    assert pickle.dumps(g) == pickle.dumps(fresh)
+    write_fst_text(g, tmp_path / "cached.fst")
+    write_fst_text(fresh, tmp_path / "fresh.fst")
+    assert (tmp_path / "cached.fst").read_bytes() == \
+        (tmp_path / "fresh.fst").read_bytes()
+    # growing the machine drops the cache
+    q = g.add_state()
+    assert g.arcs_by_kind()[0][q] == ()
+    g.add_arc(q, BLANK, EPS, ONE, 0)
+    assert g.arcs_by_kind()[1][q] == (g.arcs(q)[0],)
 
 
 def test_trim_idempotent():
@@ -384,11 +435,14 @@ def test_fst_text_round_trip(tmp_path, ab2, unigram_ab):
 
 @pytest.mark.parametrize("line", ["-1\t0\t1\t1\t0.25", "-3\t0",
                                   "-2\t0\t1\t1\t0.5", "0\t1\t1\t1\tz",
-                                  "0\t1\t99\t1\t0.5", "0\t1\t1\t-1\t0.5"],
+                                  "0\t1\t99\t1\t0.5", "0\t1\t1\t-1\t0.5",
+                                  "0\t1\t1\t1\tnan", "0\t1\t1\t1\tinf",
+                                  "0\tnan", "0\tinf"],
                          ids=["negative-source", "negative-final",
                               "negative-source-2", "non-numeric-weight",
                               "input-label-out-of-range",
-                              "output-label-out-of-range"])
+                              "output-label-out-of-range", "nan-weight",
+                              "inf-weight", "nan-final", "inf-final"])
 def test_fst_text_rejects_bad_line(tmp_path, ab2, unigram_ab, line):
     tden = build_denominator_graph(ab2, unigram_ab)
     path = tmp_path / "den.fst"
@@ -397,6 +451,17 @@ def test_fst_text_rejects_bad_line(tmp_path, ab2, unigram_ab, line):
     path.write_text(body + line + "\n")
     with pytest.raises(DataError, match=f"line {len(body.splitlines()) + 1}:"):
         read_fst_text(path, LOG, tden.isyms, tden.osyms)
+
+
+def test_fst_text_reads_minus_inf_weights(tmp_path, ab2, unigram_ab):
+    # -inf is the semiring zero: an arc or a final weight may carry it
+    tden = build_denominator_graph(ab2, unigram_ab)
+    path = tmp_path / "den.fst"
+    write_fst_text(tden, path)
+    path.write_text(path.read_text() + "0\t1\t1\t1\t-inf\n1\t-inf\n")
+    fst = read_fst_text(path, LOG, tden.isyms, tden.osyms)
+    assert fst.arcs(0)[-1].weight == ZERO
+    assert fst.finals[1] == ZERO
 
 
 def test_fst_text_rejects_state_ids_no_line_names(tmp_path, ab2):
