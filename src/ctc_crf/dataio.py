@@ -94,7 +94,10 @@ def write_logpl(path, scores: dict[str, float]) -> None:
 def read_logpl(path) -> dict[str, float]:
     def entry(line):
         utt, score = line.split("\t")
-        return utt, float(score)
+        value = float(score)
+        if nonfinite(value):
+            raise ValueError(f"score {score} is not finite")
+        return utt, value
     return dict(read_lines(path, entry))
 
 

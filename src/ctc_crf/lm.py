@@ -10,7 +10,7 @@ import math
 from collections import Counter
 from typing import Iterable, Sequence
 
-from .dataio import read_lines
+from .dataio import nonfinite, read_lines
 from .errors import ArpaError, DataError
 from .semiring import LOG, ONE
 from .symbols import EPS_NAME, SymbolTable
@@ -228,8 +228,9 @@ _END = -1
 
 class _ArpaParser:
     """ARPA text one line at a time: ``add`` raises ValueError at the first
-    line that breaks the layout, ``model`` raises ArpaError when the text
-    ends early or an n-gram names a symbol the unigrams lack."""
+    line that breaks the layout or holds a NaN or +inf value, ``model``
+    raises ArpaError when the text ends early or an n-gram names a symbol
+    the unigrams lack."""
 
     def __init__(self):
         self.section = None    # 0 in \data\, n in \n-grams:, then _END
@@ -256,8 +257,13 @@ class _ArpaParser:
             parts = line.split()
             if len(parts) not in (n + 1, n + 2):
                 raise ValueError(f"bad {n}-gram line: {line!r}")
+            logp = float(parts[0])
             bow = float(parts[n + 1]) if len(parts) == n + 2 else None
-            self.raw[n].append((float(parts[0]), tuple(parts[1:n + 1]), bow))
+            for value in (logp, bow):
+                # -inf is log zero; NaN and +inf are no log-probability
+                if value is not None and nonfinite(value, allow_neg_inf=True):
+                    raise ValueError(f"{n}-gram value {value} is NaN or +inf")
+            self.raw[n].append((logp, tuple(parts[1:n + 1]), bow))
         else:
             self._next_section(line)
 

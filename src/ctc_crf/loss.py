@@ -19,8 +19,13 @@ entries of their product), for the chain the chain itself.  The pass runs
 in the probability domain with a per-frame rescale, as in lattice-free
 MMI.  A table of at most ``_DENSE_MAX`` states (the toy bigram, every short
 reference chain) forms its dense transition matrix once and makes one
-matrix-vector product per frame; a larger one makes one sparse product by
-each factor.  A log-domain pass over the sparse factors is the exact
+matrix-vector product per frame.  A larger one (a trigram T∘G, a long
+reference chain) makes one sparse product by each factor, held as jagged
+diagonals (Saad, 1989): its output rows sorted by entry count, so that the
+k-th entries of all rows are one contiguous vector added into a prefix of
+the output.  Most rows hold one to three entries, so a product is a gather,
+a multiply and a few vector adds, with one ``reduceat`` over the rest of
+the few long rows.  A log-domain pass over the same layout is the exact
 fallback for an utterance whose rescaled mass underflows.  Gradients are
 with respect to the node potentials: the difference between the
 reference-conditioned and unconstrained per-frame symbol occupancies.
@@ -46,6 +51,11 @@ _MIN_SCALE = 1e-250
 # numpy calls of the sparse products by its factors.  A trigram's thousands
 # of states stay sparse, where a dense product costs N^2 per frame.
 _DENSE_MAX = 64
+# A sparse product sums each diagonal of its jagged layout that covers at
+# least this share of its rows with one slice add; the entries past the
+# last such diagonal, in the few long rows, are summed by one reduceat,
+# whose cost is per row.
+_MIN_DIAGONAL = 0.25
 
 
 class PosteriorMatrix:
@@ -109,12 +119,15 @@ class DenominatorTable:
     ``factors`` lists sparse matrices whose product is the transition
     matrix, each as ``(src, dst, log_weight, num_src, num_dst)``, from the
     states through any inner dimensions back to the states; repeated entries
-    add.  The pass reads the product in one of two forms, each built on
-    first use: a table of at most ``_DENSE_MAX`` states forms the dense
-    matrix, a larger one never does and runs over the factors as CSRs, which
-    the log-domain fallback and ``num_transitions`` also read.  Labels are
-    not checked against ``num_labels``: both builders take them from checked
-    input.  Immutable.  A table has no file format of its own:
+    add; a row or a column may be empty.  The pass reads the product in one
+    of two forms, each built on first use: a table of at most ``_DENSE_MAX``
+    states forms the dense matrix; a larger one never does and runs over
+    the factors laid out as jagged diagonals, one layout for the forward
+    products and one for the backward, which the log-domain fallback and
+    ``num_transitions`` also read.  ``flatten_denominator`` builds neither,
+    so set-up does not pay for them.  Labels are not checked against
+    ``num_labels``: both builders take them from checked input.  Immutable.
+    A table has no file format of its own:
     ``flatten_denominator`` builds it from the T∘G graph, which is stored and
     read as a text FST, with two factors, the epsilon closure and the
     labeled arcs; ``numerator_forward`` builds one per reference with one
@@ -149,10 +162,14 @@ class DenominatorTable:
             self._final_prob = np.exp(self.final)
 
     @cached_property
-    def _factors(self) -> list[_Factor]:
-        """The factors as CSRs."""
-        with np.errstate(over="ignore"):
-            return [_factor(*f) for f in self._factor_entries]
+    def _layout(self) -> tuple[_Direction, _Direction]:
+        """The factors' products as jagged diagonals: forward, by each
+        factor in turn, and backward, by their transposes in reverse."""
+        entries = self._factor_entries
+        return (_direction([(dst, src, logw, num_dst)
+                            for src, dst, logw, _, num_dst in entries]),
+                _direction([(src, dst, logw, num_src)
+                            for src, dst, logw, num_src, _ in entries[::-1]]))
 
     @cached_property
     def _matrix(self) -> np.ndarray:
@@ -166,50 +183,128 @@ class DenominatorTable:
         """The transitions of the flattened machine, counted without forming
         them: the paths through one nonzero entry of each factor.  For T∘G,
         the sum over closure pairs of the labeled arcs leaving their ends."""
-        paths = np.ones(self.num_states)
-        for f in self._factors:
-            paths = np.add.reduceat(paths[f.fwd_src] * (f.fwd_logw > NEG_INF),
-                                    f.fwd_starts)
-        return int(paths.sum())
+        fwd = self._layout[0]
+        paths = _jagged(fwd, [(s.logw > NEG_INF) * 1.0 for s in fwd.stages],
+                        np.multiply, np.add, 0.0)
+        return int(paths(np.ones(self.num_states)).sum())
 
 
-class _Factor(NamedTuple):
-    """A sparse ``num_src`` x ``num_dst`` matrix as two CSRs: by destination
-    (``fwd_*``, for the forward pass) and by source (``bwd_*``, for the
-    backward pass), each with its log weights and, for the rescaled pass,
-    their exponentials.  ``nnz`` counts its entries before padding."""
-    fwd_src: np.ndarray
-    fwd_logw: np.ndarray
-    fwd_prob: np.ndarray
-    fwd_starts: np.ndarray
-    bwd_dst: np.ndarray
-    bwd_logw: np.ndarray
-    bwd_prob: np.ndarray
-    bwd_starts: np.ndarray
-    nnz: int
+class _Stage(NamedTuple):
+    """One factor's product in one direction as jagged diagonals.  The
+    output rows are held in decreasing order of their entry counts, and
+    entry ``k`` of each row with more than ``k`` entries lies on diagonal
+    ``k``, which adds into a prefix of the output.  Per entry, the input
+    position it reads and its weight, as a log and as a probability: the
+    diagonals first, each in row order, then the tail, the entries of the
+    long rows past the last diagonal, row by row.  ``diagonals`` holds the
+    ``(start, end)`` of each diagonal and ``tail_starts`` the offsets of the
+    tail's rows from its start."""
+    index: np.ndarray
+    logw: np.ndarray
+    prob: np.ndarray
+    rows: int
+    diagonals: tuple[tuple[int, int], ...]
+    tail_starts: np.ndarray
 
 
-def _factor(src, dst, log_weight, num_src: int, num_dst: int) -> _Factor:
-    """The factor with log weights ``log_weight`` at ``(src, dst)``.  Each
-    index ``k`` whose row or column is empty or missing (``k`` past the
-    smaller dimension) gets a -inf pair ``(k, k)``, clipped to the shape,
-    so every ``reduceat`` segment is non-empty."""
-    src = np.asarray(src, dtype=np.int64)
-    dst = np.asarray(dst, dtype=np.int64)
-    size = max(num_src, num_dst)
-    pad = (np.bincount(src, minlength=size)
-           * np.bincount(dst, minlength=size) == 0).nonzero()[0]
-    nnz = len(src)
-    src = np.concatenate([src, np.minimum(pad, num_src - 1)])
-    dst = np.concatenate([dst, np.minimum(pad, num_dst - 1)])
-    logw = np.concatenate([log_weight, np.full(len(pad), NEG_INF)])
-    prob = np.exp(logw)
-    by_dst = np.argsort(dst, kind="stable")
-    by_src = np.argsort(src, kind="stable")
-    return _Factor(src[by_dst], logw[by_dst], prob[by_dst],
-                   np.searchsorted(dst[by_dst], np.arange(num_dst)),
-                   dst[by_src], logw[by_src], prob[by_src],
-                   np.searchsorted(src[by_src], np.arange(num_src)), nnz)
+class _Direction(NamedTuple):
+    """A product by several factors in turn.  Each stage's output stays in
+    its own row order, which the next stage's input positions already
+    follow; ``unsort`` gives each state's position in the last output."""
+    stages: tuple[_Stage, ...]
+    unsort: np.ndarray
+
+
+def _direction(factors) -> _Direction:
+    """The product by ``factors`` in turn, each ``(row, col, log_weight,
+    rows)``: entry ``e`` adds ``v[col[e]]`` times its weight into output
+    ``row[e]``; repeated entries add."""
+    stages, place = [], None
+    for row, col, logw, rows in factors:
+        col = np.asarray(col, dtype=np.int64)
+        stage, place = _stage(np.asarray(row, dtype=np.int64),
+                              col if place is None else place[col],
+                              np.asarray(logw, dtype=np.float64), rows)
+        stages.append(stage)
+    return _Direction(tuple(stages), place)
+
+
+def _stage(row, col, logw, rows: int):
+    """The jagged diagonals of one factor's product, and each row's position
+    in its output."""
+    count = np.bincount(row, minlength=rows)
+    order = np.argsort(-count, kind="stable")
+    place = np.empty(rows, dtype=np.int64)
+    place[order] = np.arange(rows)
+    # length[k] rows have more than k entries; diagonal 0 is always one, so
+    # that the tail adds into an output the diagonals have set
+    length = np.cumsum(np.bincount(count)[::-1])[::-1][1:]
+    wide = min(len(length), max(
+        1, int(np.count_nonzero(length >= _MIN_DIAGONAL * rows))))
+    # each entry's rank among its row's entries, in entry order
+    by_row = np.argsort(row, kind="stable")
+    rank = np.empty(len(row), dtype=np.int64)
+    rank[by_row] = (np.arange(len(row))
+                    - (np.cumsum(count) - count)[row[by_row]])
+    pos = place[row]
+    tail = rank >= wide
+    perm = np.lexsort((np.where(tail, rank, pos), np.where(tail, pos, rank),
+                       tail))
+    ends = np.cumsum(length[:wide]).tolist()
+    long = count[order] - wide
+    long = long[long > 0]
+    with np.errstate(over="ignore"):
+        prob = np.exp(logw[perm])
+    return _Stage(col[perm], logw[perm], prob, rows,
+                  tuple(zip([0, *ends[:-1]], ends)),
+                  np.cumsum(long) - long), place
+
+
+def _jagged(direction: _Direction, weights, combine, add, fill: float):
+    """A function taking a vector ``v`` to its product by the direction's
+    factors, each entry's term ``combine(v[index], weight)`` and the terms
+    of a row summed by ``add``, with ``weights`` one array per stage: for
+    the rescaled pass the probabilities, ``np.multiply`` and ``np.add``,
+    for the log-domain pass the log weights, ``np.add`` and
+    ``np.logaddexp``.  An empty row holds ``fill``.  Each stage gathers and
+    combines its entries into one buffer, then copies or adds each
+    diagonal into a prefix of its output, with one ``reduceat`` for the
+    tail; the buffers belong to the function, which is not reentrant."""
+    plan = []
+    for stage, weight in zip(direction.stages, weights):
+        terms = np.empty(len(stage.index))
+        # diagonal 0 sets the output: where it covers every row it is the
+        # output, else it is copied into one that holds fill elsewhere
+        full = stage.diagonals[:1] == ((0, stage.rows),)
+        out = terms[:stage.rows] if full else np.full(stage.rows, fill)
+        diagonals = [(out[:b - a], terms[a:b]) for a, b in stage.diagonals]
+        head = diagonals.pop(0) if diagonals else None
+        tail = None
+        if len(stage.tail_starts):
+            tail = (out[:len(stage.tail_starts)],
+                    terms[stage.diagonals[-1][1]:], stage.tail_starts)
+        plan.append((stage.index, weight, terms, out, None if full else head,
+                     diagonals, tail))
+    unsort = direction.unsort
+    take, copyto, reduceat = np.take, np.copyto, add.reduceat
+
+    def product(v):
+        for index, weight, terms, out, head, diagonals, tail in plan:
+            # the indices are in range; with mode="clip" take writes into
+            # the buffer, where the default mode would buffer a copy
+            take(v, index, out=terms, mode="clip")
+            combine(terms, weight, out=terms)
+            if head is not None:
+                copyto(*head)
+            for into, part in diagonals:
+                add(into, part, out=into)
+            if tail is not None:
+                into, part, starts = tail
+                add(into, reduceat(part, starts), out=into)
+            v = out
+        return v[unsort]
+
+    return product
 
 
 def _dense(src, dst, log_weight, num_src: int, num_dst: int) -> np.ndarray:
@@ -389,31 +484,20 @@ def denominator_forward(posterior, den: DenominatorTable) -> ForwardResult:
     return _forward_backward(post, den)
 
 
-def _products(table: DenominatorTable):
+def _products(table: DenominatorTable, log: bool = False):
     """Functions taking a forward vector ``v`` to ``v M`` and a backward
     vector ``v`` to ``M v``, where ``M`` is the table's transition matrix:
     the dense matrix's own products for a table of at most ``_DENSE_MAX``
-    states, else one sparse product by each factor in turn."""
+    states, else the products by its factors as jagged diagonals.  With
+    ``log`` the vectors and ``M`` hold logs, and the products always run
+    over the factors."""
+    if log:
+        return tuple(_jagged(d, [s.logw for s in d.stages], np.add,
+                             np.logaddexp, NEG_INF) for d in table._layout)
     if table.num_states <= _DENSE_MAX:
         return table._matrix.T.dot, table._matrix.dot
-    # the factors' arrays unpacked and reduceat bound once, as a frame's
-    # cost is mostly numpy call overhead
-    fwd = [(f.fwd_src, f.fwd_prob, f.fwd_starts) for f in table._factors]
-    bwd = [(f.bwd_dst, f.bwd_prob, f.bwd_starts)
-           for f in reversed(table._factors)]
-    reduceat = np.add.reduceat
-
-    def forward(v):
-        for src, prob, starts in fwd:
-            v = reduceat(v[src] * prob, starts)
-        return v
-
-    def backward(v):
-        for dst, prob, starts in bwd:
-            v = reduceat(v[dst] * prob, starts)
-        return v
-
-    return forward, backward
+    return tuple(_jagged(d, [s.prob for s in d.stages], np.multiply, np.add,
+                         0.0) for d in table._layout)
 
 
 def _forward_backward(post: np.ndarray,
@@ -475,19 +559,16 @@ def _forward_backward(post: np.ndarray,
 def _forward_backward_log(post: np.ndarray,
                           table: DenominatorTable) -> ForwardResult:
     """The same pass in the log domain, the exact fallback of
-    ``_forward_backward``: each factor's product is a ``logaddexp``
-    reduction over the same padded CSRs, the emission ``post[t]`` is added
-    per state, and nothing is rescaled, so it cannot underflow."""
+    ``_forward_backward``: the products run over the same jagged
+    diagonals with ``logaddexp`` for their sums, the emission ``post[t]`` is
+    added per state, and nothing is rescaled, so it cannot underflow."""
     t_frames, width = post.shape
     emit = post[:, table.state_label]
-    reduceat = np.logaddexp.reduceat
+    forward, backward = _products(table, log=True)
     alpha = np.full((t_frames + 1, table.num_states), NEG_INF)
     alpha[0, table.start] = 0.0
     for t in range(t_frames):
-        v = alpha[t]
-        for f in table._factors:
-            v = reduceat(v[f.fwd_src] + f.fwd_logw, f.fwd_starts)
-        alpha[t + 1] = v + emit[t]
+        alpha[t + 1] = forward(alpha[t]) + emit[t]
 
     score = logsumexp(alpha[t_frames] + table.final)
     if score == NEG_INF:
@@ -497,10 +578,7 @@ def _forward_backward_log(post: np.ndarray,
     beta = np.empty_like(alpha)
     beta[t_frames] = table.final
     for t in range(t_frames - 1, 0, -1):
-        v = beta[t + 1] + emit[t]
-        for f in reversed(table._factors):
-            v = reduceat(v[f.bwd_dst] + f.bwd_logw, f.bwd_starts)
-        beta[t] = v
+        beta[t] = backward(beta[t + 1] + emit[t])
     # each frame's state posteriors, rescaled to sum to one: exact where one
     # state holds all the frame's mass, and still not finite where a huge
     # potential lost the pass its precision

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataio import nonfinite
 from .errors import DataError, NumericalError
 from .loss import PosteriorMatrix
 
@@ -323,6 +324,10 @@ class AcousticModel:
                 if len(raw) != 4 * param.size:
                     raise DataError(f"{path}: truncated tensor {name}")
                 arr = np.frombuffer(raw, dtype="<f4").astype(np.float64)
+                bad = nonfinite(arr)
+                if bad.any():
+                    raise DataError(f"{path}: tensor {name} holds "
+                                    f"{arr[bad][0]}, which is not finite")
                 param[...] = arr.reshape(param.shape)
         return model
 

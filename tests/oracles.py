@@ -7,6 +7,7 @@ evidence, not circularity.
 import itertools
 from collections import deque
 from math import inf, isinf
+from typing import NamedTuple
 
 import numpy as np
 
@@ -431,3 +432,94 @@ def _prune(active: dict, config: BeamConfig) -> None:
         ranked = sorted(active.items(), key=lambda kv: (-kv[1][0], kv[0]))
         for state, _ in ranked[config.width:]:
             del active[state]
+
+
+# ---------------------------------------------------------------------------
+# Frozen sparse products
+# ---------------------------------------------------------------------------
+# The padded CSR factors and the sparse products of ``ctc_crf.loss`` that the
+# jagged-diagonal products replaced, kept verbatim (only the entry point is
+# new: it builds the CSRs from a table's factor entries and adds the
+# log-domain products the fallback pass ran) so that the faster products can
+# be checked against them.
+
+NEG_INF = ZERO
+
+
+class _Factor(NamedTuple):
+    """A sparse ``num_src`` x ``num_dst`` matrix as two CSRs: by destination
+    (``fwd_*``, for the forward pass) and by source (``bwd_*``, for the
+    backward pass), each with its log weights and, for the rescaled pass,
+    their exponentials.  ``nnz`` counts its entries before padding."""
+    fwd_src: np.ndarray
+    fwd_logw: np.ndarray
+    fwd_prob: np.ndarray
+    fwd_starts: np.ndarray
+    bwd_dst: np.ndarray
+    bwd_logw: np.ndarray
+    bwd_prob: np.ndarray
+    bwd_starts: np.ndarray
+    nnz: int
+
+
+def _factor(src, dst, log_weight, num_src: int, num_dst: int) -> _Factor:
+    """The factor with log weights ``log_weight`` at ``(src, dst)``.  Each
+    index ``k`` whose row or column is empty or missing (``k`` past the
+    smaller dimension) gets a -inf pair ``(k, k)``, clipped to the shape,
+    so every ``reduceat`` segment is non-empty."""
+    src = np.asarray(src, dtype=np.int64)
+    dst = np.asarray(dst, dtype=np.int64)
+    size = max(num_src, num_dst)
+    pad = (np.bincount(src, minlength=size)
+           * np.bincount(dst, minlength=size) == 0).nonzero()[0]
+    nnz = len(src)
+    src = np.concatenate([src, np.minimum(pad, num_src - 1)])
+    dst = np.concatenate([dst, np.minimum(pad, num_dst - 1)])
+    logw = np.concatenate([log_weight, np.full(len(pad), NEG_INF)])
+    prob = np.exp(logw)
+    by_dst = np.argsort(dst, kind="stable")
+    by_src = np.argsort(src, kind="stable")
+    return _Factor(src[by_dst], logw[by_dst], prob[by_dst],
+                   np.searchsorted(dst[by_dst], np.arange(num_dst)),
+                   dst[by_src], logw[by_src], prob[by_src],
+                   np.searchsorted(src[by_src], np.arange(num_src)), nnz)
+
+
+def frozen_products(table, log=False):
+    """The forward and backward products by ``table``'s factors over padded
+    CSRs: ``v M`` and ``M v`` by ``reduceat``, or with ``log`` the same over
+    log vectors by ``logaddexp.reduceat``."""
+    with np.errstate(over="ignore"):
+        factors = [_factor(*f) for f in table._factor_entries]
+    if log:
+        def forward(v):
+            for f in factors:
+                v = np.logaddexp.reduceat(v[f.fwd_src] + f.fwd_logw,
+                                          f.fwd_starts)
+            return v
+
+        def backward(v):
+            for f in reversed(factors):
+                v = np.logaddexp.reduceat(v[f.bwd_dst] + f.bwd_logw,
+                                          f.bwd_starts)
+            return v
+
+        return forward, backward
+    # the factors' arrays unpacked and reduceat bound once, as a frame's
+    # cost is mostly numpy call overhead
+    fwd = [(f.fwd_src, f.fwd_prob, f.fwd_starts) for f in factors]
+    bwd = [(f.bwd_dst, f.bwd_prob, f.bwd_starts)
+           for f in reversed(factors)]
+    reduceat = np.add.reduceat
+
+    def forward(v):
+        for src, prob, starts in fwd:
+            v = reduceat(v[src] * prob, starts)
+        return v
+
+    def backward(v):
+        for dst, prob, starts in bwd:
+            v = reduceat(v[dst] * prob, starts)
+        return v
+
+    return forward, backward

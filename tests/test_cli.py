@@ -4,8 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ctc_crf import (LOG, Alphabet, DataError, dataio, flatten_denominator,
-                     read_fst_text)
+from ctc_crf import (LOG, AcousticModel, Alphabet, DataError, dataio,
+                     flatten_denominator, read_fst_text)
 from ctc_crf.cli import main
 from ctc_crf.toydata import write_dataset
 
@@ -197,6 +197,25 @@ def test_build_graphs_missing_arpa(toy_dir, tmp_path):
     assert not (tmp_path / "g" / "T.fst").exists()
 
 
+@pytest.mark.parametrize("field, value", [(0, "nan"), (-1, "inf")])
+def test_build_graphs_non_finite_arpa_value_is_data_error(
+        toy_dir, pipeline, tmp_path, capsys, field, value):
+    # a NaN unigram used to give exit 0 and a den.fst with NaN weights
+    lines = (pipeline / "den.arpa").read_text().splitlines(True)
+    ln = lines.index("\\1-grams:\n") + 2   # the first unigram, with a backoff
+    fields = lines[ln - 1].rstrip("\n").split("\t")
+    assert len(fields) == 3
+    fields[field] = value
+    lines[ln - 1] = "\t".join(fields) + "\n"
+    arpa = tmp_path / "den.arpa"
+    arpa.write_text("".join(lines))
+    assert _run("build-graphs", "--alphabet", toy_dir / "alphabet.txt",
+                "--den-lm", arpa, "--work-dir", tmp_path / "g") == 2
+    assert f"{arpa}: line {ln}: 1-gram value {value} is NaN or +inf" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "g" / "den.fst").exists()
+
+
 def test_build_graphs_deterministic(toy_dir, pipeline, tmp_path):
     rc = _run("build-graphs", "--alphabet", toy_dir / "alphabet.txt",
               "--den-lm", pipeline / "den.arpa",
@@ -295,6 +314,23 @@ def test_train_rejects_workers(pipeline, toy_dir, tmp_path):
     argv = _train_argv(pipeline, toy_dir, tmp_path,
                        pipeline / "graphs" / "den.fst")
     assert _run(*argv, "--workers", 2) == 1
+    assert not (tmp_path / "model.ckpt").exists()
+
+
+@pytest.mark.parametrize("score", ["nan", "-inf"])
+def test_train_non_finite_logpl_is_data_error(pipeline, toy_dir, tmp_path,
+                                              capsys, score):
+    # a NaN score used to reach the loss, and train ended with exit 3
+    lines = (pipeline / "train" / "logpl.tsv").read_text().splitlines(True)
+    lines[1] = lines[1].split("\t")[0] + f"\t{score}\n"
+    logpl = tmp_path / "logpl.tsv"
+    logpl.write_text("".join(lines))
+    argv = _train_argv(pipeline, toy_dir, tmp_path,
+                       pipeline / "graphs" / "den.fst")
+    argv[argv.index("--logpl") + 1] = logpl
+    assert _run(*argv) == 2
+    assert f"{logpl}: line 2: score {score} is not finite" in \
+        capsys.readouterr().err
     assert not (tmp_path / "model.ckpt").exists()
 
 
@@ -443,6 +479,25 @@ def test_decode_corrupt_checkpoint_is_data_error(pipeline, toy_dir, tmp_path):
                 "--checkpoint", ckpt,
                 "--graph", pipeline / "graphs" / "TLG.fst",
                 "--hyp", tmp_path / "hyp.tsv") == 2
+    assert not (tmp_path / "hyp.tsv").exists()
+
+
+@pytest.mark.parametrize("value", [np.nan, -np.inf])
+def test_decode_non_finite_checkpoint_weight_is_data_error(
+        pipeline, toy_dir, tmp_path, capsys, value):
+    # one NaN weight used to load, and decode ended with exit 3
+    model = AcousticModel.load(pipeline / "model.ckpt")
+    name, param = model.parameters()[-1]
+    param.flat[3] = value
+    ckpt = tmp_path / "model.ckpt"
+    model.save(ckpt)
+    assert _run("decode",
+                "--manifest", pipeline / "dev" / "manifest.tsv",
+                "--alphabet", toy_dir / "alphabet.txt",
+                "--checkpoint", ckpt,
+                "--graph", pipeline / "graphs" / "TLG.fst",
+                "--hyp", tmp_path / "hyp.tsv") == 2
+    assert f"{ckpt}: tensor {name} holds {value}" in capsys.readouterr().err
     assert not (tmp_path / "hyp.tsv").exists()
 
 

@@ -70,6 +70,15 @@ def test_logpl_non_numeric_score(tmp_path):
         read_logpl(path)
 
 
+@pytest.mark.parametrize("score", ["nan", "inf", "-inf"])
+def test_logpl_non_finite_score_names_the_line(tmp_path, score):
+    path = tmp_path / "logpl.tsv"
+    path.write_text(f"utt-1\t-1.5\nutt-2\t{score}\n")
+    with pytest.raises(DataError,
+                       match=f"{path}: line 2: score {score} is not finite"):
+        read_logpl(path)
+
+
 def test_manifest_non_numeric_frame_count(tmp_path):
     path = tmp_path / "manifest.tsv"
     path.write_text("u1\tten\tfeats/u1.mat\ta b\n")

@@ -157,6 +157,18 @@ def test_parse_missing_header():
         parse_arpa("\\1-grams:\n-0.1 a\n\\end\\\n")
 
 
+@pytest.mark.parametrize("line", ["nan\tb", "inf\tb", "-0.6\tb\tnan",
+                                  "-0.6\tb\tinf"])
+def test_parse_nan_or_positive_infinity_is_rejected(line):
+    with pytest.raises(ArpaError, match="1-gram value .* is NaN or \\+inf"):
+        parse_arpa(MINIMAL_ARPA.replace("-0.60206\tb", line))
+
+
+def test_parse_negative_infinity_is_log_zero():
+    lm = parse_arpa(MINIMAL_ARPA.replace("-0.60206\tb", "-inf\tb\t-inf"))
+    assert lm.entries[(lm.vocab.find("b"),)] == (ZERO, ZERO)
+
+
 def test_read_arpa_names_file_and_line(tmp_path):
     lines = MINIMAL_ARPA.splitlines()
     ln = lines.index("-0.60206\tb") + 1

@@ -22,7 +22,7 @@ from ctc_crf.wfst import EPS, Wfst
 
 from oracles import (assert_log_softmax, brute_acceptor, brute_denominator,
                      brute_numerator, finite_difference, flattened_matrix,
-                     flattened_transitions, graph_forward)
+                     flattened_transitions, frozen_products, graph_forward)
 
 
 def uniform_post(frames, width):
@@ -281,21 +281,19 @@ def _both_forms(fst):
 
 
 def _dense(factor):
-    """The factor as a dense matrix, read from its by-source CSR."""
-    rows = len(factor.bwd_starts)
-    cols = len(factor.fwd_starts)
-    counts = np.diff(np.append(factor.bwd_starts, len(factor.bwd_dst)))
+    """The factor as a dense matrix, read from its ``(src, dst, log_weight,
+    num_src, num_dst)`` entries."""
+    src, dst, log_weight, rows, cols = factor
     mat = np.zeros((rows, cols))
-    np.add.at(mat, (np.repeat(np.arange(rows), counts), factor.bwd_dst),
-              factor.bwd_prob)
+    np.add.at(mat, (src, dst), np.exp(log_weight))
     return mat
 
 
 def test_trigram_table_runs_over_closure_and_arcs(trigram_table):
-    closure, arcs = trigram_table._factors
-    assert 4700 <= closure.nnz <= 4900
-    assert 21100 <= arcs.nnz <= 21300
-    assert closure.nnz + arcs.nnz < trigram_table.num_transitions / 2
+    closure, arcs = (len(f[0]) for f in trigram_table._factor_entries)
+    assert 4700 <= closure <= 4900
+    assert 21100 <= arcs <= 21300
+    assert closure + arcs < trigram_table.num_transitions / 2
 
 
 @pytest.fixture(scope="module")
@@ -311,16 +309,17 @@ def toy_bigram_graph():
 def test_toy_bigram_table_runs_over_its_transitions(toy_bigram_graph):
     # 29 states: the pass runs over the dense transition matrix, the product
     # of the 35 live closure pairs and the 210 labeled arcs, and never
-    # builds their CSRs
+    # builds their sparse layout
     table = flatten_denominator(toy_bigram_graph)
     assert table.num_states == 29 <= loss._DENSE_MAX
     post = random_log_softmax(np.random.default_rng(0), 13, 6)
     assert denominator_forward(post, table).feasible
-    assert "_factors" not in vars(table)
+    assert "_layout" not in vars(table)
     want = flattened_matrix(toy_bigram_graph)
     assert np.all(np.abs(table._matrix - want) <= 1e-12)
-    closure, arcs = table._factors
-    assert (closure.nnz, arcs.nnz, table.num_transitions) == (35, 210, 210)
+    closure, arcs = table._factor_entries
+    assert (len(closure[0]), len(arcs[0]), table.num_transitions) == \
+        (35, 210, 210)
     assert np.all(np.abs(_dense(closure) @ _dense(arcs) - want) <= 1e-12)
 
 
@@ -357,6 +356,98 @@ def test_dense_and_sparse_passes_agree(toy_bigram_graph, monkeypatch):
         assert np.all(np.abs(dense.occupancy - sparse.occupancy) <= 1e-12)
 
 
+# float64 sums of the same terms in another order: an entry may differ from
+# the frozen reference by at most 8 eps times the sum of its terms' sizes
+_SUM_TOL = 8 * np.finfo(np.float64).eps
+
+
+def _path_terms(table, v, forward, log):
+    """The term of every path through one entry of each of the table's
+    factors, from an index of ``v`` (forward, as in ``v M``, else backward,
+    as in ``M v``), and the output index the path ends at: the path's ``v``
+    times, or with ``log`` plus, its entries' weights."""
+    factors = [(src, dst, logw) if forward else (dst, src, logw)
+               for src, dst, logw, *_ in table._factor_entries]
+    node, term = np.arange(len(v)), v
+    for into, out, logw in factors if forward else factors[::-1]:
+        order = np.argsort(into, kind="stable")
+        lo = np.searchsorted(into[order], node)
+        count = np.searchsorted(into[order], node, side="right") - lo
+        path = np.repeat(np.arange(len(node)), count)
+        entry = order[lo[path] + np.arange(len(path))
+                      - (np.cumsum(count) - count)[path]]
+        node = out[entry]
+        term = (term[path] + logw[entry] if log
+                else term[path] * np.exp(logw[entry]))
+    return node, term
+
+
+def _assert_matches_frozen(table, rng):
+    """The table's sparse products against the frozen CSR products, forward
+    and backward, in the probability and the log domain, on a vector with
+    zero entries."""
+    n = table.num_states
+    for log in (False, True):
+        got, want = loss._products(table, log), frozen_products(table, log)
+        for k, forward in enumerate((True, False)):
+            v = rng.random(n) * (rng.random(n) < 0.8)
+            if log:
+                with np.errstate(divide="ignore"):
+                    v = np.log(v)
+            node, term = _path_terms(table, v, forward, log)
+            some = term > (ZERO if log else 0.0)
+            bound = _SUM_TOL * np.bincount(node[some], np.abs(term[some]), n)
+            g, w = got[k](v), want[k](v)
+            assert g.shape == w.shape == (n,)
+            if log:
+                assert np.array_equal(g == ZERO, w == ZERO)
+                g, w, bound = g[w > ZERO], w[w > ZERO], bound[w > ZERO]
+            assert np.all(np.abs(g - w) <= bound)
+
+
+def _random_factor_table(rng, n, inner, width):
+    """A two-factor table through ``inner`` ends, with -inf entries, empty
+    rows and columns, and one end that ~40 states enter and ~40 arcs
+    leave, so that both directions of both factors reach the tail."""
+    factors = []
+    for rows, cols in ((n, inner), (inner, n)):
+        entries = 2 * max(rows, cols)
+        src = rng.integers(1, rows, entries)   # row 0 stays empty
+        dst = rng.integers(1, cols, entries)   # and column 0
+        src[:40] = rows - 1
+        dst[40:80] = cols - 1
+        logw = np.where(rng.random(entries) < 0.1, ZERO,
+                        rng.normal(size=entries))
+        factors.append((src, dst, logw, rows, cols))
+    final = rng.normal(size=n)
+    return DenominatorTable(0, final, rng.integers(0, width, n), width,
+                            factors)
+
+
+def test_jagged_products_match_frozen_csr_products(trigram_table,
+                                                   toy_bigram_graph,
+                                                   monkeypatch):
+    # the trigram, the toy bigram and reference chains with repeated labels
+    # made to run sparse, and random tables whose long rows reach the tail
+    monkeypatch.setattr(loss, "_DENSE_MAX", 0)
+    rng = np.random.default_rng(19)
+    units = (33, 66)
+    chains = [_reference_chain(rng.integers(1, 4, u), 4) for u in units]
+    assert [c.num_states for c in chains] == [67, 133]
+    # a repeated label skips no blank: fewer than the 2n - 1 loops and
+    # steps plus u - 1 skips
+    assert all(len(c._factor_entries[0][0]) < 2 * c.num_states + u - 2
+               for c, u in zip(chains, units))
+    tables = [trigram_table, flatten_denominator(toy_bigram_graph), *chains,
+              *(_random_factor_table(rng, n, inner, 3)
+                for n, inner in ((90, 70), (120, 150), (200, 200)))]
+    for table in tables:
+        _assert_matches_frozen(table, rng)
+    tails = [sum(len(s.tail_starts) > 0 for d in t._layout for s in d.stages)
+             for t in tables]
+    assert tails[0] >= 3 and tails[-3:] == [4, 4, 4]
+
+
 def test_closure_times_arcs_is_the_transition_matrix():
     alphabet = Alphabet([f"p{i}" for i in range(5)])
     rng = np.random.default_rng(0)
@@ -364,7 +455,7 @@ def test_closure_times_arcs_is_the_transition_matrix():
         rng, alphabet, alphabet.num_state_symbols)[1]] for _ in range(100)]
     lm = estimate(corpus, order=3, discount=0.5, vocab=list(alphabet.labels))
     graph = build_denominator_graph(alphabet, lm)
-    closure, arcs = flatten_denominator(graph)._factors
+    closure, arcs = flatten_denominator(graph)._factor_entries
     want = flattened_matrix(graph)
     assert np.all(np.abs(_dense(closure) @ _dense(arcs) - want) <= 1e-12)
 
@@ -447,7 +538,7 @@ def test_denominator_matches_log_on_random_tables(rng, monkeypatch):
     # hand-built tables of one factor or two, whose inner dimension may
     # differ from the state count, with a start state with incoming
     # transitions, dead ends, empty rows and columns and -inf entries
-    checked, two_factor, uneven, padded = 0, 0, 0, 0
+    checked, two_factor, uneven, empty_row = 0, 0, 0, 0
     for _ in range(80):
         n = int(rng.integers(1, 5))
         width = int(rng.integers(1, 4))
@@ -463,7 +554,9 @@ def test_denominator_matches_log_on_random_tables(rng, monkeypatch):
                             int(rows), int(cols)))
         table = DenominatorTable(int(rng.integers(0, n)), final,
                                  rng.integers(0, width, n), width, factors)
-        padded += any(f.nnz < len(f.fwd_src) for f in table._factors)
+        empty_row += any(stage.diagonals[:1] != ((0, stage.rows),)
+                         for direction in table._layout
+                         for stage in direction.stages)
         post = random_log_softmax(rng, int(rng.integers(0, 6)), width)
         want = _forward_backward_log(post, table)
         for _ in dense_then_sparse(monkeypatch):
@@ -478,7 +571,7 @@ def test_denominator_matches_log_on_random_tables(rng, monkeypatch):
             if len(dims) == 3:
                 two_factor += 1
                 uneven += dims[1] != n
-    assert checked > 20 and two_factor > 10 and uneven > 5 and padded > 20
+    assert checked > 20 and two_factor > 10 and uneven > 5 and empty_row > 20
 
 
 def _mixed_label_acceptor(ab1):
@@ -566,7 +659,7 @@ def test_flatten_no_epsilons_is_transcription(ab1):
     assert table.num_states == 2
     assert sorted(table.state_label.tolist()) == [0, 1]
     assert table.final[table.start] == pytest.approx(-0.1)
-    closure, arcs = table._factors
+    closure, arcs = table._factor_entries
     assert np.array_equal(_dense(closure) @ _dense(arcs),
                           flattened_matrix(fst))
 
@@ -672,10 +765,8 @@ def test_flatten_random_epsilon_dags_match_enumeration(rng, monkeypatch):
         fst = _random_epsilon_dag(rng, alphabet)
         try:
             tables = _both_forms(fst)
-            # pairs joined only through the -inf arc give no closure entry:
-            # its finite entries are those before padding
-            closure = tables[0]._factors[0]
-            assert np.isfinite(closure.fwd_logw).sum() == closure.nnz
+            # pairs joined only through the -inf arc give no closure entry
+            assert np.isfinite(tables[0]._factor_entries[0][2]).all()
         except DataError as exc:
             assert "no complete path" in str(exc)
             tables = ()
@@ -738,12 +829,12 @@ def test_table_round_trip_through_graph_file(tmp_path, ab2, bigram_ab, rng):
         (table.num_states, table.start, table.num_labels)
     assert np.array_equal(back.state_label, table.state_label)
     assert np.allclose(back.final, table.final, rtol=0, atol=1e-7)
-    for got, want in zip(back._factors, table._factors, strict=True):
-        for name in ("fwd_src", "fwd_starts", "bwd_dst", "bwd_starts"):
-            assert np.array_equal(getattr(got, name), getattr(want, name))
-        for name in ("fwd_logw", "bwd_logw"):
-            assert np.allclose(getattr(got, name), getattr(want, name),
-                               rtol=0, atol=1e-7)
+    for got, want in zip(back._factor_entries, table._factor_entries,
+                         strict=True):
+        src, dst, logw, *shape = got
+        assert np.array_equal(src, want[0]) and np.array_equal(dst, want[1])
+        assert np.allclose(logw, want[2], rtol=0, atol=1e-7)
+        assert shape == list(want[3:])
     for post in (uniform_post(3, 3), random_log_softmax(rng, 6, 3)):
         assert denominator_forward(post, back).score == pytest.approx(
             denominator_forward(post, table).score, abs=1e-7)
