@@ -204,6 +204,8 @@ def cmd_train(args) -> int:
         _require(args.den_table, "denominator graph"), LOG,
         alphabet.pi_symbol_table(), alphabet.label_symbol_table()))
     utts, dataset = _load_dataset(_require(args.manifest, "manifest"), alphabet)
+    if not dataset:
+        raise DataError(f"{args.manifest}: empty training set")
     logpl = dataio.read_logpl(_require(args.logpl, "score cache"))
     missing = [u for u in utts if u not in logpl]
     if missing:

@@ -1,8 +1,8 @@
 """Decoding: greedy argmax, graph-driven Viterbi beam search with
 blank-frame skipping, and error-rate scoring.
 
-The beam search runs on plain Python values.  The graph's arcs are split
-once per graph, on the first decode, into per-state lists by kind
+The beam search runs on plain Python values.  A graph's ``Arc`` view is
+split once per graph, on the first decode, into per-state lists by kind
 (``Wfst.arcs_by_kind``): the input-consuming arcs a frame expands, the blank
 arcs a skipped frame expands, and the epsilon arcs the closure relaxes.  The
 posterior becomes one list of float rows per utterance, a hypothesis is a

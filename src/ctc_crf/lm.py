@@ -351,10 +351,11 @@ def lm_to_fst(lm: NGramModel, semiring: str = LOG) -> Wfst:
     verbatim matches the backoff-recursion score.
     """
     syms = lm.fst_symbol_table()
-    fst = Wfst(semiring, syms, syms)
-
     contexts = sorted(lm._contexts, key=lambda c: (len(c), c))
-    state_of = {ctx: fst.add_state() for ctx in contexts}
+    state_of = {ctx: q for q, ctx in enumerate(contexts)}
+    num_states = len(contexts)
+    rows = []
+    finals = {}
 
     def suffix_state(gram: tuple[int, ...]) -> int:
         limit = lm.order - 1
@@ -368,16 +369,16 @@ def lm_to_fst(lm: NGramModel, semiring: str = LOG) -> Wfst:
     if bos_ctx in state_of:
         start = state_of[bos_ctx]
     else:
-        start = fst.add_state()
+        start, num_states = num_states, num_states + 1
         bow = lm.backoff_log10(bos_ctx)
-        fst.add_arc(start, EPS, EPS, bow * LN10, state_of[()])
-    fst.set_start(start)
+        rows.append((start, EPS, EPS, bow * LN10, state_of[()]))
 
     for ctx in contexts:
         if not ctx:
             continue
         bow = lm.backoff_log10(ctx)
-        fst.add_arc(state_of[ctx], EPS, EPS, bow * LN10, suffix_state(ctx[1:]))
+        rows.append((state_of[ctx], EPS, EPS, bow * LN10,
+                     suffix_state(ctx[1:])))
 
     for gram, (prob, _) in sorted(lm.entries.items()):
         word = gram[-1]
@@ -386,13 +387,13 @@ def lm_to_fst(lm: NGramModel, semiring: str = LOG) -> Wfst:
             continue  # unreachable context (degenerate hand-built model)
         src = state_of[src_ctx]
         if word == lm.eos:
-            fst.set_final(src, prob * LN10)
+            finals[src] = prob * LN10
         elif word == lm.bos:
             continue
         else:
             # event ids coincide in the model vocabulary and the fst table
-            fst.add_arc(src, word, word, prob * LN10, suffix_state(gram))
+            rows.append((src, word, word, prob * LN10, suffix_state(gram)))
 
     if not lm.entries:
-        fst.set_final(state_of[()], ONE)
-    return fst
+        finals[state_of[()]] = ONE
+    return Wfst(semiring, syms, syms, num_states, start, finals, *zip(*rows))

@@ -359,11 +359,8 @@ def flatten_denominator(den_fst: Wfst) -> DenominatorTable:
     if den_fst.start is None:
         raise DataError("denominator graph is empty")
     n = den_fst.num_states
-    arcs = np.reshape([(q, *a) for q in den_fst.states()
-                       for a in den_fst.arcs(q)], (-1, 5))
-    src, ilabel, dst = arcs[:, [0, 1, 4]].T.astype(np.int64)
-    weight = arcs[:, 3]
-    indptr = np.searchsorted(src, np.arange(n + 1))
+    src, ilabel, dst = den_fst.src, den_fst.ilabel, den_fst.dst
+    weight, indptr = den_fst.weight, den_fst.indptr
     eps = ilabel == EPS
 
     levels = [(np.arange(n), np.arange(n), np.zeros(n))]

@@ -316,6 +316,11 @@ class AcousticModel:
             except (KeyError, TypeError, ValueError) as exc:
                 raise DataError(f"{path}: bad checkpoint header "
                                 f"({type(exc).__name__}: {exc})") from None
+            named = [name for name, _, _ in tensors]
+            for name in params:
+                if named.count(name) != 1:
+                    raise DataError(f"{path}: the header names tensor {name} "
+                                    f"{named.count(name)} times, not once")
             for name, param, shape in tensors:
                 if shape != list(param.shape):
                     raise DataError(f"{path}: tensor {name} has shape {shape}, "

@@ -1,18 +1,19 @@
 """Weighted finite-state transducers: data model, composition, trimming,
 the blank-collapsing topology transducer, and graph assembly.
 
-Machines are built mutably and treated as immutable afterwards; nothing here
-mutates a machine it did not create, so constructed graphs are safe to share
-across worker processes.
+A machine is one immutable value.  Each builder collects its finals and arc
+rows and constructs the machine once, so constructed graphs are safe to
+share across worker processes.
 """
 from __future__ import annotations
 
 from collections import deque
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .dataio import nonfinite, read_lines
+from .dataio import read_lines
 from .errors import DataError
 from .semiring import LOG, ONE, TROPICAL, ZERO
 from .symbols import EPS, Alphabet, SymbolTable
@@ -20,6 +21,9 @@ from .symbols import EPS, Alphabet, SymbolTable
 # input label of the blank in a machine whose inputs are the topology's state
 # symbols (state symbol 0 is <blk>, input label 0 is epsilon)
 BLANK = 1
+
+# the largest weight whose probability, exp(weight), is a float64
+MAX_WEIGHT = float(np.log(np.finfo(np.float64).max))
 
 
 class Arc(NamedTuple):
@@ -29,94 +33,108 @@ class Arc(NamedTuple):
     nextstate: int
 
 
-class Wfst:
-    """A transducer with per-state arc lists, explicit per-state final
-    weights, and symbol tables carried alongside.  ``semiring`` is ``LOG``
-    or ``TROPICAL``."""
+def _check_ids(what: str, ids, limit: int) -> None:
+    """Raise a DataError naming the first of ``ids`` outside 0 .. limit - 1."""
+    ids = np.asarray(ids, dtype=np.int64)
+    bad = np.flatnonzero((ids < 0) | (ids >= limit))
+    if len(bad):
+        raise DataError(f"{what} {ids[bad[0]]} out of range [0, {limit})")
 
-    def __init__(self, semiring: str, isyms: SymbolTable, osyms: SymbolTable):
+
+class Wfst:
+    """An immutable transducer over states ``0 .. num_states - 1``, with
+    symbol tables carried alongside; ``semiring`` is ``LOG`` or
+    ``TROPICAL``, and ``start`` is None for a machine with no paths.  The
+    arcs are five columns stable-sorted by source, so state ``q``'s arcs
+    are rows ``indptr[q]:indptr[q + 1]`` in the order they were given.
+    Int64 and float64 columns already sorted are kept, not copied.  The
+    ``Arc`` views that ``arcs`` and ``arcs_by_kind`` read are built on
+    first use and are not part of the value, nor of its pickle."""
+
+    def __init__(self, semiring: str, isyms: SymbolTable, osyms: SymbolTable,
+                 num_states: int, start: int | None, finals: dict[int, float],
+                 src=(), ilabel=(), olabel=(), weight=(), dst=()):
         self.semiring = semiring
         self.isyms = isyms
         self.osyms = osyms
-        # symbol tables are immutable: add_arc checks labels against these
-        self._num_isyms = len(isyms)
-        self._num_osyms = len(osyms)
-        self._arcs: list[list[Arc]] = []
-        self.start: int | None = None
-        self.finals: dict[int, float] = {}
-        self._by_kind = None  # arcs_by_kind's cache; not part of the value
-
-    # -- construction -----------------------------------------------------
-
-    def add_state(self) -> int:
-        self._by_kind = None
-        self._arcs.append([])
-        return len(self._arcs) - 1
-
-    def add_arc(self, state: int, ilabel: int, olabel: int, weight: float,
-                nextstate: int) -> None:
-        if not 0 <= nextstate < len(self._arcs):
-            raise DataError(f"arc target {nextstate} does not exist")
-        if not 0 <= ilabel < self._num_isyms:
-            raise DataError(f"input label {ilabel} not in symbol table")
-        if not 0 <= olabel < self._num_osyms:
-            raise DataError(f"output label {olabel} not in symbol table")
-        self._by_kind = None
-        self._arcs[state].append(Arc(ilabel, olabel, float(weight), nextstate))
-
-    def set_start(self, state: int) -> None:
-        self.start = state
-
-    def set_final(self, state: int, weight: float = ONE) -> None:
-        self.finals[state] = float(weight)
-
-    # -- inspection --------------------------------------------------------
-
-    @property
-    def num_states(self) -> int:
-        return len(self._arcs)
+        self.num_states = n = int(num_states)
+        self.start = None if start is None else int(start)
+        self.finals = {int(q): float(finals[q]) for q in sorted(finals)}
+        src, ilabel, olabel, dst = (np.asarray(c, dtype=np.int64)
+                                    for c in (src, ilabel, olabel, dst))
+        weight = np.asarray(weight, dtype=np.float64)
+        _check_ids("start state", [] if start is None else [self.start], n)
+        _check_ids("final state", list(self.finals), n)
+        _check_ids("arc source", src, n)
+        _check_ids("arc target", dst, n)
+        _check_ids("input label", ilabel, len(isyms))
+        _check_ids("output label", olabel, len(osyms))
+        if np.any(src[1:] < src[:-1]):
+            order = np.argsort(src, kind="stable")
+            src, ilabel, olabel, weight, dst = (
+                c[order] for c in (src, ilabel, olabel, weight, dst))
+        self.src, self.ilabel, self.olabel = src, ilabel, olabel
+        self.weight, self.dst = weight, dst
+        self.indptr = np.searchsorted(src, np.arange(n + 1))
 
     @property
     def num_arcs(self) -> int:
-        return sum(len(a) for a in self._arcs)
-
-    def arcs(self, state: int) -> Sequence[Arc]:
-        return self._arcs[state]
+        return len(self.src)
 
     def states(self) -> range:
-        return range(len(self._arcs))
-
-    def arcs_by_kind(self) -> tuple[list[tuple[Arc, ...]], ...]:
-        """Three per-state arc lists, built on the first call and kept until
-        the machine changes: the arcs that consume input, those of them that
-        consume the blank (input label ``BLANK``), and the epsilon-input
-        arcs.  Each keeps graph order and holds the machine's own ``Arc``
-        tuples; a state's arcs of one kind are a tuple, as tuples take less
-        memory than lists and all empty ones are one object."""
-        if self._by_kind is None:
-            labelled = [tuple(a for a in arcs if a.ilabel != EPS)
-                        for arcs in self._arcs]
-            blanks = [tuple(a for a in arcs if a.ilabel == BLANK)
-                      for arcs in labelled]
-            eps = [tuple(a for a in arcs if a.ilabel == EPS)
-                   for arcs in self._arcs]
-            self._by_kind = (labelled, blanks, eps)
-        return self._by_kind
+        return range(self.num_states)
 
     def final_weight(self, state: int) -> float:
         return self.finals.get(state, ZERO)
 
+    @cached_property
+    def _arc_view(self) -> list[tuple[Arc, ...]]:
+        # the arcs into a state share one int for it, so the decoder's dict
+        # lookups by state compare by identity
+        state_ids = list(self.states())
+        arcs = list(map(Arc, self.ilabel.tolist(), self.olabel.tolist(),
+                        self.weight.tolist(),
+                        map(state_ids.__getitem__, self.dst.tolist())))
+        bounds = self.indptr.tolist()
+        return [tuple(arcs[i:j]) for i, j in zip(bounds, bounds[1:])]
+
+    def arcs(self, state: int) -> Sequence[Arc]:
+        return self._arc_view[state]
+
+    @cached_property
+    def _by_kind(self) -> tuple[list[tuple[Arc, ...]], ...]:
+        labelled = [tuple(a for a in arcs if a.ilabel != EPS)
+                    for arcs in self._arc_view]
+        blanks = [tuple(a for a in arcs if a.ilabel == BLANK)
+                  for arcs in labelled]
+        eps = [tuple(a for a in arcs if a.ilabel == EPS)
+               for arcs in self._arc_view]
+        return labelled, blanks, eps
+
+    def arcs_by_kind(self) -> tuple[list[tuple[Arc, ...]], ...]:
+        """Three per-state arc lists: the arcs that consume input, those of
+        them that consume the blank (input label ``BLANK``), and the
+        epsilon-input arcs.  Each keeps graph order and holds the ``Arc``
+        tuples of ``arcs(q)``, not copies; a state's arcs of one kind are a
+        tuple, as tuples take less memory than lists and all empty ones are
+        one object."""
+        return self._by_kind
+
     def __eq__(self, other):
         return (isinstance(other, Wfst)
                 and self.semiring == other.semiring
+                and self.num_states == other.num_states
                 and self.start == other.start
                 and self.finals == other.finals
-                and self._arcs == other._arcs
+                and all(np.array_equal(getattr(self, c), getattr(other, c))
+                        for c in ("src", "ilabel", "olabel", "weight", "dst"))
                 and self.isyms == other.isyms
                 and self.osyms == other.osyms)
 
     def __getstate__(self):
-        return {**self.__dict__, "_by_kind": None}
+        # the views are rebuilt on first use, so a pickle carries arrays only
+        return {k: v for k, v in self.__dict__.items()
+                if k not in ("_arc_view", "_by_kind")}
 
     def __repr__(self):
         return (f"Wfst({self.semiring}, states={self.num_states}, "
@@ -154,24 +172,16 @@ def build_ctc_topology(alphabet: Alphabet, semiring: str = LOG) -> Wfst:
     entirely by whatever the topology is composed with.
     """
     n = len(alphabet)
-    fst = Wfst(semiring, alphabet.pi_symbol_table(), alphabet.label_symbol_table())
-    for _ in range(n + 1):
-        fst.add_state()
-    fst.set_start(0)
-    for s in range(n + 1):
-        fst.set_final(s, ONE)
-
-    fst.add_arc(0, BLANK, EPS, ONE, 0)
+    # label i occupies state i; fst ilabel i+1, olabel i
+    rows = [(0, BLANK, EPS, ONE, 0)]
+    rows += [(0, i + 1, i, ONE, i) for i in range(1, n + 1)]
     for i in range(1, n + 1):
-        # label i occupies state i; fst ilabel i+1, olabel i
-        fst.add_arc(0, i + 1, i, ONE, i)
-    for i in range(1, n + 1):
-        fst.add_arc(i, i + 1, EPS, ONE, i)
-        fst.add_arc(i, BLANK, EPS, ONE, 0)
-        for j in range(1, n + 1):
-            if j != i:
-                fst.add_arc(i, j + 1, j, ONE, j)
-    return fst
+        rows.append((i, i + 1, EPS, ONE, i))
+        rows.append((i, BLANK, EPS, ONE, 0))
+        rows += [(i, j + 1, j, ONE, j) for j in range(1, n + 1) if j != i]
+    return Wfst(semiring, alphabet.pi_symbol_table(),
+                alphabet.label_symbol_table(), n + 1, 0,
+                dict.fromkeys(range(n + 1), ONE), *zip(*rows))
 
 
 # ---------------------------------------------------------------------------
@@ -206,32 +216,21 @@ def trim(a: Wfst) -> Wfst:
     State numbering of the surviving states is preserved in order, so
     trimming an already-trim machine returns an identical machine.
     """
-    out = Wfst(a.semiring, a.isyms, a.osyms)
+    empty = Wfst(a.semiring, a.isyms, a.osyms, 0, None, {})
     if a.start is None:
-        return out
+        return empty
     n = a.num_states
-    src = np.repeat(np.arange(n), [len(arcs) for arcs in a._arcs])
-    dst = np.array([arc.nextstate for arcs in a._arcs for arc in arcs],
-                   dtype=np.int64)
-    live = (reachable([a.start], src, dst, n)
-            & reachable(list(a.finals), dst, src, n))
+    live = (reachable([a.start], a.src, a.dst, n)
+            & reachable(list(a.finals), a.dst, a.src, n))
     if not live[a.start]:
-        return out
-
-    keep = np.flatnonzero(live).tolist()
-    renumber = (np.cumsum(live) - 1).tolist()
-    live = live.tolist()
-    for _ in keep:
-        out.add_state()
-    out.set_start(renumber[a.start])
-    for old in keep:
-        for arc in a.arcs(old):
-            if live[arc.nextstate]:
-                out.add_arc(renumber[old], arc.ilabel, arc.olabel, arc.weight,
-                            renumber[arc.nextstate])
-        if old in a.finals:
-            out.set_final(renumber[old], a.finals[old])
-    return out
+        return empty
+    keep = live[a.src] & live[a.dst]
+    renumber = np.cumsum(live) - 1
+    return Wfst(a.semiring, a.isyms, a.osyms, renumber[-1] + 1,
+                renumber[a.start],
+                {renumber[q]: w for q, w in a.finals.items() if live[q]},
+                renumber[a.src[keep]], a.ilabel[keep], a.olabel[keep],
+                a.weight[keep], renumber[a.dst[keep]])
 
 
 # ---------------------------------------------------------------------------
@@ -257,31 +256,25 @@ def compose(a: Wfst, b: Wfst) -> Wfst:
     if a.osyms != b.isyms:
         raise DataError("symbol table mismatch between left output and right input")
 
-    out = Wfst(a.semiring, a.isyms, b.osyms)
     if a.start is None or b.start is None:
-        return out
+        return Wfst(a.semiring, a.isyms, b.osyms, 0, None, {})
 
-    b_by_ilabel: dict[int, dict[int, list[Arc]]] = {}
+    b_by_ilabel: list[dict[int, list[Arc]]] = [{} for _ in b.states()]
+    for qb in b.states():
+        for arc in b.arcs(qb):
+            b_by_ilabel[qb].setdefault(arc.ilabel, []).append(arc)
 
-    def b_arcs_for(qb: int) -> dict[int, list[Arc]]:
-        idx = b_by_ilabel.get(qb)
-        if idx is None:
-            idx = {}
-            for arc in b.arcs(qb):
-                idx.setdefault(arc.ilabel, []).append(arc)
-            b_by_ilabel[qb] = idx
-        return idx
-
+    # states are expanded in the order they are numbered: rows come sorted
     start_key = (a.start, b.start, _F_NEUTRAL)
-    state_ids = {start_key: out.add_state()}
-    out.set_start(0)
+    state_ids = {start_key: 0}
     queue = deque([start_key])
+    rows = []
+    finals = {}
 
     def state_for(key):
         sid = state_ids.get(key)
         if sid is None:
-            sid = out.add_state()
-            state_ids[key] = sid
+            sid = state_ids[key] = len(state_ids)
             queue.append(key)
         return sid
 
@@ -289,33 +282,34 @@ def compose(a: Wfst, b: Wfst) -> Wfst:
         key = queue.popleft()
         qa, qb, f = key
         src = state_ids[key]
-        b_idx = b_arcs_for(qb)
+        b_idx = b_by_ilabel[qb]
         b_eps = b_idx.get(EPS, ())
 
         for arc_a in a.arcs(qa):
             if arc_a.olabel != EPS:
                 for arc_b in b_idx.get(arc_a.olabel, ()):
                     dst = state_for((arc_a.nextstate, arc_b.nextstate, _F_NEUTRAL))
-                    out.add_arc(src, arc_a.ilabel, arc_b.olabel,
-                                arc_a.weight + arc_b.weight, dst)
+                    rows.append((src, arc_a.ilabel, arc_b.olabel,
+                                 arc_a.weight + arc_b.weight, dst))
             else:
                 if f != _F_RIGHT:
                     dst = state_for((arc_a.nextstate, qb, _F_LEFT))
-                    out.add_arc(src, arc_a.ilabel, EPS, arc_a.weight, dst)
+                    rows.append((src, arc_a.ilabel, EPS, arc_a.weight, dst))
                 if f == _F_NEUTRAL:
                     for arc_b in b_eps:
                         dst = state_for((arc_a.nextstate, arc_b.nextstate, _F_NEUTRAL))
-                        out.add_arc(src, arc_a.ilabel, arc_b.olabel,
-                                    arc_a.weight + arc_b.weight, dst)
+                        rows.append((src, arc_a.ilabel, arc_b.olabel,
+                                     arc_a.weight + arc_b.weight, dst))
         if f != _F_LEFT:
             for arc_b in b_eps:
                 dst = state_for((qa, arc_b.nextstate, _F_RIGHT))
-                out.add_arc(src, EPS, arc_b.olabel, arc_b.weight, dst)
+                rows.append((src, EPS, arc_b.olabel, arc_b.weight, dst))
 
         if qa in a.finals and qb in b.finals:
-            out.set_final(src, a.finals[qa] + b.finals[qb])
+            finals[src] = a.finals[qa] + b.finals[qb]
 
-    return trim(out)
+    return trim(Wfst(a.semiring, a.isyms, b.osyms, len(state_ids), 0, finals,
+                     *zip(*rows)))
 
 
 # ---------------------------------------------------------------------------
@@ -344,10 +338,7 @@ def build_lexicon_fst(alphabet: Alphabet, lexicon: dict[str, list[list[str]]],
     """Closure of per-word label chains: first label emits the word, the rest
     emit epsilon.  Words are required to have at least one pronunciation."""
     label_syms = alphabet.label_symbol_table()
-    fst = Wfst(semiring, label_syms, word_syms)
-    root = fst.add_state()
-    fst.set_start(root)
-    fst.set_final(root, ONE)
+    root, num_states, rows = 0, 1, []
     for word_id in range(1, len(word_syms)):
         word = word_syms.name(word_id)
         prons = lexicon.get(word)
@@ -359,11 +350,13 @@ def build_lexicon_fst(alphabet: Alphabet, lexicon: dict[str, list[list[str]]],
             cur = root
             for i, label in enumerate(pron):
                 lab_id = label_syms.find(label)
-                last = i == len(pron) - 1
-                dst = root if last else fst.add_state()
-                fst.add_arc(cur, lab_id, word_id if i == 0 else EPS, ONE, dst)
+                dst = root
+                if i < len(pron) - 1:
+                    dst, num_states = num_states, num_states + 1
+                rows.append((cur, lab_id, word_id if i == 0 else EPS, ONE, dst))
                 cur = dst
-    return fst
+    return Wfst(semiring, label_syms, word_syms, num_states, root, {root: ONE},
+                *zip(*rows))
 
 
 def build_decoding_graph(alphabet: Alphabet, word_lm,
@@ -396,27 +389,28 @@ def build_decoding_graph(alphabet: Alphabet, word_lm,
 def write_fst_text(fst: Wfst, path) -> None:
     """One arc per line ``src dst ilabel olabel weight`` (tab separated),
     final states as ``state weight``; state 0 is the start state."""
-    order = list(fst.states())
-    if fst.start is not None and fst.start != 0:
-        order[0], order[fst.start] = order[fst.start], order[0]
-    remap = {old: new for new, old in enumerate(order)}
+    # the start state and state 0 swap numbers; each state's arcs keep order
+    perm = np.arange(fst.num_states)
+    if fst.start is not None:
+        perm[[0, fst.start]] = perm[[fst.start, 0]]
+    src = perm[fst.src]
+    order = np.argsort(src, kind="stable")
+    columns = (src[order], perm[fst.dst][order], fst.ilabel[order],
+               fst.olabel[order], fst.weight[order])
     with open(path, "w", encoding="utf-8") as f:
-        for old in order:
-            src = remap[old]
-            for arc in fst.arcs(old):
-                f.write(f"{src}\t{remap[arc.nextstate]}\t{arc.ilabel}\t"
-                        f"{arc.olabel}\t{arc.weight:.9g}\n")
-        for old in order:
-            if old in fst.finals:
-                f.write(f"{remap[old]}\t{fst.finals[old]:.9g}\n")
+        f.writelines(f"{q}\t{r}\t{il}\t{ol}\t{w:.9g}\n"
+                     for q, r, il, ol, w in zip(*(c.tolist() for c in columns)))
+        f.writelines(f"{q}\t{w:.9g}\n" for q, w in
+                     sorted((int(perm[q]), w) for q, w in fst.finals.items()))
 
 
 def read_fst_text(path, semiring: str, isyms: SymbolTable,
                   osyms: SymbolTable) -> Wfst:
     """Read the format ``write_fst_text`` writes.  Every state id from 0 to
     the largest must appear on some line, as it does for any trimmed
-    machine, so a file cannot size the machine by an id alone.  A weight
-    may be -inf, the semiring zero, but not NaN or +inf."""
+    machine, so a file cannot size the machine by an id alone.  Each state
+    keeps its arcs in file order.  A weight may be -inf, the semiring zero,
+    but not NaN nor above ``MAX_WEIGHT``."""
     def entry(line):
         *ids, weight = line.split("\t")
         if len(ids) not in (1, 4):
@@ -429,24 +423,21 @@ def read_fst_text(path, semiring: str, isyms: SymbolTable,
             if not 0 <= label < len(syms):
                 raise ValueError(f"{side} label {label} not in symbol table")
         weight = float(weight)
-        if nonfinite(weight, allow_neg_inf=True):
-            raise ValueError(f"weight {weight} is neither finite nor -inf")
-        return ids, weight
+        if not weight <= MAX_WEIGHT:
+            raise ValueError(f"weight {weight} is not in [-inf, "
+                             f"{MAX_WEIGHT:.2f}]: its probability is not a "
+                             f"float")
+        if len(ids) == 1:
+            return ids[0], weight
+        src, dst, il, ol = ids
+        return src, il, ol, weight, dst
 
     entries = read_lines(path, entry)
-    named = {s for ids, _ in entries for s in ids[:2]}
+    rows = [e for e in entries if len(e) == 5]
+    finals = dict(e for e in entries if len(e) == 2)
+    named = {q for row in rows for q in (row[0], row[4])} | finals.keys()
     if named and len(named) != max(named) + 1:
         raise DataError(f"{path}: names state {max(named)} but only "
                         f"{len(named)} distinct states")
-    fst = Wfst(semiring, isyms, osyms)
-    for _ in range(len(named)):
-        fst.add_state()
-    if fst.num_states:
-        fst.set_start(0)
-    for ids, weight in entries:
-        if len(ids) == 4:
-            src, dst, il, ol = ids
-            fst.add_arc(src, il, ol, weight, dst)
-        else:
-            fst.set_final(ids[0], weight)
-    return fst
+    return Wfst(semiring, isyms, osyms, len(named), 0 if named else None,
+                finals, *zip(*rows))

@@ -45,16 +45,17 @@ def transducer_outputs(fst, input_ids, eps_budget=None):
     return results
 
 
+def machine(semiring, isyms, osyms, num_states, start, finals, rows):
+    """The ``Wfst`` whose arcs are the rows ``(source, ilabel, olabel,
+    weight, target)``."""
+    return Wfst(semiring, isyms, osyms, num_states, start, finals, *zip(*rows))
+
+
 def identity_acceptor(syms):
     """Single-state acceptor looping over every non-epsilon symbol with
     weight one; the identity element of composition."""
-    fst = Wfst(LOG, syms, syms)
-    s = fst.add_state()
-    fst.set_start(s)
-    fst.set_final(s, ONE)
-    for sym_id in range(1, len(syms)):
-        fst.add_arc(s, sym_id, sym_id, ONE, s)
-    return fst
+    return machine(LOG, syms, syms, 1, 0, {0: ONE},
+                   [(0, sym_id, sym_id, ONE, 0) for sym_id in range(1, len(syms))])
 
 
 def weighted_language(fst, max_arcs, plus):

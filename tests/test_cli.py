@@ -1,8 +1,11 @@
+import json
 import shutil
+import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ctc_crf import (LOG, AcousticModel, Alphabet, DataError, dataio,
                      flatten_denominator, read_fst_text)
@@ -334,6 +337,20 @@ def test_train_non_finite_logpl_is_data_error(pipeline, toy_dir, tmp_path,
     assert not (tmp_path / "model.ckpt").exists()
 
 
+def test_train_empty_manifest_is_data_error(pipeline, toy_dir, tmp_path,
+                                             capsys):
+    # the model's input size was read off the first utterance: an
+    # IndexError, not a data error
+    manifest = tmp_path / "manifest.tsv"
+    manifest.write_text("")
+    argv = _train_argv(pipeline, toy_dir, tmp_path,
+                       pipeline / "graphs" / "den.fst")
+    argv[argv.index("--manifest") + 1] = manifest
+    assert _run(*argv) == 2
+    assert f"{manifest}: empty training set" in capsys.readouterr().err
+    assert not (tmp_path / "model.ckpt").exists()
+
+
 def test_train_malformed_den_table_is_data_error(pipeline, toy_dir, tmp_path):
     table = tmp_path / "den.fst"
     table.write_text("0\tx\t1\t1\t0.5\n0\t0\n")
@@ -479,6 +496,91 @@ def test_decode_corrupt_checkpoint_is_data_error(pipeline, toy_dir, tmp_path):
                 "--checkpoint", ckpt,
                 "--graph", pipeline / "graphs" / "TLG.fst",
                 "--hyp", tmp_path / "hyp.tsv") == 2
+    assert not (tmp_path / "hyp.tsv").exists()
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(pipeline, tmp_path_factory):
+    out = tmp_path_factory.mktemp("fuzz")
+    for syms in ("TLG.isyms", "TLG.osyms"):
+        shutil.copy(pipeline / "graphs" / syms, out / syms)
+    return out
+
+
+# a weight that is not a number, infinite, or finite but absurd
+_ABSURD_WEIGHTS = ["nan", "inf", "-inf", "1e308", "-1e308"]
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(data=st.data())
+def test_graph_file_with_one_value_changed_exits_0_or_2(pipeline, toy_dir,
+                                                        fuzz_dir, data):
+    # one line of den.fst (read by train) or TLG.fst (read by decode) gets
+    # one absurd weight, or another in-range label or state id.  The run
+    # either copes or names the fault: never exit 3, never a traceback.
+    # A 1e308 weight on a den.fst arc once made train exit 3.
+    name = data.draw(st.sampled_from(["den.fst", "TLG.fst"]))
+    lines = (pipeline / "graphs" / name).read_text().splitlines(True)
+    i = data.draw(st.integers(0, len(lines) - 1))
+    fields = lines[i].rstrip("\n").split("\t")
+    alphabet = Alphabet.read(toy_dir / "alphabet.txt")
+    # every line starts with a state id, and an arc line's second field is
+    # its target
+    num_states = len({int(f) for line in lines
+                      for f in line.split("\t")[:-1][:2]})
+    limits = {0: num_states, 1: num_states,
+              2: len(alphabet.pi_symbol_table()),
+              3: len(alphabet.label_symbol_table())}
+    kind = data.draw(st.sampled_from(["weight", "label", "state"]
+                                     if len(fields) == 5 else
+                                     ["weight", "state"]))
+    if kind == "weight":
+        j, value = -1, data.draw(st.sampled_from(_ABSURD_WEIGHTS))
+    else:
+        j = data.draw(st.sampled_from(
+            [2, 3] if kind == "label" else [0, 1] if len(fields) == 5 else [0]))
+        value = str(data.draw(st.integers(0, limits[j] - 1).filter(
+            lambda v: v != int(fields[j]))))
+    fields[j] = value
+    path = fuzz_dir / name
+    path.write_text("".join(lines[:i] + ["\t".join(fields) + "\n"]
+                            + lines[i + 1:]))
+    if name == "den.fst":
+        rc = _run(*_train_argv(pipeline, toy_dir, fuzz_dir, path))
+    else:
+        rc = _run("decode",
+                  "--manifest", pipeline / "dev" / "manifest.tsv",
+                  "--alphabet", toy_dir / "alphabet.txt",
+                  "--checkpoint", pipeline / "model.ckpt",
+                  "--graph", path,
+                  "--hyp", fuzz_dir / "hyp.tsv")
+    assert rc in (0, 2), (name, i + 1, kind, value)
+
+
+@pytest.mark.parametrize("count", [0, 2])
+def test_decode_checkpoint_header_naming_a_tensor_not_once_is_data_error(
+        pipeline, toy_dir, tmp_path, capsys, count):
+    # a header that left out.b out loaded it as its initial zeros, and one
+    # that named it twice read it twice; both decoded with exit 0
+    data = (pipeline / "model.ckpt").read_bytes()
+    blob_len, = struct.unpack("<I", data[8:12])
+    header = json.loads(data[12:12 + blob_len])
+    tensors = data[12 + blob_len:]
+    name, shape = header["tensors"].pop()
+    assert name == "out.b"
+    header["tensors"] += [[name, shape]] * count
+    tensors += tensors[-4 * int(np.prod(shape)):] * (count - 1)
+    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    ckpt = tmp_path / "model.ckpt"
+    ckpt.write_bytes(data[:8] + struct.pack("<I", len(blob)) + blob + tensors)
+    assert _run("decode",
+                "--manifest", pipeline / "dev" / "manifest.tsv",
+                "--alphabet", toy_dir / "alphabet.txt",
+                "--checkpoint", ckpt,
+                "--graph", pipeline / "graphs" / "TLG.fst",
+                "--hyp", tmp_path / "hyp.tsv") == 2
+    assert (f"{ckpt}: the header names tensor out.b {count} times, not once"
+            in capsys.readouterr().err)
     assert not (tmp_path / "hyp.tsv").exists()
 
 

@@ -4,7 +4,7 @@ import time
 import numpy as np
 import pytest
 
-from ctc_crf import (Alphabet, BeamConfig, DataError, TROPICAL, Wfst,
+from ctc_crf import (Alphabet, BeamConfig, DataError, TROPICAL,
                      beam_decode, build_decoding_graph, estimate,
                      evaluate_error_rate, greedy_decode)
 from ctc_crf.semiring import ZERO
@@ -12,7 +12,7 @@ from ctc_crf.toydata import generate_utterance
 from ctc_crf.verify import random_log_softmax
 from ctc_crf.wfst import BLANK, EPS
 
-from oracles import exhaustive_best_path, frozen_beam_decode
+from oracles import exhaustive_best_path, frozen_beam_decode, machine
 
 
 def spiky_posterior(symbols, width, peak=0.95):
@@ -117,21 +117,16 @@ def test_exact_ties_decode_as_frozen_search(ab2):
     #  - both blank arcs into state 4 tie; state 1, expanded first, keeps it
     #  - state 5 sits exactly one below the best, on a slack of one
     a, b = 2, 3
-    g = Wfst(TROPICAL, ab2.pi_symbol_table(), ab2.label_symbol_table())
-    for _ in range(6):
-        g.add_state()
-    g.set_start(0)
-    g.add_arc(0, b, 2, 0.0, 1)
-    g.add_arc(0, a, 1, 0.0, 1)
-    g.add_arc(0, a, 1, 0.0, 2)
-    g.add_arc(0, b, EPS, 0.0, 3)
-    g.add_arc(3, EPS, 2, 0.0, 2)
-    g.add_arc(1, BLANK, EPS, 0.0, 4)
-    g.add_arc(2, BLANK, EPS, 0.0, 4)
-    g.add_arc(0, a, 2, -1.0, 5)
-    g.set_final(2, 0.0)
-    g.set_final(4, 0.0)
-    g.set_final(5, 2.0)
+    g = machine(TROPICAL, ab2.pi_symbol_table(), ab2.label_symbol_table(), 6,
+                0, {2: 0.0, 4: 0.0, 5: 2.0},
+                [(0, b, 2, 0.0, 1),
+                 (0, a, 1, 0.0, 1),
+                 (0, a, 1, 0.0, 2),
+                 (0, b, EPS, 0.0, 3),
+                 (3, EPS, 2, 0.0, 2),
+                 (1, BLANK, EPS, 0.0, 4),
+                 (2, BLANK, EPS, 0.0, 4),
+                 (0, a, 2, -1.0, 5)])
     rows = np.log([[0.5, 0.25, 0.25], [0.6, 0.2, 0.2], [0.8, 0.1, 0.1]])
     configs = [BeamConfig(width=width, slack=slack, blank_threshold=threshold)
                for width in (1, 2, 3, 100) for slack in (float("inf"), 1.0)

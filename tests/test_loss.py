@@ -18,11 +18,12 @@ from ctc_crf.loss import _forward_backward_log, _reference_chain
 from ctc_crf.semiring import ZERO
 from ctc_crf.toydata import generate_dataset, generate_utterance
 from ctc_crf.verify import random_log_softmax
-from ctc_crf.wfst import EPS, Wfst
+from ctc_crf.wfst import EPS
 
 from oracles import (assert_log_softmax, brute_acceptor, brute_denominator,
                      brute_numerator, finite_difference, flattened_matrix,
-                     flattened_transitions, frozen_products, graph_forward)
+                     flattened_transitions, frozen_products, graph_forward,
+                     machine)
 
 
 def uniform_post(frames, width):
@@ -487,13 +488,8 @@ def test_trigram_pass_keeps_one_frames_by_states_array(trigram_table):
 def _chain_acceptor(ab1):
     """blank, a, blank: a strict 3-arc chain."""
     isyms = ab1.pi_symbol_table()
-    fst = Wfst(LOG, isyms, isyms)
-    states = [fst.add_state() for _ in range(4)]
-    fst.set_start(states[0])
-    for i in range(3):
-        fst.add_arc(states[i], 1 + (i % 2), 0, -0.1, states[i + 1])
-    fst.set_final(states[3], 0.0)
-    return fst
+    return machine(LOG, isyms, isyms, 4, 0, {3: 0.0},
+                   [(i, 1 + (i % 2), 0, -0.1, i + 1) for i in range(3)])
 
 
 def test_denominator_underflow_falls_back_to_log_domain(ab1, monkeypatch):
@@ -577,26 +573,19 @@ def test_denominator_matches_log_on_random_tables(rng, monkeypatch):
 def _mixed_label_acceptor(ab1):
     """One state looping on blank and on label a at different weights."""
     isyms = ab1.pi_symbol_table()
-    fst = Wfst(LOG, isyms, isyms)
-    s0 = fst.add_state()
-    fst.set_start(s0)
-    fst.add_arc(s0, 1, 1, -0.4, s0)   # blank
-    fst.add_arc(s0, 2, 2, -1.3, s0)   # label a
-    fst.set_final(s0, -0.2)
-    return fst
+    return machine(LOG, isyms, isyms, 1, 0, {0: -0.2},
+                   [(0, 1, 1, -0.4, 0),    # blank
+                    (0, 2, 2, -1.3, 0)])   # label a
 
 
 def _one_label_acceptor(ab1):
     """The same weighted language with one state per last-emitted label."""
     isyms = ab1.pi_symbol_table()
-    fst = Wfst(LOG, isyms, isyms)
-    start, blank, a = fst.add_state(), fst.add_state(), fst.add_state()
-    fst.set_start(start)
-    for q in (start, blank, a):
-        fst.add_arc(q, 1, 1, -0.4, blank)
-        fst.add_arc(q, 2, 2, -1.3, a)
-        fst.set_final(q, -0.2)
-    return fst
+    start, blank, a = 0, 1, 2
+    return machine(LOG, isyms, isyms, 3, start,
+                   dict.fromkeys((start, blank, a), -0.2),
+                   [row for q in (start, blank, a)
+                    for row in ((q, 1, 1, -0.4, blank), (q, 2, 2, -1.3, a))])
 
 
 def test_mixed_label_table_matches_enumeration(ab1, rng, monkeypatch):
@@ -648,12 +637,9 @@ def test_import_does_not_load_scipy():
 def test_flatten_no_epsilons_is_transcription(ab1):
     # hand-build an epsilon-free log acceptor over state symbols
     isyms = ab1.pi_symbol_table()
-    fst = Wfst(LOG, isyms, isyms)
-    s0, s1 = fst.add_state(), fst.add_state()
-    fst.set_start(s0)
-    fst.add_arc(s0, 1, 1, -0.5, s1)   # blank
-    fst.add_arc(s1, 2, 2, -1.0, s0)   # label a
-    fst.set_final(s0, -0.1)
+    fst = machine(LOG, isyms, isyms, 2, 0, {0: -0.1},
+                  [(0, 1, 1, -0.5, 1),    # blank
+                   (1, 2, 2, -1.0, 0)])   # label a
     table = flatten_denominator(fst)
     assert table.num_transitions == 2
     assert table.num_states == 2
@@ -667,14 +653,10 @@ def test_flatten_no_epsilons_is_transcription(ab1):
 def test_flatten_trims_states_off_every_complete_path(ab1):
     # state 1 reaches no final weight and nothing reaches state 2
     isyms = ab1.pi_symbol_table()
-    fst = Wfst(LOG, isyms, isyms)
-    s0, s1, s2 = (fst.add_state() for _ in range(3))
-    fst.set_start(s0)
-    fst.add_arc(s0, 1, 1, -0.5, s0)
-    fst.add_arc(s0, 2, 2, -1.0, s1)
-    fst.add_arc(s2, 1, 1, -0.5, s0)
-    fst.set_final(s0, 0.0)
-    fst.set_final(s2, 0.0)
+    fst = machine(LOG, isyms, isyms, 3, 0, {0: 0.0, 2: 0.0},
+                  [(0, 1, 1, -0.5, 0),
+                   (0, 2, 2, -1.0, 1),
+                   (2, 1, 1, -0.5, 0)])
     table = flatten_denominator(fst)
     assert (table.num_states, table.num_transitions) == (1, 1)
 
@@ -692,12 +674,9 @@ def test_flatten_folds_backoff_mass(ab2, bigram_ab):
 
 def test_flatten_zero_weight_epsilon_loop_diverges(ab1):
     isyms = ab1.pi_symbol_table()
-    fst = Wfst(LOG, isyms, isyms)
-    s0 = fst.add_state()
-    fst.set_start(s0)
-    fst.add_arc(s0, 0, 0, 0.0, s0)  # epsilon self-loop, mass one
-    fst.add_arc(s0, 1, 0, 0.0, s0)
-    fst.set_final(s0, 0.0)
+    fst = machine(LOG, isyms, isyms, 1, 0, {0: 0.0},
+                  [(0, 0, 0, 0.0, 0),  # epsilon self-loop, mass one
+                   (0, 1, 0, 0.0, 0)])
     with pytest.raises(DataError, match="epsilon cycle"):
         flatten_denominator(fst)
 
@@ -705,15 +684,9 @@ def test_flatten_zero_weight_epsilon_loop_diverges(ab1):
 def _epsilon_cycle_acceptor(ab1, cycle):
     """Two states looping on blank, with epsilon arcs (src, dst, weight)."""
     isyms = ab1.pi_symbol_table()
-    fst = Wfst(LOG, isyms, isyms)
-    s0, s1 = fst.add_state(), fst.add_state()
-    fst.set_start(s0)
-    fst.add_arc(s0, 1, 0, math.log(0.25), s0)
-    fst.add_arc(s1, 1, 0, math.log(0.25), s1)
-    for src, dst, weight in cycle:
-        fst.add_arc(src, EPS, 0, weight, dst)
-    fst.set_final(s0, 0.0)
-    return fst
+    rows = [(0, 1, 0, math.log(0.25), 0), (1, 1, 0, math.log(0.25), 1)]
+    rows += [(src, EPS, 0, weight, dst) for src, dst, weight in cycle]
+    return machine(LOG, isyms, isyms, 2, 0, {0: 0.0}, rows)
 
 
 def test_flatten_light_epsilon_cycle_is_data_error(ab1):
@@ -734,28 +707,21 @@ def _random_epsilon_dag(rng, alphabet):
     weight -inf, states p1 and p2 entered by epsilon arcs only, and one
     label per state entered by labeled arcs."""
     isyms = alphabet.pi_symbol_table()
-    fst = Wfst(LOG, isyms, isyms)
     n = int(rng.integers(4, 7))
-    for _ in range(n):
-        fst.add_state()
     p = [int(q) for q in rng.permutation(n)]
-    fst.set_start(p[0])
     eps = [(0, 1), (1, 2), (0, 2)]
     eps += [tuple(sorted(rng.choice(n, 2, replace=False)))
             for _ in range(int(rng.integers(1, 4)))]
     dead = int(rng.integers(len(eps)))
-    for k, (q, r) in enumerate(eps):
-        fst.add_arc(p[q], EPS, EPS,
-                    ZERO if k == dead else rng.normal(-0.5, 0.5), p[r])
+    rows = [(p[q], EPS, EPS, ZERO if k == dead else rng.normal(-0.5, 0.5), p[r])
+            for k, (q, r) in enumerate(eps)]
     state_label = [int(lab) for lab in rng.integers(1, len(isyms), n)]
     for _ in range(int(rng.integers(3, 10))):
         dst = p[int(rng.integers(3, n))]
-        fst.add_arc(int(rng.integers(n)), state_label[dst], state_label[dst],
-                    rng.normal(0.0, 0.5), dst)
-    for q in range(n):
-        if rng.random() < 0.5:
-            fst.set_final(q, rng.normal(0.0, 0.5))
-    return fst
+        rows.append((int(rng.integers(n)), state_label[dst], state_label[dst],
+                     rng.normal(0.0, 0.5), dst))
+    finals = {q: rng.normal(0.0, 0.5) for q in range(n) if rng.random() < 0.5}
+    return machine(LOG, isyms, isyms, n, p[0], finals, rows)
 
 
 def test_flatten_random_epsilon_dags_match_enumeration(rng, monkeypatch):
@@ -790,14 +756,8 @@ def test_flatten_deep_chain(ab1):
     # n - 1: the trim walks the whole depth both ways, one step per edge
     n = 100_000
     isyms = ab1.pi_symbol_table()
-    fst = Wfst(LOG, isyms, isyms)
-    for _ in range(n):
-        fst.add_state()
-    fst.set_start(0)
-    for q in range(n - 1):
-        fst.add_arc(q, 1 + q % 2, 0, -0.1, q + 1)
-    fst.set_final(3, -0.2)
-    fst.set_final(n - 1, 0.0)
+    fst = machine(LOG, isyms, isyms, n, 0, {3: -0.2, n - 1: 0.0},
+                  [(q, 1 + q % 2, 0, -0.1, q + 1) for q in range(n - 1)])
     table = flatten_denominator(fst)
     assert (table.num_states, table.num_transitions) == (n, n - 1)
     got = denominator_forward(uniform_post(3, 2), table)
@@ -843,12 +803,9 @@ def test_table_round_trip_through_graph_file(tmp_path, ab2, bigram_ab, rng):
 def test_table_round_trip_with_nonzero_start_state(tmp_path, ab1):
     # write_fst_text renumbers so the start lands at state 0 on disk
     isyms = ab1.pi_symbol_table()
-    fst = Wfst(LOG, isyms, isyms)
-    s0, s1 = fst.add_state(), fst.add_state()
-    fst.set_start(s1)
-    fst.add_arc(s1, 1, 0, -0.3, s0)
-    fst.add_arc(s0, 2, 0, -0.7, s1)
-    fst.set_final(s1, -0.1)
+    fst = machine(LOG, isyms, isyms, 2, 1, {1: -0.1},
+                  [(1, 1, 0, -0.3, 0),
+                   (0, 2, 0, -0.7, 1)])
     table = flatten_denominator(fst)
     assert table.start == 1
     path = tmp_path / "t.fst"

@@ -16,7 +16,7 @@ from ctc_crf.symbols import SymbolTable
 from ctc_crf.wfst import BLANK, EPS, reachable
 
 from oracles import (acceptor_mass, collapse_reference, identity_acceptor,
-                     transducer_outputs, weighted_language)
+                     machine, transducer_outputs, weighted_language)
 
 
 def pi_to_fst_ids(pi):
@@ -112,21 +112,18 @@ def test_topology_exhaustive_matches_map_b(n_labels):
 # trim
 # ---------------------------------------------------------------------------
 
-def _chain(weights, semiring=LOG):
+def _chain(weights, semiring=LOG, extra_states=0, extra_rows=()):
+    """A chain of ``x`` arcs, plus states and arc rows added after it."""
     syms = SymbolTable(["<eps>", "x"])
-    fst = Wfst(semiring, syms, syms)
-    states = [fst.add_state() for _ in range(len(weights) + 1)]
-    fst.set_start(states[0])
-    for i, w in enumerate(weights):
-        fst.add_arc(states[i], 1, 1, w, states[i + 1])
-    fst.set_final(states[-1], ONE)
-    return fst
+    n = len(weights) + 1
+    rows = [(i, 1, 1, w, i + 1) for i, w in enumerate(weights)]
+    return machine(semiring, syms, syms, n + extra_states, 0, {n - 1: ONE},
+                   rows + list(extra_rows))
 
 
 def test_trim_removes_unreachable():
-    fst = _chain([-1.0, -2.0])
-    dead = fst.add_state()
-    fst.add_arc(dead, 1, 1, ONE, 0)
+    dead = 3
+    fst = _chain([-1.0, -2.0], extra_states=1, extra_rows=[(dead, 1, 1, ONE, 0)])
     trimmed = trim(fst)
     assert trimmed.num_states == 3
     assert trimmed == _chain([-1.0, -2.0])
@@ -134,10 +131,8 @@ def test_trim_removes_unreachable():
 
 def test_trim_no_final_reachable_gives_empty():
     syms = SymbolTable(["<eps>", "x"])
-    fst = Wfst(LOG, syms, syms)
-    a, b = fst.add_state(), fst.add_state()
-    fst.set_start(a)
-    fst.add_arc(a, 1, 1, ONE, b)  # no finals anywhere
+    fst = machine(LOG, syms, syms, 2, 0, {},
+                  [(0, 1, 1, ONE, 1)])  # no finals anywhere
     trimmed = trim(fst)
     assert trimmed.start is None
     assert trimmed.num_states == 0
@@ -147,10 +142,10 @@ def test_trim_deep_chain():
     # 100,000 states in one labelled chain plus a dead branch off its
     # middle: the trim walks the whole depth both ways, one step per edge
     n = 100_000
-    fst = _chain([-0.1] * (n - 1))
-    branch = [fst.add_state() for _ in range(3)]
-    for p, q in zip([n // 2] + branch, branch):
-        fst.add_arc(p, 1, 1, -0.1, q)
+    branch = [n, n + 1, n + 2]
+    fst = _chain([-0.1] * (n - 1), extra_states=3,
+                 extra_rows=[(p, 1, 1, -0.1, q)
+                             for p, q in zip([n // 2] + branch, branch)])
     assert trim(fst) == _chain([-0.1] * (n - 1))
 
 
@@ -196,11 +191,6 @@ def test_arcs_by_kind_is_a_cache_outside_the_value(tmp_path, ab2,
     write_fst_text(fresh, tmp_path / "fresh.fst")
     assert (tmp_path / "cached.fst").read_bytes() == \
         (tmp_path / "fresh.fst").read_bytes()
-    # growing the machine drops the cache
-    q = g.add_state()
-    assert g.arcs_by_kind()[0][q] == ()
-    g.add_arc(q, BLANK, EPS, ONE, 0)
-    assert g.arcs_by_kind()[1][q] == (g.arcs(q)[0],)
 
 
 def test_trim_idempotent():
@@ -213,16 +203,13 @@ def test_trim_idempotent():
 def test_trim_preserves_weighted_language(rng):
     syms = SymbolTable(["<eps>", "x", "y"])
     for trial in range(20):
-        fst = Wfst(LOG, syms, syms)
         n = int(rng.integers(2, 8))
-        for _ in range(n):
-            fst.add_state()
-        fst.set_start(0)
-        for _ in range(int(rng.integers(1, 12))):
-            fst.add_arc(int(rng.integers(0, n)), int(rng.integers(0, 3)),
-                        int(rng.integers(0, 3)), float(-rng.random()),
-                        int(rng.integers(0, n)))
-        fst.set_final(int(rng.integers(0, n)), ONE)
+        rows = [(int(rng.integers(0, n)), int(rng.integers(0, 3)),
+                 int(rng.integers(0, 3)), float(-rng.random()),
+                 int(rng.integers(0, n)))
+                for _ in range(int(rng.integers(1, 12)))]
+        fst = machine(LOG, syms, syms, n, 0, {int(rng.integers(0, n)): ONE},
+                      rows)
         trimmed = trim(fst)
         before = weighted_language(fst, 6, np.logaddexp)
         after = weighted_language(trimmed, 6, np.logaddexp)
@@ -280,20 +267,17 @@ def test_compose_topology_with_unigram_matches_direct_scoring(ab2, unigram_ab):
 def _random_dag_machine(rng, isyms, osyms, max_states=5):
     """Acyclic machine with epsilons; its weighted language is finite, so
     bounded enumeration is exhaustive."""
-    fst = Wfst(LOG, isyms, osyms)
     n = int(rng.integers(2, max_states + 1))
-    for _ in range(n):
-        fst.add_state()
-    fst.set_start(0)
     n_i, n_o = len(isyms), len(osyms)
+    rows = []
     for _ in range(int(rng.integers(2, 9))):
         src = int(rng.integers(0, n - 1))
         dst = int(rng.integers(src + 1, n))
-        fst.add_arc(src, int(rng.integers(0, n_i)), int(rng.integers(0, n_o)),
-                    float(-rng.random()), dst)
-    for _ in range(int(rng.integers(1, 3))):
-        fst.set_final(int(rng.integers(0, n)), float(-rng.random()))
-    return fst
+        rows.append((src, int(rng.integers(0, n_i)), int(rng.integers(0, n_o)),
+                     float(-rng.random()), dst))
+    finals = {int(rng.integers(0, n)): float(-rng.random())
+              for _ in range(int(rng.integers(1, 3)))}
+    return machine(LOG, isyms, osyms, n, 0, finals, rows)
 
 
 def test_compose_associativity(rng):
@@ -320,18 +304,12 @@ def test_compose_no_epsilon_path_double_counting(rng):
     sx = SymbolTable(["<eps>", "x"])
     sy = SymbolTable(["<eps>", "y"])
     sz = SymbolTable(["<eps>", "z"])
-    a = Wfst(LOG, sx, sy)
-    a0, a1, a2 = a.add_state(), a.add_state(), a.add_state()
-    a.set_start(a0)
-    a.add_arc(a0, 1, 1, math.log(0.5), a1)
-    a.add_arc(a1, 1, 0, math.log(0.25), a2)  # output epsilon
-    a.set_final(a2, ONE)
-    b = Wfst(LOG, sy, sz)
-    b0, b1, b2 = b.add_state(), b.add_state(), b.add_state()
-    b.set_start(b0)
-    b.add_arc(b0, 1, 1, math.log(0.5), b1)
-    b.add_arc(b1, 0, 1, math.log(0.125), b2)  # input epsilon
-    b.set_final(b2, ONE)
+    a = machine(LOG, sx, sy, 3, 0, {2: ONE},
+                [(0, 1, 1, math.log(0.5), 1),
+                 (1, 1, 0, math.log(0.25), 2)])  # output epsilon
+    b = machine(LOG, sy, sz, 3, 0, {2: ONE},
+                [(0, 1, 1, math.log(0.5), 1),
+                 (1, 0, 1, math.log(0.125), 2)])  # input epsilon
     c = compose(a, b)
     lang = weighted_language(c, 6, np.logaddexp)
     key = ((1, 1), (1, 1))
@@ -418,19 +396,65 @@ def test_lexicon_fst_rejects_empty_pronunciation(ab2):
 # text format
 # ---------------------------------------------------------------------------
 
-def test_fst_text_round_trip(tmp_path, ab2, unigram_ab):
-    tden = build_denominator_graph(ab2, unigram_ab)
-    path = tmp_path / "den.fst"
-    write_fst_text(tden, path)
-    back = read_fst_text(path, LOG, tden.isyms, tden.osyms)
-    assert back.num_states == tden.num_states
-    assert back.num_arcs == tden.num_arcs
-    assert back.start == 0
-    lang_a = weighted_language(tden, 4, np.logaddexp)
-    lang_b = weighted_language(back, 4, np.logaddexp)
-    assert lang_a.keys() == lang_b.keys()
-    for key in lang_a:
-        assert lang_a[key] == pytest.approx(lang_b[key], abs=1e-7)
+# the arcs of states 0 and 1 alternate, with a final line among them
+_INTERLEAVED = ["0\t1\t2\t1\t-0.5\n", "1\t0\t1\t0\t-0.25\n",
+                "0\t0\t1\t0\t-1.5\n", "1\t-0.125\n",
+                "1\t1\t3\t2\t-2\n", "0\t1\t3\t2\t-0.75\n"]
+
+
+def test_fst_text_round_trip(tmp_path, ab2, unigram_ab, trigram_tlg):
+    path = tmp_path / "interleaved.fst"
+    path.write_text("".join(_INTERLEAVED))
+    interleaved = read_fst_text(path, LOG, ab2.pi_symbol_table(),
+                                ab2.label_symbol_table())
+    for q in interleaved.states():
+        assert [f"{q}\t{a.nextstate}\t{a.ilabel}\t{a.olabel}\t{a.weight:g}\n"
+                for a in interleaved.arcs(q)] == \
+            [line for line in _INTERLEAVED
+             if line.startswith(f"{q}\t") and line.count("\t") == 4]
+    # the trigram TLG has 22,230 arcs, 994 of them epsilons
+    for tden in (build_denominator_graph(ab2, unigram_ab), trigram_tlg,
+                 interleaved):
+        path = tmp_path / "den.fst"
+        write_fst_text(tden, path)
+        back = read_fst_text(path, tden.semiring, tden.isyms, tden.osyms)
+        assert back.num_states == tden.num_states
+        assert back.num_arcs == tden.num_arcs
+        assert back.start == 0
+        for column in ("src", "ilabel", "olabel", "dst"):
+            assert np.array_equal(getattr(back, column), getattr(tden, column))
+        assert np.allclose(back.weight, tden.weight, rtol=1e-8, atol=0)
+        plus = np.logaddexp if tden.semiring == LOG else np.maximum
+        lang_a = weighted_language(tden, 4, plus)
+        lang_b = weighted_language(back, 4, plus)
+        assert lang_a.keys() == lang_b.keys()
+        for key in lang_a:
+            assert lang_a[key] == pytest.approx(lang_b[key], abs=1e-7)
+
+
+_ARC = {"src": 0, "ilabel": 1, "olabel": 0, "weight": ONE, "dst": 1}
+
+
+@pytest.mark.parametrize("field, value, what", [
+    ("src", 2, "arc source"), ("src", -1, "arc source"),
+    ("dst", 2, "arc target"), ("ilabel", 4, "input label"),
+    ("olabel", 3, "output label"), ("olabel", -1, "output label"),
+    ("start", 2, "start state"), ("final", 7, "final state")])
+def test_constructor_rejects_out_of_range_ids(ab2, field, value, what):
+    # a final weight on state 7 of a small machine once made trim and
+    # flatten_denominator raise IndexError
+    arc, start, finals = dict(_ARC), 0, {1: ONE}
+    if field == "start":
+        start = value
+    elif field == "final":
+        finals = {value: ONE}
+    else:
+        arc[field] = value
+    isyms, osyms = ab2.pi_symbol_table(), ab2.label_symbol_table()
+    with pytest.raises(DataError, match=f"^{what} {value} out of range"):
+        Wfst(LOG, isyms, osyms, 2, start, finals, *([v] for v in arc.values()))
+    assert Wfst(LOG, isyms, osyms, 2, 0, {1: ONE},
+                *([v] for v in _ARC.values())).num_arcs == 1
 
 
 @pytest.mark.parametrize("line", ["-1\t0\t1\t1\t0.25", "-3\t0",
