@@ -12,7 +12,7 @@ from .decoder import (BeamConfig, DecodeResult, ErrorRateBreakdown,
 from .errors import ArpaError, DataError, NumericalError
 from .lm import (NGramModel, emit_arpa, estimate, lm_to_fst, parse_arpa,
                  score_sequence)
-from .loss import (DenominatorTable, LossResult, PosteriorMatrix, crf_loss,
+from .loss import (DenominatorTable, LossResult, crf_loss,
                    denominator_forward, flatten_denominator,
                    numerator_forward)
 from .model import AcousticModel, Adam, LayerSpec, Sgd
@@ -27,7 +27,7 @@ __all__ = [
     "Alphabet", "Arc", "AcousticModel", "Adam", "ArpaError", "BeamConfig",
     "DataError", "DecodeResult", "DenominatorTable", "EpochMetrics",
     "ErrorRateBreakdown", "LOG", "LayerSpec", "LossResult", "NGramModel",
-    "NumericalError", "ONE", "PosteriorMatrix", "Sgd", "SymbolTable",
+    "NumericalError", "ONE", "Sgd", "SymbolTable",
     "TROPICAL", "TrainConfig", "Wfst", "ZERO", "beam_decode",
     "build_ctc_topology", "build_decoding_graph", "build_denominator_graph",
     "build_lexicon_fst", "compose", "crf_loss", "denominator_forward",

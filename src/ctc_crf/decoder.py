@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DataError
-from .loss import _as_matrix
+from .loss import as_posterior
 from .semiring import ZERO
 from .symbols import Alphabet
 from .wfst import EPS, Wfst
@@ -55,7 +55,7 @@ def greedy_decode(posterior, alphabet: Alphabet) -> list[int]:
     """
     from .wfst import map_b
 
-    post = _as_matrix(posterior)
+    post = as_posterior(posterior)
     return map_b(np.argmax(post, axis=1).tolist(), alphabet)
 
 
@@ -68,7 +68,7 @@ def beam_decode(posterior, graph: Wfst, config: BeamConfig) -> DecodeResult:
     threshold advance time with all scores unchanged.  With an unlimited
     beam and skipping off the search is exact.
     """
-    post = _as_matrix(posterior)
+    post = as_posterior(posterior)
     t_frames, width = post.shape
     if graph.start is None:
         return DecodeResult([], ZERO, t_frames, 0)

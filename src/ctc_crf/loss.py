@@ -38,9 +38,10 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .dataio import nonfinite
 from .errors import DataError
 from .semiring import LOG, ZERO, logsumexp
-from .wfst import EPS, Wfst, reachable
+from .wfst import EPS, Wfst, check_epsilon_acyclic, reachable
 
 NEG_INF = ZERO
 # A frame's rescale mass below this is built from subnormal terms and would
@@ -58,35 +59,16 @@ _DENSE_MAX = 64
 _MIN_DIAGONAL = 0.25
 
 
-class PosteriorMatrix:
-    """T x |state alphabet| matrix of log-softmax node potentials."""
-
-    def __init__(self, values):
-        arr = np.ascontiguousarray(values, dtype=np.float64)
-        if arr.ndim != 2:
-            raise DataError("posterior matrix must be 2-D")
-        if np.isnan(arr).any() or (arr == np.inf).any():
-            raise DataError("posterior matrix contains NaN or +inf")
-        self.values = arr
-
-    @property
-    def frames(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[1]
-
-    def __array__(self, dtype=None, copy=None):
-        if dtype is not None and dtype != self.values.dtype:
-            return self.values.astype(dtype)
-        return self.values
-
-
-def _as_matrix(posterior) -> np.ndarray:
-    if isinstance(posterior, PosteriorMatrix):
-        return posterior.values
-    return PosteriorMatrix(posterior).values
+def as_posterior(values) -> np.ndarray:
+    """``values`` as a contiguous float64 T x W matrix of per-frame log
+    potentials: a DataError unless it is 2-D with no NaN and no +inf; -inf,
+    log zero, is a potential."""
+    post = np.ascontiguousarray(values, dtype=np.float64)
+    if post.ndim != 2:
+        raise DataError(f"posterior must be 2-D, got shape {post.shape}")
+    if nonfinite(post, allow_neg_inf=True).any():
+        raise DataError("posterior holds NaN or +inf")
+    return post
 
 
 class ForwardResult(NamedTuple):
@@ -363,10 +345,9 @@ def flatten_denominator(den_fst: Wfst) -> DenominatorTable:
     weight, indptr = den_fst.weight, den_fst.indptr
     eps = ilabel == EPS
 
+    check_epsilon_acyclic(den_fst, "denominator graph")
     levels = [(np.arange(n), np.arange(n), np.zeros(n))]
     while len(levels[-1][0]):
-        if len(levels) > n:
-            raise DataError("epsilon cycle in the denominator graph")
         origin, reached, mass = levels[-1]
         i, arc = _expand(indptr, reached)
         take = eps[arc]
@@ -465,7 +446,7 @@ def numerator_forward(posterior, labels: Sequence[int],
     Too few frames for the label sequence yields -inf and is flagged.  The
     pass is the denominator's, over the reference's chain.
     """
-    post = _as_matrix(posterior)
+    post = as_posterior(posterior)
     res = _forward_backward(post, _reference_chain(labels, post.shape[1]))
     return res._replace(score=log_pl + res.score) if res.feasible else res
 
@@ -474,7 +455,7 @@ def denominator_forward(posterior, den: DenominatorTable) -> ForwardResult:
     """Unconstrained score and per-frame occupancy over the denominator
     graph.  Exact for the flattened machine; any utterance length is
     supported because the transition table is time-invariant."""
-    post = _as_matrix(posterior)
+    post = as_posterior(posterior)
     if post.shape[1] != den.num_labels:
         raise DataError(f"posterior width {post.shape[1]} != denominator "
                         f"alphabet {den.num_labels}")
@@ -601,11 +582,10 @@ def crf_loss(posterior, labels: Sequence[int], log_pl: float,
     """
     if not alpha >= 0:   # NaN fails too
         raise DataError("auxiliary weight must be >= 0")
-    post = _as_matrix(posterior)
-    num = numerator_forward(post, labels, log_pl)
-    den_res = denominator_forward(post, den)
+    num = numerator_forward(posterior, labels, log_pl)
+    den_res = denominator_forward(posterior, den)
     if not num.feasible or not den_res.feasible:
-        return LossResult(NEG_INF, np.zeros_like(post), num.score,
+        return LossResult(NEG_INF, np.zeros_like(num.occupancy), num.score,
                           den_res.score, NEG_INF, degenerate=True)
     aux = num.score - log_pl
     objective = (num.score - den_res.score) + alpha * aux

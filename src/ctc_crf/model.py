@@ -16,7 +16,6 @@ import numpy as np
 
 from .dataio import nonfinite
 from .errors import DataError, NumericalError
-from .loss import PosteriorMatrix
 
 CHECKPOINT_MAGIC = b"ACMD"
 CHECKPOINT_VERSION = 1
@@ -227,7 +226,8 @@ class AcousticModel:
 
     # -- forward / backward --------------------------------------------------
 
-    def forward(self, features) -> PosteriorMatrix:
+    def forward(self, features) -> np.ndarray:
+        """The T x W log-softmax over the state alphabet of T frames."""
         x = np.ascontiguousarray(features, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.input_dim:
             raise DataError(
@@ -249,7 +249,7 @@ class AcousticModel:
         log_norm = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
         log_probs = shifted - log_norm
         self._softmax = np.exp(log_probs)
-        return PosteriorMatrix(log_probs)
+        return log_probs
 
     def backward(self, upstream) -> None:
         """Accumulate parameter gradients for the most recent forward."""

@@ -100,7 +100,6 @@ def train(model: AcousticModel, dataset, den: DenominatorTable,
             for lo in range(0, len(order), config.batch_size):
                 batch = order[lo:lo + config.batch_size]
                 model.zero_grads()
-                used = 0
                 batch_obj = []
                 for idx in batch:
                     features, labels = dataset[idx]
@@ -110,16 +109,14 @@ def train(model: AcousticModel, dataset, den: DenominatorTable,
                     if result.degenerate:
                         degenerate += 1
                         continue
-                    frames = post.frames
+                    frames = len(post)
                     batch_obj.append(result.objective / frames)
                     # ascent on the objective == descent on its negation
                     model.backward(-result.grad / (frames * len(batch)))
-                    used += 1
-                if batch_obj:
-                    epoch_obj += float(np.sum(batch_obj))
-                    epoch_utts += used
-                if used == 0:
+                if not batch_obj:
                     continue
+                epoch_obj += float(np.sum(batch_obj))
+                epoch_utts += len(batch_obj)
                 grads = model.gradients()
                 if not all(np.isfinite(g).all() for _, g in grads):
                     raise NumericalError("non-finite gradient")

@@ -103,6 +103,7 @@ class Wfst:
 
     @cached_property
     def _by_kind(self) -> tuple[list[tuple[Arc, ...]], ...]:
+        check_epsilon_acyclic(self, "decoding graph")
         labelled = [tuple(a for a in arcs if a.ilabel != EPS)
                     for arcs in self._arc_view]
         blanks = [tuple(a for a in arcs if a.ilabel == BLANK)
@@ -117,7 +118,8 @@ class Wfst:
         epsilon-input arcs.  Each keeps graph order and holds the ``Arc``
         tuples of ``arcs(q)``, not copies; a state's arcs of one kind are a
         tuple, as tuples take less memory than lists and all empty ones are
-        one object."""
+        one object.  A DataError for a machine whose epsilon arcs form a
+        cycle, on which the search's epsilon closure would not end."""
         return self._by_kind
 
     def __eq__(self, other):
@@ -208,6 +210,39 @@ def reachable(seeds, src, dst, num_nodes: int) -> np.ndarray:
                 seen[r] = 1
                 stack.append(r)
     return np.frombuffer(seen, dtype=bool)
+
+
+def check_epsilon_acyclic(fst: Wfst, what: str) -> None:
+    """Raise a DataError naming a state on a cycle of epsilon-input arcs, of
+    any weight.  Kahn's algorithm over the epsilon arcs alone: a state is
+    walked once every epsilon arc into it has been, so the arcs never walked
+    are those on a cycle or after one.  Each arc is walked once, as in
+    ``reachable``."""
+    eps = fst.ilabel == EPS
+    src, dst = fst.src[eps], fst.dst[eps]
+    n = fst.num_states
+    left = np.bincount(dst, minlength=n)
+    indptr = memoryview(np.searchsorted(src, np.arange(n + 1)))
+    succ = memoryview(dst)
+    count = memoryview(left)
+    stack = np.unique(src[left[src] == 0]).tolist()
+    while stack:
+        q = stack.pop()
+        for r in succ[indptr[q]:indptr[q + 1]]:
+            count[r] -= 1
+            if not count[r]:
+                stack.append(r)
+    if not left.any():
+        return
+    # each state left is entered from another state left, so n steps back
+    # from one of them, taken by doubling, end on a cycle
+    back = np.arange(n)
+    on = left[src] > 0
+    back[dst[on]] = src[on]
+    for _ in range(n.bit_length()):
+        back = back[back]
+    q = back[np.argmax(left > 0)]
+    raise DataError(f"epsilon cycle in the {what} through state {q}")
 
 
 def trim(a: Wfst) -> Wfst:

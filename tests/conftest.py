@@ -1,4 +1,6 @@
+import signal
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +39,28 @@ def bigram_ab(ab2):
 @pytest.fixture
 def den_table_ab(ab2, bigram_ab):
     return flatten_denominator(build_denominator_graph(ab2, bigram_ab))
+
+
+@pytest.fixture
+def time_limit():
+    """A context manager that fails the test, instead of hanging the run,
+    when its block is still running after a whole number of seconds.  The
+    failure is not an ``Exception``, so no handler in the code under test
+    catches it."""
+    @contextmanager
+    def limit(seconds: int):
+        def expire(signum, frame):
+            pytest.fail(f"still running after {seconds} s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(seconds)
+        try:
+            yield
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+
+    return limit
 
 
 @pytest.fixture

@@ -13,7 +13,7 @@ import numpy as np
 
 from ctc_crf.decoder import BeamConfig, DecodeResult
 from ctc_crf.errors import DataError
-from ctc_crf.loss import _as_matrix
+from ctc_crf.loss import as_posterior
 from ctc_crf.semiring import LOG, ONE, ZERO
 from ctc_crf.wfst import EPS, Wfst
 
@@ -260,12 +260,6 @@ def flattened_matrix(fst):
     return mat
 
 
-def assert_log_softmax(values, tol=1e-5):
-    """Every row of a posterior matrix is a normalized log-distribution."""
-    row_mass = np.log(np.sum(np.exp(np.asarray(values)), axis=1))
-    assert np.max(np.abs(row_mass)) <= tol, "rows are not normalized"
-
-
 def exhaustive_best_path(graph, post):
     """Best complete-path score and output string by explicit search."""
     t_frames = post.shape[0]
@@ -345,7 +339,7 @@ def frozen_beam_decode(posterior, graph: Wfst,
     threshold advance time with all scores unchanged.  With an unlimited
     beam and skipping off the search is exact.
     """
-    post = _as_matrix(posterior)
+    post = as_posterior(posterior)
     t_frames, width = post.shape
     if graph.start is None:
         return DecodeResult([], ZERO, t_frames, 0)

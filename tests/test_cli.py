@@ -661,6 +661,26 @@ def test_decode_non_finite_graph_weight_is_data_error(pipeline, toy_dir,
     assert not (tmp_path / "hyp.tsv").exists()
 
 
+def test_decode_epsilon_cycle_is_data_error_not_a_hang(pipeline, toy_dir,
+                                                       tmp_path, capsys,
+                                                       time_limit):
+    # epsilon arcs 0 -> 1 -> 0 of weight +1 each: the search's epsilon
+    # closure would raise both scores on every turn, and never stop
+    for syms in ("TLG.isyms", "TLG.osyms"):
+        shutil.copy(pipeline / "graphs" / syms, tmp_path / syms)
+    graph = tmp_path / "TLG.fst"
+    graph.write_text("0\t1\t0\t0\t1\n1\t0\t0\t0\t1\n0\t0\n")
+    with time_limit(5):
+        assert _run("decode",
+                    "--manifest", pipeline / "dev" / "manifest.tsv",
+                    "--alphabet", toy_dir / "alphabet.txt",
+                    "--checkpoint", pipeline / "model.ckpt",
+                    "--graph", graph,
+                    "--hyp", tmp_path / "hyp.tsv") == 2
+    assert "epsilon cycle in the decoding graph" in capsys.readouterr().err
+    assert not (tmp_path / "hyp.tsv").exists()
+
+
 def test_decode_infinite_feature_is_data_error(pipeline, toy_dir, tmp_path,
                                                capsys):
     entries = dataio.read_manifest(pipeline / "dev" / "manifest.tsv")

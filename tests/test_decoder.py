@@ -218,6 +218,21 @@ def test_empty_word_lm_is_error_not_crash(ab2):
         build_decoding_graph(ab2, empty)
 
 
+@pytest.mark.parametrize("weight", [1.0, 0.0, -1.0])
+def test_epsilon_cycle_is_data_error_not_a_hang(ab2, time_limit, weight):
+    # at +1 per arc each turn around 0 -> 1 -> 0 raises both scores, so an
+    # epsilon closure relaxed until no score improves never ends; a cycle of
+    # any weight is rejected, as no decoding graph build-graphs writes has one
+    g = machine(TROPICAL, ab2.pi_symbol_table(), ab2.label_symbol_table(), 2,
+                0, {0: 0.0},
+                [(0, EPS, EPS, weight, 1), (1, EPS, EPS, weight, 0),
+                 (0, BLANK, EPS, 0.0, 0)])
+    with time_limit(5), pytest.raises(
+            DataError, match="epsilon cycle in the decoding graph through "
+                             "state [01]$"):
+        beam_decode(np.log(np.full((3, 3), 1 / 3)), g, BeamConfig())
+
+
 def test_beam_config_validation():
     with pytest.raises(DataError):
         BeamConfig(width=0)

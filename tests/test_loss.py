@@ -7,12 +7,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ctc_crf import (Alphabet, DataError, DenominatorTable, LOG, NGramModel,
-                     PosteriorMatrix, SymbolTable,
-                     build_denominator_graph, crf_loss, denominator_forward,
-                     estimate, flatten_denominator, lm_to_fst,
-                     numerator_forward, read_fst_text, score_sequence,
-                     write_fst_text)
+from ctc_crf import (Alphabet, BeamConfig, DataError, DenominatorTable, LOG,
+                     NGramModel, SymbolTable, beam_decode,
+                     build_decoding_graph, build_denominator_graph, crf_loss,
+                     denominator_forward, estimate, flatten_denominator,
+                     greedy_decode, lm_to_fst, numerator_forward,
+                     read_fst_text, score_sequence, write_fst_text)
 from ctc_crf import loss
 from ctc_crf.loss import _forward_backward_log, _reference_chain
 from ctc_crf.semiring import ZERO
@@ -20,7 +20,7 @@ from ctc_crf.toydata import generate_dataset, generate_utterance
 from ctc_crf.verify import random_log_softmax
 from ctc_crf.wfst import EPS
 
-from oracles import (assert_log_softmax, brute_acceptor, brute_denominator,
+from oracles import (brute_acceptor, brute_denominator,
                      brute_numerator, finite_difference, flattened_matrix,
                      flattened_transitions, frozen_products, graph_forward,
                      machine)
@@ -48,23 +48,38 @@ def degenerate_lm(labels):
 
 
 # ---------------------------------------------------------------------------
-# PosteriorMatrix
+# The posterior every entry point reads
 # ---------------------------------------------------------------------------
 
-def test_posterior_matrix_validation(rng):
-    post = PosteriorMatrix(random_log_softmax(rng, 4, 3))
-    assert_log_softmax(post)
-    assert post.frames == 4 and post.width == 3
-    with pytest.raises(DataError):
-        PosteriorMatrix(np.array([[0.0, np.nan]]))
-    skewed = PosteriorMatrix(np.zeros((2, 3)))
-    with pytest.raises(AssertionError):
-        assert_log_softmax(skewed)
+# each takes (posterior, alphabet {a, b}, its T∘G table, its decoding graph)
+POSTERIOR_READERS = {
+    "numerator_forward": lambda post, ab, den, tlg: numerator_forward(
+        post, [1]),
+    "denominator_forward": lambda post, ab, den, tlg: denominator_forward(
+        post, den),
+    "crf_loss": lambda post, ab, den, tlg: crf_loss(post, [1], 0.0, den),
+    "beam_decode": lambda post, ab, den, tlg: beam_decode(
+        post, tlg, BeamConfig()),
+    "greedy_decode": lambda post, ab, den, tlg: greedy_decode(post, ab),
+}
 
 
-def test_posterior_matrix_allows_neg_inf():
-    post = PosteriorMatrix(np.array([[0.0, ZERO], [ZERO, 0.0]]))
-    assert_log_softmax(post)
+@pytest.mark.parametrize("reader", sorted(POSTERIOR_READERS))
+def test_posterior_is_2d_with_no_nan_or_pos_inf(reader, ab2, den_table_ab,
+                                                 unigram_ab):
+    tlg = build_decoding_graph(ab2, unigram_ab)
+
+    def read(post):
+        return POSTERIOR_READERS[reader](np.array(post), ab2, den_table_ab,
+                                         tlg)
+
+    half = math.log(0.5)
+    read([[0.0, ZERO, ZERO], [half, half, ZERO]])   # log zero is a potential
+    for bad in ([[0.0, ZERO, ZERO], [half, half, np.nan]],
+                [[0.0, ZERO, ZERO], [half, np.inf, ZERO]],
+                [0.0, ZERO, ZERO]):
+        with pytest.raises(DataError, match="posterior"):
+            read(bad)
 
 
 # ---------------------------------------------------------------------------

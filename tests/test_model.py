@@ -27,7 +27,7 @@ def tiny_model(seed=0):
 def test_forward_rows_are_log_softmax(rng):
     model = tiny_model()
     post = model.forward(rng.normal(size=(7, 4)))
-    assert np.allclose(np.exp(post.values).sum(axis=1), 1.0, atol=1e-12)
+    assert np.allclose(np.exp(post).sum(axis=1), 1.0, atol=1e-12)
 
 
 def test_forward_zero_output_weights_uniform(rng):
@@ -35,7 +35,7 @@ def test_forward_zero_output_weights_uniform(rng):
     model.output.params["W"][...] = 0.0
     model.output.params["b"][...] = 0.0
     post = model.forward(rng.normal(size=(3, 4)))
-    assert np.allclose(post.values, -math.log(3), atol=1e-12)
+    assert np.allclose(post, -math.log(3), atol=1e-12)
 
 
 def test_forward_pointwise_model_identical_rows():
@@ -43,13 +43,13 @@ def test_forward_pointwise_model_identical_rows():
     frame = np.array([0.3, -0.2, 1.0, 0.1])
     feats = np.tile(frame, (4, 1))
     post = model.forward(feats)
-    assert np.allclose(post.values, post.values[0], atol=1e-14)
+    assert np.allclose(post, post[0], atol=1e-14)
 
 
 def test_forward_deterministic_given_seed(rng):
     feats = rng.normal(size=(5, 4))
-    a = tiny_model(seed=42).forward(feats).values
-    b = tiny_model(seed=42).forward(feats).values
+    a = tiny_model(seed=42).forward(feats)
+    b = tiny_model(seed=42).forward(feats)
     assert np.array_equal(a, b)
 
 
@@ -277,12 +277,12 @@ def test_dropout_masks_only_in_training_mode(rng):
     model = AcousticModel(4, [LayerSpec("recurrent", 6)], 3, seed=2,
                           dropout=0.5)
     feats = rng.normal(size=(5, 4))
-    eval_a = model.forward(feats).values
-    eval_b = model.forward(feats).values
+    eval_a = model.forward(feats)
+    eval_b = model.forward(feats)
     assert np.array_equal(eval_a, eval_b)  # inference path is deterministic
     model.training = True
-    train_a = model.forward(feats).values
-    train_b = model.forward(feats).values
+    train_a = model.forward(feats)
+    train_b = model.forward(feats)
     assert not np.array_equal(train_a, train_b)  # masks are resampled
 
 

@@ -13,7 +13,7 @@ from ctc_crf import (Alphabet, DataError, LOG, TROPICAL, ONE, Wfst,
                      write_fst_text)
 from ctc_crf.semiring import ZERO
 from ctc_crf.symbols import SymbolTable
-from ctc_crf.wfst import BLANK, EPS, reachable
+from ctc_crf.wfst import BLANK, EPS, check_epsilon_acyclic, reachable
 
 from oracles import (acceptor_mass, collapse_reference, identity_acceptor,
                      machine, transducer_outputs, weighted_language)
@@ -147,6 +147,38 @@ def test_trim_deep_chain():
                  extra_rows=[(p, 1, 1, -0.1, q)
                              for p, q in zip([n // 2] + branch, branch)])
     assert trim(fst) == _chain([-0.1] * (n - 1))
+
+
+def _epsilon_machine(n, eps_arcs):
+    isyms = SymbolTable(["<eps>", "x"])
+    return machine(TROPICAL, isyms, isyms, n, 0, {n - 1: ONE},
+                   [(p, EPS, EPS, ONE, q) for p, q in eps_arcs]
+                   + [(q, 1, 1, ONE, q) for q in range(n)])
+
+
+@pytest.mark.parametrize("cycle", [[(3, 3)], [(3, 4), (4, 3)],
+                                   [(2, 3), (3, 4), (4, 2)]])
+def test_epsilon_cycle_names_a_state_on_it(cycle):
+    # a chain 6 -> 5 into the cycle and 3 -> 1 -> 0 out of it: the states
+    # before and after it, those after with lower ids, are not named, and
+    # labelled loops do not count
+    fst = _epsilon_machine(7, [(6, 5), (5, cycle[0][0]), *cycle, (3, 1),
+                               (1, 0)])
+    with pytest.raises(DataError, match="epsilon cycle in the graph through "
+                                        "state ") as info:
+        check_epsilon_acyclic(fst, "graph")
+    assert int(str(info.value).rsplit(" ", 1)[1]) in {p for p, _ in cycle}
+
+
+def test_epsilon_dag_passes():
+    # a state entered twice is walked after both arcs in; a deep chain is
+    # walked one step per arc
+    check_epsilon_acyclic(_epsilon_machine(4, [(0, 1), (0, 2), (1, 3),
+                                               (2, 3)]), "graph")
+    n = 100_000
+    check_epsilon_acyclic(_epsilon_machine(n, [(q, q + 1)
+                                               for q in range(n - 1)]),
+                          "graph")
 
 
 def test_trim_memory_on_trigram_tlg(trigram_tlg):
