@@ -14,7 +14,7 @@ from .dataio import nonfinite, read_lines
 from .errors import ArpaError, DataError
 from .semiring import LOG, ONE
 from .symbols import EPS_NAME, SymbolTable
-from .wfst import EPS, Wfst
+from .wfst import EPS, MAX_WEIGHT, Wfst
 
 BOS = "<s>"
 EOS = "</s>"
@@ -22,6 +22,12 @@ LN10 = math.log(10.0)
 
 # log10 probability conventionally assigned to <s>, which is never predicted
 BOS_LOG10 = -99.0
+
+# the largest ARPA value read.  An arc weight is one value times ln 10, and
+# must stay within wfst.MAX_WEIGHT, 308.2547... times ln 10, once a graph
+# file has printed it to 9 significant digits: so the bound is floored to
+# two decimals
+MAX_LOG10 = math.floor(MAX_WEIGHT / LN10 * 100) / 100
 
 
 class NGramModel:
@@ -228,9 +234,9 @@ _END = -1
 
 class _ArpaParser:
     """ARPA text one line at a time: ``add`` raises ValueError at the first
-    line that breaks the layout or holds a NaN or +inf value, ``model``
-    raises ArpaError when the text ends early or an n-gram names a symbol
-    the unigrams lack."""
+    line that breaks the layout or holds a value that is NaN or above
+    ``MAX_LOG10`` (+inf included), ``model`` raises ArpaError when the text
+    ends early or an n-gram names a symbol the unigrams lack."""
 
     def __init__(self):
         self.section = None    # 0 in \data\, n in \n-grams:, then _END
@@ -260,9 +266,15 @@ class _ArpaParser:
             logp = float(parts[0])
             bow = float(parts[n + 1]) if len(parts) == n + 2 else None
             for value in (logp, bow):
+                if value is None:
+                    continue
                 # -inf is log zero; NaN and +inf are no log-probability
-                if value is not None and nonfinite(value, allow_neg_inf=True):
+                if nonfinite(value, allow_neg_inf=True):
                     raise ValueError(f"{n}-gram value {value} is NaN or +inf")
+                if value > MAX_LOG10:
+                    raise ValueError(f"{n}-gram value {value} is above "
+                                     f"{MAX_LOG10}: times ln 10, its graph "
+                                     f"weight would pass log(float64 max)")
             self.raw[n].append((logp, tuple(parts[1:n + 1]), bow))
         else:
             self._next_section(line)

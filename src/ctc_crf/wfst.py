@@ -3,12 +3,15 @@ the blank-collapsing topology transducer, and graph assembly.
 
 A machine is one immutable value.  Each builder collects its finals and arc
 rows and constructs the machine once, so constructed graphs are safe to
-share across worker processes.
+share across worker processes.  The graph algorithms read the arc columns:
+composition expands one breadth-first frontier of state pairs at a time as
+arrays, and trimming walks the machine's own CSR forward and its arcs
+sorted by target backward.
 """
 from __future__ import annotations
 
-from collections import deque
 from functools import cached_property
+from itertools import count, filterfalse
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -191,15 +194,22 @@ def build_ctc_topology(alphabet: Alphabet, semiring: str = LOG) -> Wfst:
 # ---------------------------------------------------------------------------
 
 def reachable(seeds, src, dst, num_nodes: int) -> np.ndarray:
-    """Mask of the nodes reachable from ``seeds`` along edges ``src -> dst``.
-    The walk runs over a CSR of the edges, one step per edge, so a deep graph
-    costs no more than a shallow one with as many edges.  The CSR stays in
-    int64 arrays, read through memoryviews: an edge's target becomes a
-    Python int only while the walk reads it."""
+    """Mask of the nodes reachable from ``seeds`` along edges ``src -> dst``:
+    ``_walk`` over the edges sorted by source."""
     order = np.argsort(src, kind="stable")
-    indptr = memoryview(np.searchsorted(src[order], np.arange(num_nodes + 1)))
-    succ = memoryview(np.asarray(dst, dtype=np.int64)[order])
-    seen = bytearray(num_nodes)
+    indptr = np.searchsorted(src[order], np.arange(num_nodes + 1))
+    return _walk(seeds, indptr, np.asarray(dst, dtype=np.int64)[order])
+
+
+def _walk(seeds, indptr, succ) -> np.ndarray:
+    """Mask of the nodes reachable from ``seeds`` over a CSR: node q's
+    successors are ``succ[indptr[q]:indptr[q + 1]]``.  The walk takes one
+    step per edge, so a deep graph costs no more than a shallow one with as
+    many edges.  The CSR stays in its int64 arrays, read through
+    memoryviews: an edge's target becomes a Python int only while the walk
+    reads it."""
+    indptr, succ = memoryview(indptr), memoryview(succ)
+    seen = bytearray(len(indptr) - 1)
     stack = np.unique(seeds).tolist()
     for q in stack:
         seen[q] = 1
@@ -217,7 +227,7 @@ def check_epsilon_acyclic(fst: Wfst, what: str) -> None:
     any weight.  Kahn's algorithm over the epsilon arcs alone: a state is
     walked once every epsilon arc into it has been, so the arcs never walked
     are those on a cycle or after one.  Each arc is walked once, as in
-    ``reachable``."""
+    ``_walk``."""
     eps = fst.ilabel == EPS
     src, dst = fst.src[eps], fst.dst[eps]
     n = fst.num_states
@@ -251,21 +261,28 @@ def trim(a: Wfst) -> Wfst:
     State numbering of the surviving states is preserved in order, so
     trimming an already-trim machine returns an identical machine.
     """
-    empty = Wfst(a.semiring, a.isyms, a.osyms, 0, None, {})
     if a.start is None:
-        return empty
-    n = a.num_states
-    live = (reachable([a.start], a.src, a.dst, n)
-            & reachable(list(a.finals), a.dst, a.src, n))
-    if not live[a.start]:
-        return empty
-    keep = live[a.src] & live[a.dst]
+        return Wfst(a.semiring, a.isyms, a.osyms, 0, None, {})
+    # forward over the machine's own arcs, backward over them sorted by
+    # target
+    live = (_walk([a.start], a.indptr, a.dst)
+            & reachable(list(a.finals), a.dst, a.src, a.num_states))
+    return _restrict(a.semiring, a.isyms, a.osyms, a.start, a.finals, live,
+                     a.src, a.ilabel, a.olabel, a.weight, a.dst)
+
+
+def _restrict(semiring, isyms, osyms, start, finals, live,
+              src, ilabel, olabel, weight, dst) -> Wfst:
+    """The machine over the states ``live`` marks, renumbered in order, and
+    the arcs between them; one with no paths when the start is not live."""
+    if not live[start]:
+        return Wfst(semiring, isyms, osyms, 0, None, {})
+    keep = live[src] & live[dst]
     renumber = np.cumsum(live) - 1
-    return Wfst(a.semiring, a.isyms, a.osyms, renumber[-1] + 1,
-                renumber[a.start],
-                {renumber[q]: w for q, w in a.finals.items() if live[q]},
-                renumber[a.src[keep]], a.ilabel[keep], a.olabel[keep],
-                a.weight[keep], renumber[a.dst[keep]])
+    return Wfst(semiring, isyms, osyms, renumber[-1] + 1, renumber[start],
+                {renumber[q]: w for q, w in finals.items() if live[q]},
+                renumber[src[keep]], ilabel[keep], olabel[keep],
+                weight[keep], renumber[dst[keep]])
 
 
 # ---------------------------------------------------------------------------
@@ -279,12 +296,42 @@ def trim(a: Wfst) -> Wfst:
 _F_NEUTRAL, _F_LEFT, _F_RIGHT = 0, 1, 2
 
 
+def _expand(starts, counts):
+    """Runs ``starts[i] .. starts[i] + counts[i] - 1`` for each i in turn:
+    each entry's i and the entry itself, and where each run ends."""
+    ends = counts.cumsum()
+    group = np.arange(len(counts)).repeat(counts)
+    return group, np.arange(len(group)) + (starts - ends + counts).repeat(
+        counts), ends
+
+
+def _final_columns(m: Wfst):
+    """Each state's final flag and final weight, as two arrays."""
+    is_final = np.zeros(m.num_states, dtype=bool)
+    weight = np.zeros(m.num_states)
+    is_final[list(m.finals)] = True
+    weight[list(m.finals)] = list(m.finals.values())
+    return is_final, weight
+
+
 def compose(a: Wfst, b: Wfst) -> Wfst:
     """Compose two machines sharing an inner symbol table.
 
     Epsilon output arcs of ``a`` and epsilon input arcs of ``b`` are handled
     with a three-state composition filter so that every pair of compatible
     paths contributes exactly once.  The result is trimmed.
+
+    States ``(qa, qb, filter)`` are found breadth first and numbered in the
+    order they are first reached.  A state's arcs follow ``a``'s arcs in
+    order, each paired with ``b``'s arcs in order, and end with ``b``'s
+    epsilon-input arcs taken alone.  A whole frontier is expanded at once,
+    as arrays: ``a``'s arcs are gathered through ``indptr`` and joined on
+    label with ``b``'s arcs, sorted once by (state, input label), through
+    ``searchsorted``.  So the cost is one batch of array calls per frontier
+    (some 50 microseconds) plus two dict lookups per arc.  The topology
+    composed with a bigram or trigram LM is 4 or 5 frontiers deep, but a
+    machine thousands of states deep composes more slowly than a per-arc
+    loop would: a 20,000-state chain takes about a second.
     """
     if a.semiring != b.semiring:
         raise DataError(f"semiring mismatch: {a.semiring} vs {b.semiring}")
@@ -294,57 +341,78 @@ def compose(a: Wfst, b: Wfst) -> Wfst:
     if a.start is None or b.start is None:
         return Wfst(a.semiring, a.isyms, b.osyms, 0, None, {})
 
-    b_by_ilabel: list[dict[int, list[Arc]]] = [{} for _ in b.states()]
-    for qb in b.states():
-        for arc in b.arcs(qb):
-            b_by_ilabel[qb].setdefault(arc.ilabel, []).append(arc)
+    # b's arcs stable-sorted by (state, input label): those of state q with
+    # input label x are the rows that q * labels + x spans in b_key
+    labels, nb = len(b.isyms), b.num_states
+    b_key = b.src * labels + b.ilabel
+    order = np.argsort(b_key, kind="stable")
+    b_key = b_key[order]
+    # each side's columns end with one more row, the stay: an epsilon move
+    # of weight -0.0, as w + -0.0 == w for every w, whose target is the
+    # state it leaves
+    a_ilabel, a_olabel, a_dst = (np.append(c, EPS)
+                                 for c in (a.ilabel, a.olabel, a.dst))
+    b_olabel, b_dst = (np.append(c[order], EPS) for c in (b.olabel, b.dst))
+    a_weight = np.append(a.weight, -0.0)
+    b_weight = np.append(b.weight[order], -0.0)
+    a_stay, b_stay = a.num_arcs, b.num_arcs
 
-    # states are expanded in the order they are numbered: rows come sorted
-    start_key = (a.start, b.start, _F_NEUTRAL)
-    state_ids = {start_key: 0}
-    queue = deque([start_key])
-    rows = []
-    finals = {}
+    # a state's id by its key (qa * nb + qb) * 3 + filter
+    ids = {(a.start * nb + b.start) * 3 + _F_NEUTRAL: 0}
+    keys, columns = [np.array(list(ids))], []
+    while len(keys[-1]):
+        first = len(ids) - len(keys[-1])   # the frontier's first id
+        qab, f = np.divmod(keys[-1], 3)
+        qa, qb = np.divmod(qab, nb)
+        # each state's arcs in a, then a stay; and for each, the run of
+        # b's arcs it pairs with: same label, or b's epsilon inputs for a stay
+        starts = a.indptr[qa]
+        s, ai, ends = _expand(starts, a.indptr[qa + 1] - starts + 1)
+        ai[ends - 1] = a_stay
+        x, fs = a_olabel[ai], f[s]
+        query = qb[s] * labels + x
+        lo = np.searchsorted(b_key, query)
+        span = np.searchsorted(b_key, query + 1) - lo
+        # an epsilon output of a moves alone, as b row lo - 1, unless b
+        # moved alone last; it pairs with b's epsilon inputs only from the
+        # neutral filter, and those move alone unless a moved alone last
+        stay = ai == a_stay
+        eps = (x == EPS) & ~stay
+        left = (eps & (fs != _F_RIGHT)).astype(np.int64)
+        span[(eps & (fs != _F_NEUTRAL)) | (stay & (fs == _F_LEFT))] = 0
+        g, bi, _ = _expand(lo - left, span + left)
+        bi[bi < lo[g]] = b_stay
+        s, ai = s[g], ai[g]
 
-    def state_for(key):
-        sid = state_ids.get(key)
-        if sid is None:
-            sid = state_ids[key] = len(state_ids)
-            queue.append(key)
-        return sid
+        a_moves, b_moves = ai != a_stay, bi != b_stay
+        key = ((np.where(a_moves, a_dst[ai], qa[s]) * nb
+                + np.where(b_moves, b_dst[bi], qb[s])) * 3
+               + np.where(a_moves, np.where(b_moves, _F_NEUTRAL, _F_LEFT),
+                          _F_RIGHT))
+        # targets not seen before are numbered in the order rows reach them
+        key = key.tolist()
+        new = dict.fromkeys(filterfalse(ids.__contains__, key))
+        ids.update(zip(new, count(len(ids))))
+        columns.append((first + s, a_ilabel[ai], b_olabel[bi],
+                        a_weight[ai] + b_weight[bi],
+                        np.fromiter(map(ids.__getitem__, key), np.int64,
+                                    len(key))))
+        keys.append(np.fromiter(new, np.int64, len(new)))
 
-    while queue:
-        key = queue.popleft()
-        qa, qb, f = key
-        src = state_ids[key]
-        b_idx = b_by_ilabel[qb]
-        b_eps = b_idx.get(EPS, ())
-
-        for arc_a in a.arcs(qa):
-            if arc_a.olabel != EPS:
-                for arc_b in b_idx.get(arc_a.olabel, ()):
-                    dst = state_for((arc_a.nextstate, arc_b.nextstate, _F_NEUTRAL))
-                    rows.append((src, arc_a.ilabel, arc_b.olabel,
-                                 arc_a.weight + arc_b.weight, dst))
-            else:
-                if f != _F_RIGHT:
-                    dst = state_for((arc_a.nextstate, qb, _F_LEFT))
-                    rows.append((src, arc_a.ilabel, EPS, arc_a.weight, dst))
-                if f == _F_NEUTRAL:
-                    for arc_b in b_eps:
-                        dst = state_for((arc_a.nextstate, arc_b.nextstate, _F_NEUTRAL))
-                        rows.append((src, arc_a.ilabel, arc_b.olabel,
-                                     arc_a.weight + arc_b.weight, dst))
-        if f != _F_LEFT:
-            for arc_b in b_eps:
-                dst = state_for((qa, arc_b.nextstate, _F_RIGHT))
-                rows.append((src, EPS, arc_b.olabel, arc_b.weight, dst))
-
-        if qa in a.finals and qb in b.finals:
-            finals[src] = a.finals[qa] + b.finals[qb]
-
-    return trim(Wfst(a.semiring, a.isyms, b.osyms, len(state_ids), 0, finals,
-                     *zip(*rows)))
+    qab = np.concatenate(keys) // 3
+    qa, qb = np.divmod(qab, nb)
+    a_final, a_final_weight = _final_columns(a)
+    b_final, b_final_weight = _final_columns(b)
+    end = np.flatnonzero(a_final[qa] & b_final[qb])
+    finals = dict(zip(end.tolist(), (a_final_weight[qa[end]]
+                                     + b_final_weight[qb[end]]).tolist()))
+    # every state was reached from the start, so trimming keeps those that
+    # reach a final state
+    src, ilabel, olabel, weight, dst = (np.concatenate(c)
+                                        for c in zip(*columns))
+    return _restrict(a.semiring, a.isyms, b.osyms, 0, finals,
+                     reachable(list(finals), dst, src, len(ids)),
+                     src, ilabel, olabel, weight, dst)
 
 
 # ---------------------------------------------------------------------------

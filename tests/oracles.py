@@ -2,7 +2,9 @@
 
 Nothing here calls composition, flattening, or the forward-backward code;
 expected values come from explicit path enumeration so that agreement is
-evidence, not circularity.
+evidence, not circularity.  The exceptions are the frozen copies of code the
+package replaced, kept so that the replacement can be checked against them
+for exact equality.
 """
 import itertools
 from collections import deque
@@ -15,7 +17,7 @@ from ctc_crf.decoder import BeamConfig, DecodeResult
 from ctc_crf.errors import DataError
 from ctc_crf.loss import as_posterior
 from ctc_crf.semiring import LOG, ONE, ZERO
-from ctc_crf.wfst import EPS, Wfst
+from ctc_crf.wfst import EPS, Arc, Wfst, trim
 
 
 def collapse_reference(pi):
@@ -518,3 +520,81 @@ def frozen_products(table, log=False):
         return v
 
     return forward, backward
+
+
+# ---------------------------------------------------------------------------
+# Frozen composition
+# ---------------------------------------------------------------------------
+# The per-arc breadth-first composition ``ctc_crf.wfst.compose`` replaced,
+# kept verbatim (only the entry point is renamed) so that the frontier
+# composition can be checked against it state by state, arcs in order.
+
+_F_NEUTRAL, _F_LEFT, _F_RIGHT = 0, 1, 2
+
+
+def frozen_compose(a: Wfst, b: Wfst) -> Wfst:
+    """Compose two machines sharing an inner symbol table.
+
+    Epsilon output arcs of ``a`` and epsilon input arcs of ``b`` are handled
+    with a three-state composition filter so that every pair of compatible
+    paths contributes exactly once.  The result is trimmed.
+    """
+    if a.semiring != b.semiring:
+        raise DataError(f"semiring mismatch: {a.semiring} vs {b.semiring}")
+    if a.osyms != b.isyms:
+        raise DataError("symbol table mismatch between left output and right input")
+
+    if a.start is None or b.start is None:
+        return Wfst(a.semiring, a.isyms, b.osyms, 0, None, {})
+
+    b_by_ilabel: list[dict[int, list[Arc]]] = [{} for _ in b.states()]
+    for qb in b.states():
+        for arc in b.arcs(qb):
+            b_by_ilabel[qb].setdefault(arc.ilabel, []).append(arc)
+
+    # states are expanded in the order they are numbered: rows come sorted
+    start_key = (a.start, b.start, _F_NEUTRAL)
+    state_ids = {start_key: 0}
+    queue = deque([start_key])
+    rows = []
+    finals = {}
+
+    def state_for(key):
+        sid = state_ids.get(key)
+        if sid is None:
+            sid = state_ids[key] = len(state_ids)
+            queue.append(key)
+        return sid
+
+    while queue:
+        key = queue.popleft()
+        qa, qb, f = key
+        src = state_ids[key]
+        b_idx = b_by_ilabel[qb]
+        b_eps = b_idx.get(EPS, ())
+
+        for arc_a in a.arcs(qa):
+            if arc_a.olabel != EPS:
+                for arc_b in b_idx.get(arc_a.olabel, ()):
+                    dst = state_for((arc_a.nextstate, arc_b.nextstate, _F_NEUTRAL))
+                    rows.append((src, arc_a.ilabel, arc_b.olabel,
+                                 arc_a.weight + arc_b.weight, dst))
+            else:
+                if f != _F_RIGHT:
+                    dst = state_for((arc_a.nextstate, qb, _F_LEFT))
+                    rows.append((src, arc_a.ilabel, EPS, arc_a.weight, dst))
+                if f == _F_NEUTRAL:
+                    for arc_b in b_eps:
+                        dst = state_for((arc_a.nextstate, arc_b.nextstate, _F_NEUTRAL))
+                        rows.append((src, arc_a.ilabel, arc_b.olabel,
+                                     arc_a.weight + arc_b.weight, dst))
+        if f != _F_LEFT:
+            for arc_b in b_eps:
+                dst = state_for((qa, arc_b.nextstate, _F_RIGHT))
+                rows.append((src, EPS, arc_b.olabel, arc_b.weight, dst))
+
+        if qa in a.finals and qb in b.finals:
+            finals[src] = a.finals[qa] + b.finals[qb]
+
+    return trim(Wfst(a.semiring, a.isyms, b.osyms, len(state_ids), 0, finals,
+                     *zip(*rows)))

@@ -200,23 +200,57 @@ def test_build_graphs_missing_arpa(toy_dir, tmp_path):
     assert not (tmp_path / "g" / "T.fst").exists()
 
 
-@pytest.mark.parametrize("field, value", [(0, "nan"), (-1, "inf")])
-def test_build_graphs_non_finite_arpa_value_is_data_error(
-        toy_dir, pipeline, tmp_path, capsys, field, value):
-    # a NaN unigram used to give exit 0 and a den.fst with NaN weights
+def _arpa_with_value(pipeline, path, field, value):
+    """den.arpa with one field of its first unigram line, which has a
+    backoff, set to ``value``; returns that line's number."""
     lines = (pipeline / "den.arpa").read_text().splitlines(True)
-    ln = lines.index("\\1-grams:\n") + 2   # the first unigram, with a backoff
+    ln = lines.index("\\1-grams:\n") + 2
     fields = lines[ln - 1].rstrip("\n").split("\t")
     assert len(fields) == 3
     fields[field] = value
     lines[ln - 1] = "\t".join(fields) + "\n"
+    path.write_text("".join(lines))
+    return ln
+
+
+@pytest.mark.parametrize("field, value", [(0, "nan"), (-1, "inf")])
+def test_build_graphs_non_finite_arpa_value_is_data_error(
+        toy_dir, pipeline, tmp_path, capsys, field, value):
+    # a NaN unigram used to give exit 0 and a den.fst with NaN weights
     arpa = tmp_path / "den.arpa"
-    arpa.write_text("".join(lines))
+    ln = _arpa_with_value(pipeline, arpa, field, value)
     assert _run("build-graphs", "--alphabet", toy_dir / "alphabet.txt",
                 "--den-lm", arpa, "--work-dir", tmp_path / "g") == 2
     assert f"{arpa}: line {ln}: 1-gram value {value} is NaN or +inf" in \
         capsys.readouterr().err
     assert not (tmp_path / "g" / "den.fst").exists()
+
+
+@pytest.mark.parametrize("field", [0, -1])
+@pytest.mark.parametrize("value", ["1e308", "309"])
+def test_build_graphs_arpa_value_past_the_weight_bound_is_data_error(
+        toy_dir, pipeline, tmp_path, capsys, field, value):
+    # times ln 10, either is a graph weight above log(float64 max): build-
+    # graphs used to write it with exit 0, and train then rejected den.fst
+    arpa = tmp_path / "den.arpa"
+    ln = _arpa_with_value(pipeline, arpa, field, value)
+    assert _run("build-graphs", "--alphabet", toy_dir / "alphabet.txt",
+                "--den-lm", arpa, "--work-dir", tmp_path / "g") == 2
+    assert (f"{arpa}: line {ln}: 1-gram value {float(value)} is above 308.25"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "g" / "den.fst").exists()
+
+
+@pytest.mark.parametrize("field", [0, -1])
+@pytest.mark.parametrize("value", ["300", "-1e308"])
+def test_build_graphs_large_arpa_value_below_the_bound_trains(
+        toy_dir, pipeline, tmp_path, field, value):
+    arpa = tmp_path / "den.arpa"
+    _arpa_with_value(pipeline, arpa, field, value)
+    assert _run("build-graphs", "--alphabet", toy_dir / "alphabet.txt",
+                "--den-lm", arpa, "--work-dir", tmp_path / "g") == 0
+    assert _run(*_train_argv(pipeline, toy_dir, tmp_path,
+                             tmp_path / "g" / "den.fst")) == 0
 
 
 def test_build_graphs_deterministic(toy_dir, pipeline, tmp_path):
@@ -555,6 +589,66 @@ def test_graph_file_with_one_value_changed_exits_0_or_2(pipeline, toy_dir,
                   "--graph", path,
                   "--hyp", fuzz_dir / "hyp.tsv")
     assert rc in (0, 2), (name, i + 1, kind, value)
+
+
+# values for an ARPA log10 value or a logpl.tsv score: not a number,
+# infinite, finite but absurd, or just past the ARPA bound
+_ABSURD_VALUES = ["nan", "1e308", "-1e308", "309"]
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(data=st.data())
+def test_input_file_with_one_value_changed_exits_0_or_2(pipeline, toy_dir,
+                                                        fuzz_dir, data):
+    # one value of den.arpa (read by build-graphs) or of logpl.tsv (read by
+    # train), or one label of the training manifest set to a name outside
+    # the alphabet (read by train): the run copes or names the fault, never
+    # exit 3, never a traceback.  Graphs build-graphs writes, train and
+    # decode read: a 1e308 in den.arpa once gave build-graphs exit 0 and a
+    # den.fst that train rejected.
+    name = data.draw(st.sampled_from(["den.arpa", "logpl.tsv",
+                                      "manifest.tsv"]))
+    source = {"den.arpa": pipeline / "den.arpa",
+              "logpl.tsv": pipeline / "train" / "logpl.tsv",
+              "manifest.tsv": pipeline / "train" / "manifest.tsv"}[name]
+    lines = source.read_text().splitlines(True)
+    # in den.arpa, an n-gram line: log10 probability, words, maybe backoff
+    i = data.draw(st.sampled_from(
+        [i for i, line in enumerate(lines) if line[:1] not in "\\n\n"]
+        if name == "den.arpa" else range(len(lines))))
+    fields = lines[i].rstrip("\n").split("\t")
+    if name == "manifest.tsv":
+        labels = fields[-1].split()
+        labels[data.draw(st.integers(0, len(labels) - 1))] = "zz"
+        j, value = -1, " ".join(labels)
+    else:
+        j = data.draw(st.sampled_from([0, -1] if len(fields) == 3 else [0])) \
+            if name == "den.arpa" else -1
+        value = data.draw(st.sampled_from(_ABSURD_VALUES))
+    fields[j] = value
+    path = fuzz_dir / name
+    path.write_text("".join(lines[:i] + ["\t".join(fields) + "\n"]
+                            + lines[i + 1:]))
+    argv = _train_argv(pipeline, toy_dir, fuzz_dir,
+                       pipeline / "graphs" / "den.fst")
+    if name != "den.arpa":
+        argv[argv.index("--logpl" if name == "logpl.tsv" else "--manifest")
+             + 1] = path
+        assert _run(*argv) in (0, 2), (name, i + 1, value)
+        return
+    graphs = fuzz_dir / "graphs"
+    rc = _run("build-graphs", "--alphabet", toy_dir / "alphabet.txt",
+              "--den-lm", path, "--work-dir", graphs)
+    assert rc in (0, 2), (i + 1, j, value)
+    if rc == 0:
+        argv[argv.index("--den-table") + 1] = graphs / "den.fst"
+        assert _run(*argv) == 0, (i + 1, j, value)
+        assert _run("decode",
+                    "--manifest", pipeline / "dev" / "manifest.tsv",
+                    "--alphabet", toy_dir / "alphabet.txt",
+                    "--checkpoint", pipeline / "model.ckpt",
+                    "--graph", graphs / "TLG.fst",
+                    "--hyp", fuzz_dir / "hyp.tsv") == 0, (i + 1, j, value)
 
 
 @pytest.mark.parametrize("count", [0, 2])

@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ctc_crf import (Alphabet, DataError, LOG, TROPICAL, ONE, Wfst,
                      build_ctc_topology, build_decoding_graph,
@@ -15,8 +16,9 @@ from ctc_crf.semiring import ZERO
 from ctc_crf.symbols import SymbolTable
 from ctc_crf.wfst import BLANK, EPS, check_epsilon_acyclic, reachable
 
-from oracles import (acceptor_mass, collapse_reference, identity_acceptor,
-                     machine, transducer_outputs, weighted_language)
+from oracles import (acceptor_mass, collapse_reference, frozen_compose,
+                     identity_acceptor, machine, transducer_outputs,
+                     weighted_language)
 
 
 def pi_to_fst_ids(pi):
@@ -347,6 +349,86 @@ def test_compose_no_epsilon_path_double_counting(rng):
     key = ((1, 1), (1, 1))
     assert set(lang) == {key}
     assert lang[key] == pytest.approx(math.log(0.5 * 0.25 * 0.5 * 0.125), abs=1e-12)
+
+
+def _assert_same_machine(got, want):
+    # state by state, arcs in order, weights and finals to the bit (so a
+    # -0.0 for a 0.0 fails: a graph file would print it differently)
+    assert got == want
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.weight.view(np.int64),
+                          want.weight.view(np.int64))
+    assert [(q, w.hex()) for q, w in got.finals.items()] == \
+        [(q, w.hex()) for q, w in want.finals.items()]
+
+
+@pytest.mark.parametrize("semiring", [LOG, TROPICAL])
+def test_compose_equals_frozen_on_trigram_graphs(trigram_lm, semiring):
+    # the benchmark's T o G (log) and lexicon-free TLG (tropical)
+    alphabet, lm = trigram_lm
+    t = build_ctc_topology(alphabet, semiring=semiring)
+    g = lm_to_fst(lm, semiring=semiring)
+    got = compose(t, g)
+    _assert_same_machine(got, frozen_compose(t, g))
+    assert got.num_states == 2954
+
+
+def test_compose_equals_frozen_on_lexicon_graphs(trigram_lm):
+    # L's chains emit their word on the first label and epsilon after it,
+    # so L o G takes left-alone moves next to G's backoff epsilons
+    alphabet, _ = trigram_lm
+    rng = np.random.default_rng(5)
+    labels = list(alphabet.labels)
+    lexicon = {f"w{i}": [list(rng.choice(labels, int(rng.integers(1, 5))))
+                         for _ in range(int(rng.integers(1, 3)))]
+               for i in range(40)}
+    words = list(lexicon)
+    corpus = [list(rng.choice(words, int(rng.integers(1, 8))))
+              for _ in range(300)]
+    g = lm_to_fst(estimate(corpus, order=3, discount=0.5, vocab=words),
+                  semiring=TROPICAL)
+    lex = build_lexicon_fst(alphabet, lexicon, g.isyms, TROPICAL)
+    lg = compose(lex, g)
+    _assert_same_machine(lg, frozen_compose(lex, g))
+    t = build_ctc_topology(alphabet, semiring=TROPICAL)
+    _assert_same_machine(compose(t, lg), frozen_compose(t, lg))
+
+
+def test_compose_equals_frozen_on_a_deep_chain():
+    # one frontier per state: 20,000 frontiers of one arc each
+    chain = _chain([-0.1] * 19_999)
+    got = compose(chain, identity_acceptor(chain.osyms))
+    _assert_same_machine(got, frozen_compose(chain,
+                                             identity_acceptor(chain.osyms)))
+    assert got.num_states == 20_000
+
+
+@st.composite
+def _small_machines(draw, isyms, osyms, semiring):
+    n = draw(st.integers(1, 4))
+    state, weight = st.integers(0, n - 1), st.sampled_from([-1.5, -0.0, 0.0,
+                                                           0.25, ZERO])
+    rows = draw(st.lists(st.tuples(state, st.integers(0, len(isyms) - 1),
+                                   st.integers(0, len(osyms) - 1), weight,
+                                   state), max_size=9))
+    finals = draw(st.dictionaries(state, weight, max_size=n))
+    return machine(semiring, isyms, osyms, n, draw(state), finals, rows)
+
+
+_SX = SymbolTable(["<eps>", "x1", "x2"])
+_SY = SymbolTable(["<eps>", "y1", "y2"])
+_SZ = SymbolTable(["<eps>", "z1", "z2"])
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(data=st.data())
+def test_compose_equals_frozen_on_small_machines(data):
+    # epsilons on both sides of the inner alphabet, cycles, unreachable and
+    # dead states, repeated arcs and signed zeros
+    semiring = data.draw(st.sampled_from([LOG, TROPICAL]))
+    a = data.draw(_small_machines(_SX, _SY, semiring))
+    b = data.draw(_small_machines(_SY, _SZ, semiring))
+    _assert_same_machine(compose(a, b), frozen_compose(a, b))
 
 
 # ---------------------------------------------------------------------------
