@@ -7,11 +7,20 @@ split once per graph, on the first decode, into per-state lists by kind
 arcs a skipped frame expands, and the epsilon arcs the closure relaxes.  The
 posterior becomes one list of float rows per utterance, a hypothesis is a
 ``(score, trace)`` pair in a dict keyed by state, and a trace is a linked
-``(olabel, parent)`` tuple chain of the path's words.
+``(olabel, parent)`` tuple chain of the path's words.  Each posterior row
+gets a leading zero column, so an arc reads its input label's score at
+``row[ilabel]``.
+
+Each frame the beam keeps the hypotheses within ``slack`` of the best and,
+of those, the ``width`` best.  The cut is the ``width``-th best score, found
+with one sort of the float scores: every hypothesis above it stays, and the
+places left go to the states that score exactly the cut, lowest state id
+first.  That keeps the set the first ``width`` hypotheses sorted by
+``(-score, state)`` would, and sorts only the ties at the cut.
 """
 from __future__ import annotations
 
-from collections import deque
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -31,8 +40,11 @@ class BeamConfig:
     blank_threshold: float | None = None  # skip frames with blank prob above
 
     def __post_init__(self):
-        if self.width < 1:
-            raise DataError("beam width must be >= 1")
+        if (isinstance(self.width, bool)
+                or not isinstance(self.width, numbers.Integral)
+                or self.width < 1):
+            raise DataError(f"beam width must be an integer >= 1, "
+                            f"not {self.width!r}")
         if not self.slack >= 0:   # NaN fails too
             raise DataError("beam slack must be >= 0")
         if self.blank_threshold is not None and not 0.0 < self.blank_threshold <= 1.0:
@@ -76,7 +88,11 @@ def beam_decode(posterior, graph: Wfst, config: BeamConfig) -> DecodeResult:
         raise DataError("posterior width does not match the graph alphabet")
     labelled, blanks, eps = graph.arcs_by_kind()
     threshold = config.blank_threshold
-    free = [0.0] * width
+    # column 0 stands for the epsilon input label, which no expanded arc
+    # carries, so input label k reads column k and the blank sits at 1
+    padded = np.zeros((t_frames, width + 1))
+    padded[:, 1:] = post
+    free = [0.0] * (width + 1)
 
     # a hypothesis is (score, trace); a trace links the word-emitting arcs
     # of its path as (olabel, parent trace) back to None, and an
@@ -86,9 +102,9 @@ def beam_decode(posterior, graph: Wfst, config: BeamConfig) -> DecodeResult:
     _close_epsilon(eps, active)
     skipped = 0
 
-    for row in post.tolist():
+    for row in padded.tolist():
         arcs_of = labelled
-        if threshold is not None and np.exp(row[0]) > threshold:
+        if threshold is not None and np.exp(row[1]) > threshold:
             # the frame is taken as a sure blank: traverse only blank arcs,
             # free of acoustic cost (graph blank arcs carry weight one, so
             # hypothesis scores pass through unchanged)
@@ -99,7 +115,7 @@ def beam_decode(posterior, graph: Wfst, config: BeamConfig) -> DecodeResult:
         for state in sorted(active):
             score, trace = active[state]
             for ilabel, olabel, weight, dst in arcs_of[state]:
-                cand = score + weight + row[ilabel - 1]
+                cand = score + weight + row[ilabel]
                 if cand == ZERO:
                     continue
                 cur = get(dst)
@@ -135,13 +151,17 @@ def beam_decode(posterior, graph: Wfst, config: BeamConfig) -> DecodeResult:
 def _close_epsilon(eps: list, active: dict) -> None:
     """Relax epsilon arcs until no score improves; first writer wins ties.
     ``eps`` holds each state's epsilon arcs; a state with none never enters
-    the queue, as relaxing it would change nothing."""
-    queue = deque(state for state in sorted(active) if eps[state])
+    the queue, as relaxing it would change nothing.  The queue is a list
+    read front to back while it grows, and ``queued`` holds the states in
+    it not yet read, so the relaxation order is first in, first out."""
+    queue = [state for state in sorted(active) if eps[state]]
     queued = set(queue)
     get = active.get
-    while queue:
-        state = queue.popleft()
-        queued.remove(state)
+    append = queue.append
+    enqueue = queued.add
+    dequeue = queued.remove
+    for state in queue:
+        dequeue(state)
         score, trace = active[state]
         for _, olabel, weight, dst in eps[state]:
             cand = score + weight
@@ -150,19 +170,31 @@ def _close_epsilon(eps: list, active: dict) -> None:
                 active[dst] = (cand, trace if olabel == EPS
                                else (olabel, trace))
                 if eps[dst] and dst not in queued:
-                    queue.append(dst)
-                    queued.add(dst)
+                    append(dst)
+                    enqueue(dst)
 
 
 def _prune(active: dict, config: BeamConfig) -> dict:
     """The hypotheses within ``slack`` of the best and, of those, the
-    ``width`` best, ties broken by lower state id."""
+    ``width`` best, ties broken by lower state id.
+
+    The cut is the ``width``-th best score, from one sort of the scores.
+    Every hypothesis scoring at or above it is kept; when more states tie
+    at the cut than there are places left, the tied states of highest id
+    go, so only those ties are sorted.  The result is the set that
+    ``sorted((-score, state))[:width]`` keeps."""
     if active and config.slack != float("inf"):
         floor = max(score for score, _ in active.values()) - config.slack
         active = {s: hyp for s, hyp in active.items() if not hyp[0] < floor}
-    if len(active) > config.width:
-        ranked = sorted(active.items(), key=lambda kv: (-kv[1][0], kv[0]))
-        active = dict(ranked[:config.width])
+    width = config.width
+    if len(active) > width:
+        cut = sorted([score for score, _ in active.values()])[-width]
+        active = {s: hyp for s, hyp in active.items() if hyp[0] >= cut}
+        excess = len(active) - width
+        if excess:
+            ties = sorted(s for s, hyp in active.items() if hyp[0] == cut)
+            for s in ties[-excess:]:
+                del active[s]
     return active
 
 
@@ -187,31 +219,35 @@ class ErrorRateBreakdown:
 
 
 def _align_counts(hyp: Sequence, ref: Sequence) -> tuple[int, int, int]:
-    """Substitution / deletion / insertion counts of a minimal alignment."""
-    n, m = len(ref), len(hyp)
-    # cost[i][j]: (total, subs, dels, ins) for ref[:i] vs hyp[:j]
-    cost = [[None] * (m + 1) for _ in range(n + 1)]
-    cost[0][0] = (0, 0, 0, 0)
-    for j in range(1, m + 1):
-        t, s, d, i = cost[0][j - 1]
-        cost[0][j] = (t + 1, s, d, i + 1)
-    for irow in range(1, n + 1):
-        t, s, d, i = cost[irow - 1][0]
-        cost[irow][0] = (t + 1, s, d + 1, i)
-        for j in range(1, m + 1):
-            if ref[irow - 1] == hyp[j - 1]:
-                best = cost[irow - 1][j - 1]
+    """Substitution / deletion / insertion counts of a minimal alignment.
+
+    The edit-distance table is filled a row at a time (Wagner and Fischer,
+    1974), keeping the previous row only, so memory is linear in the
+    hypothesis length.  A cell is ``(total, subs, dels, ins)``; the diagonal
+    move wins ties, then the deletion, then the insertion."""
+    # prev[j]: the cell for the reference read so far against hyp[:j]
+    prev = [(j, 0, 0, j) for j in range(len(hyp) + 1)]
+    for r in ref:
+        t, s, d, i = prev[0]
+        left = (t + 1, s, d + 1, i)
+        row = [left]
+        append = row.append
+        for h, diag, up in zip(hyp, prev, prev[1:]):
+            if r == h:
+                best = diag
             else:
-                t, s, d, i = cost[irow - 1][j - 1]
+                t, s, d, i = diag
                 best = (t + 1, s + 1, d, i)
-            t, s, d, i = cost[irow - 1][j]
+            t, s, d, i = up
             if t + 1 < best[0]:
                 best = (t + 1, s, d + 1, i)
-            t, s, d, i = cost[irow][j - 1]
+            t, s, d, i = left
             if t + 1 < best[0]:
                 best = (t + 1, s, d, i + 1)
-            cost[irow][j] = best
-    _, s, d, i = cost[n][m]
+            append(best)
+            left = best
+        prev = row
+    _, s, d, i = prev[-1]
     return s, d, i
 
 

@@ -69,7 +69,10 @@ def generate_dataset(num_train: int = 200, num_heldout: int = 50,
 
 def write_dataset(out_dir, num_train: int = 200, num_heldout: int = 50,
                   seed: int = 7, feature_dim: int = 8, noise: float = 0.25):
-    """Materialize a ready-to-run data directory for the command-line tools."""
+    """Materialize a ready-to-run data directory for the command-line tools:
+    ``alphabet.txt``, ``feats/``, ``corpus.txt`` (the training labels), the
+    labels of each split in ``train-labels.tsv`` and ``dev-labels.tsv``, and
+    of both in ``labels.tsv``."""
     out = ensure_dir(out_dir)
     train, heldout, alphabet = generate_dataset(num_train, num_heldout, seed,
                                                 feature_dim, noise)
@@ -78,13 +81,16 @@ def write_dataset(out_dir, num_train: int = 200, num_heldout: int = 50,
     labels: dict[str, list[str]] = {}
     corpus_lines = []
     for split, items in (("train", train), ("dev", heldout)):
+        split_labels: dict[str, list[str]] = {}
         for i, (feats, lab_ids) in enumerate(items):
             utt = f"{split}-{i:04d}"
             write_matrix(feat_dir / f"{utt}.mat", feats)
             names = [alphabet.state_name(l) for l in lab_ids]
-            labels[utt] = names
+            split_labels[utt] = names
             if split == "train":
                 corpus_lines.append(" ".join(names))
+        write_labels_file(out / f"{split}-labels.tsv", split_labels)
+        labels.update(split_labels)
     write_labels_file(out / "labels.tsv", labels)
     with open(out / "corpus.txt", "w", encoding="utf-8") as f:
         f.write("\n".join(corpus_lines) + "\n")

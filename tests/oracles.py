@@ -598,3 +598,39 @@ def frozen_compose(a: Wfst, b: Wfst) -> Wfst:
 
     return trim(Wfst(a.semiring, a.isyms, b.osyms, len(state_ids), 0, finals,
                      *zip(*rows)))
+
+
+# ---------------------------------------------------------------------------
+# Frozen alignment counts
+# ---------------------------------------------------------------------------
+# The full-table edit-distance alignment ``ctc_crf.decoder._align_counts``
+# replaced with a two-row one, kept verbatim (renamed, and without argument
+# annotations) so that the counts can be checked for equality.
+
+def frozen_align_counts(hyp, ref) -> tuple[int, int, int]:
+    """Substitution / deletion / insertion counts of a minimal alignment."""
+    n, m = len(ref), len(hyp)
+    # cost[i][j]: (total, subs, dels, ins) for ref[:i] vs hyp[:j]
+    cost = [[None] * (m + 1) for _ in range(n + 1)]
+    cost[0][0] = (0, 0, 0, 0)
+    for j in range(1, m + 1):
+        t, s, d, i = cost[0][j - 1]
+        cost[0][j] = (t + 1, s, d, i + 1)
+    for irow in range(1, n + 1):
+        t, s, d, i = cost[irow - 1][0]
+        cost[irow][0] = (t + 1, s, d + 1, i)
+        for j in range(1, m + 1):
+            if ref[irow - 1] == hyp[j - 1]:
+                best = cost[irow - 1][j - 1]
+            else:
+                t, s, d, i = cost[irow - 1][j - 1]
+                best = (t + 1, s + 1, d, i)
+            t, s, d, i = cost[irow - 1][j]
+            if t + 1 < best[0]:
+                best = (t + 1, s, d + 1, i)
+            t, s, d, i = cost[irow][j - 1]
+            if t + 1 < best[0]:
+                best = (t + 1, s, d, i + 1)
+            cost[irow][j] = best
+    _, s, d, i = cost[n][m]
+    return s, d, i

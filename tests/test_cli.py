@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ctc_crf import (LOG, AcousticModel, Alphabet, DataError, dataio,
-                     flatten_denominator, read_fst_text)
+                     flatten_denominator, read_fst_text, toydata)
 from ctc_crf.cli import main
 from ctc_crf.toydata import write_dataset
 
@@ -18,15 +18,6 @@ def toy_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("toy")
     write_dataset(out, num_train=48, num_heldout=8, seed=3)
     return out
-
-
-def _split_labels(toy_dir, work):
-    labels = dataio.read_labels_file(toy_dir / "labels.tsv")
-    train = {u: l for u, l in labels.items() if u.startswith("train")}
-    dev = {u: l for u, l in labels.items() if u.startswith("dev")}
-    dataio.write_labels_file(work / "train-labels.tsv", train)
-    dataio.write_labels_file(work / "dev-labels.tsv", dev)
-    return train, dev
 
 
 def _run(*argv):
@@ -54,11 +45,31 @@ def test_usage_error_exit_code():
     assert _run("not-a-command") == 1
 
 
+def test_toydata_output_prepares_as_the_readme_runs_it(tmp_path):
+    # python -m ctc_crf.toydata data, then lm-train and prepare on each split
+    data = tmp_path / "data"
+    toydata.main([str(data), "--num-train", "6", "--num-heldout", "3"])
+    arpa = tmp_path / "den.arpa"
+    assert _run("lm-train", "--corpus", data / "corpus.txt", "--order", 2,
+                "--vocab", data / "alphabet.txt", "--out", arpa) == 0
+    for split, count in (("train", 6), ("dev", 3)):
+        assert _run("prepare", "--features-dir", data / "feats",
+                    "--labels", data / f"{split}-labels.tsv",
+                    "--alphabet", data / "alphabet.txt", "--den-lm", arpa,
+                    "--work-dir", tmp_path / split) == 0
+        manifest = (tmp_path / split / "manifest.tsv").read_text()
+        assert len(manifest.splitlines()) == count
+    both = {**dataio.read_labels_file(data / "train-labels.tsv"),
+            **dataio.read_labels_file(data / "dev-labels.tsv")}
+    assert dataio.read_labels_file(data / "labels.tsv") == both
+
+
 @pytest.fixture(scope="module")
 def pipeline(toy_dir, tmp_path_factory):
     """Full prepare -> lm-train -> build-graphs -> train -> decode -> score."""
     work = tmp_path_factory.mktemp("work")
-    train_labels, dev_labels = _split_labels(toy_dir, work)
+    for labels_file in ("train-labels.tsv", "dev-labels.tsv"):
+        shutil.copy(toy_dir / labels_file, work / labels_file)
 
     arpa = work / "den.arpa"
     assert _run("lm-train", "--corpus", toy_dir / "corpus.txt", "--order", 2,

@@ -3,8 +3,9 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ctc_crf import (Alphabet, BeamConfig, DataError, TROPICAL,
+from ctc_crf import (Alphabet, BeamConfig, DataError, TROPICAL, decoder,
                      beam_decode, build_decoding_graph, estimate,
                      evaluate_error_rate, greedy_decode)
 from ctc_crf.semiring import ZERO
@@ -12,7 +13,9 @@ from ctc_crf.toydata import generate_utterance
 from ctc_crf.verify import random_log_softmax
 from ctc_crf.wfst import BLANK, EPS
 
-from oracles import exhaustive_best_path, frozen_beam_decode, machine
+from oracles import _prune as frozen_prune
+from oracles import (exhaustive_best_path, frozen_align_counts,
+                     frozen_beam_decode, machine)
 
 
 def spiky_posterior(symbols, width, peak=0.95):
@@ -107,6 +110,44 @@ def test_beam_matches_frozen_search_on_trigram_tlg(trigram_lm, trigram_tlg):
                                                         keepdims=True)))
     for post in posts:
         _assert_decodes_as_frozen(post, trigram_tlg, FROZEN_GRID)
+
+
+def test_beam_matches_frozen_search_on_benchmark_length_utterances(
+        trigram_lm, trigram_tlg):
+    # 20-30 labels, as the benchmark's decode-large draws them, so the beam
+    # fills and the width cut and the epsilon closure run on every frame
+    alphabet, _ = trigram_lm
+    rng = np.random.default_rng(11)
+    configs = [BeamConfig(width=64), BeamConfig(width=64, blank_threshold=0.7)]
+    for _ in range(2):
+        feats = generate_utterance(rng, alphabet, 31, min_labels=20,
+                                   max_labels=30)[0]
+        logits = 8.0 * feats
+        post = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
+        _assert_decodes_as_frozen(post, trigram_tlg, configs)
+
+
+# few distinct scores, so that ties straddle the width cut; -0.0 ties 0.0
+PRUNE_SCORES = [0.0, -0.0, -0.5, -1.0, -1.5, -3.0, ZERO]
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(data=st.data())
+def test_prune_keeps_the_frozen_set(data):
+    states = data.draw(st.lists(st.integers(0, 40), min_size=1, max_size=24,
+                                unique=True))
+    scores = data.draw(st.lists(st.sampled_from(PRUNE_SCORES),
+                                min_size=len(states), max_size=len(states)))
+    # each hypothesis carries its own trace, so a swapped one shows
+    active = {s: (score, (s, None)) for s, score in zip(states, scores)}
+    n = len(active)
+    for width in sorted({max(n - 1, 1), n, n + 1, 1}):
+        for slack in (float("inf"), 0.0, 1.0):
+            config = BeamConfig(width=width, slack=slack)
+            want = dict(active)
+            frozen_prune(want, config)
+            got = decoder._prune(dict(active), config)
+            assert got == want, (width, slack)
 
 
 def test_exact_ties_decode_as_frozen_search(ab2):
@@ -246,6 +287,19 @@ def test_beam_config_validation():
         BeamConfig(blank_threshold=1.5)
 
 
+@pytest.mark.parametrize("width", [float("nan"), 2.5, True])
+def test_beam_config_rejects_a_width_that_is_not_an_integer(width):
+    # a NaN width never pruned and 2.5 failed mid-search with a TypeError
+    with pytest.raises(DataError, match="beam width must be an integer"):
+        BeamConfig(width=width)
+
+
+def test_beam_config_takes_a_numpy_integer_width(ab2, graph_ab):
+    post = spiky_posterior([1, 0, 2], 3)
+    got = beam_decode(post, graph_ab, BeamConfig(width=np.int64(2)))
+    assert got == beam_decode(post, graph_ab, BeamConfig(width=2))
+
+
 def test_skipped_gap_preserves_repeated_label(ab2, graph_ab):
     # skipped frames still traverse the blank arcs, so a repeated label
     # across an all-skipped gap survives
@@ -341,3 +395,13 @@ def test_error_rate_counts_consistent(rng):
         ref = rng.integers(0, 3, size=rng.integers(0, 6)).tolist()
         stats = evaluate_error_rate([hyp], [ref])
         assert stats.errors == edit_distance(hyp, ref)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(data=st.data())
+def test_align_counts_equal_the_full_table(data):
+    # one token kind makes every pair equal; two or three make heavy repeats
+    kinds = data.draw(st.integers(1, 3))
+    tokens = st.lists(st.integers(0, kinds - 1), max_size=12)
+    hyp, ref = data.draw(tokens), data.draw(tokens)
+    assert decoder._align_counts(hyp, ref) == frozen_align_counts(hyp, ref)
