@@ -20,13 +20,12 @@ first.  That keeps the set the first ``width`` hypotheses sorted by
 """
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, _check_count
 from .loss import as_posterior
 from .semiring import ZERO
 from .symbols import Alphabet
@@ -40,11 +39,7 @@ class BeamConfig:
     blank_threshold: float | None = None  # skip frames with blank prob above
 
     def __post_init__(self):
-        if (isinstance(self.width, bool)
-                or not isinstance(self.width, numbers.Integral)
-                or self.width < 1):
-            raise DataError(f"beam width must be an integer >= 1, "
-                            f"not {self.width!r}")
+        _check_count("beam width", self.width)
         if not self.slack >= 0:   # NaN fails too
             raise DataError("beam slack must be >= 0")
         if self.blank_threshold is not None and not 0.0 < self.blank_threshold <= 1.0:

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the check that every
+count setting makes."""
+import numbers
 
 
 class DataError(Exception):
@@ -18,3 +20,11 @@ class ArpaError(DataError):
 
 class NumericalError(Exception):
     """Numerical failure: a non-finite objective, gradient or model output."""
+
+
+def _check_count(what: str, value) -> None:
+    """Raise a DataError unless ``value`` is an integer >= 1: a bool is not
+    one, a numpy integer is."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < 1):
+        raise DataError(f"{what} must be an integer >= 1, not {value!r}")

@@ -41,7 +41,8 @@ import numpy as np
 from .dataio import nonfinite
 from .errors import DataError
 from .semiring import LOG, ZERO, logsumexp
-from .wfst import EPS, Wfst, check_epsilon_acyclic, reachable
+from .wfst import (EPS, Wfst, _expand, _final_columns, check_epsilon_acyclic,
+                   reachable)
 
 NEG_INF = ZERO
 # A frame's rescale mass below this is built from subnormal terms and would
@@ -297,16 +298,6 @@ def _dense(src, dst, log_weight, num_src: int, num_dst: int) -> np.ndarray:
         num_src, num_dst)
 
 
-def _expand(indptr: np.ndarray, rows: np.ndarray):
-    """CSR row expansion: the positions ``indptr[r] .. indptr[r + 1] - 1``
-    of every row ``r`` in ``rows``, concatenated, and for each position the
-    index in ``rows`` of the row it came from."""
-    count = indptr[rows + 1] - indptr[rows]
-    i = np.repeat(np.arange(len(rows)), count)
-    offset = np.arange(len(i)) - (np.cumsum(count) - count)[i]
-    return i, indptr[rows][i] + offset
-
-
 def _merge_pairs(origin, reached, mass, num_states: int):
     """Rows sorted by (origin, reached), repeated pairs' log masses added."""
     key = origin * num_states + reached
@@ -341,28 +332,31 @@ def flatten_denominator(den_fst: Wfst) -> DenominatorTable:
     if den_fst.start is None:
         raise DataError("denominator graph is empty")
     n = den_fst.num_states
-    src, ilabel, dst = den_fst.src, den_fst.ilabel, den_fst.dst
-    weight, indptr = den_fst.weight, den_fst.indptr
+    src, ilabel, dst, weight = (den_fst.src, den_fst.ilabel, den_fst.dst,
+                                den_fst.weight)
     eps = ilabel == EPS
 
     check_epsilon_acyclic(den_fst, "denominator graph")
+    # the epsilon arcs' own CSR: they keep the machine's order by source
+    eps_indptr = np.searchsorted(src[eps], np.arange(n + 1))
+    eps_dst, eps_weight = dst[eps], weight[eps]
     levels = [(np.arange(n), np.arange(n), np.zeros(n))]
     while len(levels[-1][0]):
         origin, reached, mass = levels[-1]
-        i, arc = _expand(indptr, reached)
-        take = eps[arc]
-        i, arc = i[take], arc[take]
-        levels.append(_merge_pairs(origin[i], dst[arc], mass[i] + weight[arc],
-                                   n))
+        starts = eps_indptr[reached]
+        i, arc, _ = _expand(starts, eps_indptr[reached + 1] - starts)
+        levels.append(_merge_pairs(origin[i], eps_dst[arc],
+                                   mass[i] + eps_weight[arc], n))
     origin, reached, mass = _merge_pairs(
         *(np.concatenate(rows) for rows in zip(*levels)), n)
     nonzero = mass > NEG_INF
     origin, reached, mass = origin[nonzero], reached[nonzero], mass[nonzero]
 
-    final_in = np.full(n, NEG_INF)
-    final_in[list(den_fst.finals)] = list(den_fst.finals.values())
+    is_final, final_in = _final_columns(den_fst)
+    into_final = is_final[reached]
     final = np.full(n, NEG_INF)
-    np.logaddexp.at(final, origin, mass + final_in[reached])
+    np.logaddexp.at(final, origin[into_final],
+                    mass[into_final] + final_in[reached[into_final]])
 
     # trimmed as one graph whose nodes are the states, 0 .. n - 1, and the
     # closure's ends, n .. 2n - 1: a closure pair (q, r) is an edge q -> n + r

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decoder import evaluate_error_rate, greedy_decode
-from .errors import DataError, NumericalError
+from .errors import DataError, NumericalError, _check_count
 from .loss import DenominatorTable, crf_loss
 from .model import AcousticModel, Adam, Sgd
 
@@ -22,11 +22,12 @@ class TrainConfig:
     clip_norm: float = 5.0
 
     def __post_init__(self):
+        _check_count("epochs", self.epochs)
+        _check_count("batch size", self.batch_size)
         # each check holds for valid values, so NaN, which fails every
         # comparison, fails it
-        if not (self.learning_rate >= 0 and self.epochs >= 1
-                and self.batch_size >= 1):
-            raise DataError("learning rate, epochs and batch size must be positive")
+        if not self.learning_rate >= 0:
+            raise DataError("learning rate must be >= 0")
         if not (self.alpha >= 0 and self.clip_norm > 0):
             raise DataError("alpha must be >= 0 and clip norm positive")
         if self.optimizer not in ("sgd", "adam"):

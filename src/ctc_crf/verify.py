@@ -2,25 +2,32 @@
 
 Everything here scores paths by direct enumeration over the raw machines
 (never through composition, flattening, or the forward-backward recursions),
-so agreement is meaningful evidence that the fast paths are right.
+so agreement is meaningful evidence that the fast paths are right.  The
+enumeration reads a machine through its arc columns: a state's arcs are the
+rows its ``indptr`` entries span.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .lm import NGramModel, estimate, lm_to_fst, score_sequence
-from .loss import DenominatorTable, crf_loss, flatten_denominator
+from .errors import _check_count
+from .lm import estimate, lm_to_fst, score_sequence
+from .loss import (DenominatorTable, crf_loss, denominator_forward,
+                   flatten_denominator, numerator_forward)
 from .semiring import LOG, ZERO, logsumexp
 from .symbols import Alphabet
-from .wfst import EPS, Wfst, build_denominator_graph, map_b
+from .wfst import EPS, Wfst, build_ctc_topology, compose, map_b
 
 
-def acceptor_sequence_mass(g: Wfst, seq: list[int]) -> float:
+def acceptor_sequence_mass(g: Wfst, seq: Sequence[int]) -> float:
     """Log path mass of an acceptor for one exact symbol sequence, epsilon
     arcs included, by exhaustive path recursion."""
+    indptr = g.indptr.tolist()
+    ilabel, weight, dst = g.ilabel.tolist(), g.weight.tolist(), g.dst.tolist()
     weights: list[float] = []
     eps_budget = g.num_states + 1
 
@@ -29,53 +36,39 @@ def acceptor_sequence_mass(g: Wfst, seq: list[int]) -> float:
             f = g.final_weight(state)
             if f != ZERO:
                 weights.append(acc + f)
-        for arc in g.arcs(state):
-            if arc.ilabel == EPS:
+        for e in range(indptr[state], indptr[state + 1]):
+            if ilabel[e] == EPS:
                 if budget > 0:
-                    walk(arc.nextstate, pos, budget - 1, acc + arc.weight)
-            elif pos < len(seq) and arc.ilabel == seq[pos]:
-                walk(arc.nextstate, pos + 1, eps_budget, acc + arc.weight)
+                    walk(dst[e], pos, budget - 1, acc + weight[e])
+            elif pos < len(seq) and ilabel[e] == seq[pos]:
+                walk(dst[e], pos + 1, eps_budget, acc + weight[e])
 
     if g.start is not None:
         walk(g.start, 0, eps_budget, 0.0)
     return logsumexp(weights) if weights else ZERO
 
 
-def enumerate_numerator(post: np.ndarray, labels: list[int],
-                        log_pl: float, alphabet: Alphabet) -> float:
-    """Sum over all state sequences collapsing to the reference."""
-    t_frames, width = post.shape
-    target = list(labels)
-    terms = []
-    for pi in itertools.product(range(width), repeat=t_frames):
-        if map_b(pi, alphabet) == target:
-            terms.append(sum(post[t, s] for t, s in enumerate(pi)))
-    return log_pl + logsumexp(terms) if terms else ZERO
-
-
-def enumerate_denominator(post: np.ndarray, g: Wfst,
-                          alphabet: Alphabet) -> float:
-    """Sum over all state sequences of LM mass of the collapsed sequence
-    times the node potentials."""
+def enumerate_paths(post: np.ndarray, alphabet: Alphabet,
+                    mass: Callable[[tuple[int, ...]], float]) -> float:
+    """Log sum over all state sequences of the node potentials plus
+    ``mass`` of the label sequence they collapse to, which is asked once
+    per label sequence."""
     t_frames, width = post.shape
     mass_cache: dict[tuple[int, ...], float] = {}
     terms = []
     for pi in itertools.product(range(width), repeat=t_frames):
         collapsed = tuple(map_b(pi, alphabet))
-        mass = mass_cache.get(collapsed)
-        if mass is None:
-            mass = acceptor_sequence_mass(g, list(collapsed))
-            mass_cache[collapsed] = mass
-        if mass == ZERO:
-            continue
-        terms.append(mass + sum(post[t, s] for t, s in enumerate(pi)))
+        m = mass_cache.get(collapsed)
+        if m is None:
+            m = mass_cache[collapsed] = mass(collapsed)
+        if m != ZERO:
+            terms.append(m + sum(post[t, s] for t, s in enumerate(pi)))
     return logsumexp(terms) if terms else ZERO
 
 
 @dataclass
 class RandomCase:
     alphabet: Alphabet
-    lm: NGramModel
     graph: Wfst
     table: DenominatorTable
     posterior: np.ndarray
@@ -88,8 +81,8 @@ def random_log_softmax(rng, frames: int, width: int) -> np.ndarray:
     return logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
 
 
-def random_case(rng, max_frames: int = 5, max_labels: int = 2) -> RandomCase:
-    n_labels = int(rng.integers(1, max_labels + 1))
+def random_case(rng, max_frames: int = 5) -> RandomCase:
+    n_labels = int(rng.integers(1, 3))
     alphabet = Alphabet([f"l{i}" for i in range(n_labels)])
     order = int(rng.integers(1, 3))
     corpus = []
@@ -97,8 +90,8 @@ def random_case(rng, max_frames: int = 5, max_labels: int = 2) -> RandomCase:
         length = int(rng.integers(1, 4))
         corpus.append([f"l{int(rng.integers(0, n_labels))}" for _ in range(length)])
     lm = estimate(corpus, order=order, discount=0.5, vocab=list(alphabet.labels))
-    graph = build_denominator_graph(alphabet, lm)
-    table = flatten_denominator(graph)
+    graph = lm_to_fst(lm, LOG)
+    table = flatten_denominator(compose(build_ctc_topology(alphabet), graph))
 
     frames = int(rng.integers(1, max_frames + 1))
     post = random_log_softmax(rng, frames, alphabet.num_state_symbols)
@@ -106,26 +99,27 @@ def random_case(rng, max_frames: int = 5, max_labels: int = 2) -> RandomCase:
     labels = [int(rng.integers(1, n_labels + 1)) for _ in range(ref_len)]
     names = [alphabet.state_name(l) for l in labels]
     log_pl = score_sequence(lm, names)
-    return RandomCase(alphabet, lm, lm_to_fst(lm, LOG), table, post, labels,
-                      log_pl)
+    return RandomCase(alphabet, graph, table, post, labels, log_pl)
 
 
 def check_oracle_equivalence(trials: int, seed: int = 0,
                              tol: float = 1e-9) -> tuple[float, int]:
     """Max absolute score error and failure count over randomized trials."""
-    from .loss import denominator_forward, numerator_forward
-
+    _check_count("oracle trials", trials)
     rng = np.random.default_rng(seed)
     worst = 0.0
     failures = 0
     for _ in range(trials):
         case = random_case(rng)
         den = denominator_forward(case.posterior, case.table)
-        den_ref = enumerate_denominator(case.posterior, case.graph,
-                                        case.alphabet)
+        den_ref = enumerate_paths(
+            case.posterior, case.alphabet,
+            lambda seq: acceptor_sequence_mass(case.graph, seq))
         num = numerator_forward(case.posterior, case.labels, case.log_pl)
-        num_ref = enumerate_numerator(case.posterior, case.labels,
-                                      case.log_pl, case.alphabet)
+        reference = tuple(case.labels)
+        num_ref = enumerate_paths(
+            case.posterior, case.alphabet,
+            lambda seq: case.log_pl if seq == reference else ZERO)
         for got, want in ((den.score, den_ref), (num.score, num_ref)):
             if got == ZERO and want == ZERO:
                 continue
@@ -137,9 +131,11 @@ def check_oracle_equivalence(trials: int, seed: int = 0,
 
 
 def check_gradients(trials: int, seed: int = 0, tol: float = 1e-4,
-                    step: float = 1e-4, alpha: float = 0.0) -> tuple[float, int]:
+                    alpha: float = 0.0) -> tuple[float, int]:
     """Max relative error of the analytic gradient against central finite
-    differences, over randomized trials."""
+    differences of step 1e-4, over randomized trials."""
+    _check_count("gradient trials", trials)
+    step = 1e-4
     rng = np.random.default_rng(seed)
     worst = 0.0
     failures = 0

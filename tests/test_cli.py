@@ -507,6 +507,17 @@ def test_gradcheck_impossible_tolerance_fails():
     assert rc == 3
 
 
+@pytest.mark.parametrize("flag", ["--trials", "--fd-trials"])
+@pytest.mark.parametrize("count", [0, -1])
+def test_gradcheck_without_a_trial_is_data_error(flag, count, capsys):
+    # with no trial, nothing is checked, so PASS would mean nothing
+    counts = {"--trials": 2, "--fd-trials": 1, flag: count}
+    assert _run("gradcheck", *(v for kv in counts.items() for v in kv)) == 2
+    captured = capsys.readouterr()
+    assert f"not {count}" in captured.err
+    assert "PASS" not in captured.out
+
+
 def test_config_file_supplies_defaults(toy_dir, tmp_path):
     config = tmp_path / "run.cfg"
     config.write_text("order = 1\n# comment\ndiscount = 0.4\n")

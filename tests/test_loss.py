@@ -665,6 +665,38 @@ def test_flatten_no_epsilons_is_transcription(ab1):
                           flattened_matrix(fst))
 
 
+def test_flatten_epsilon_arc_listed_between_labeled_arcs(ab2):
+    # states 0 and 2 list an epsilon arc between two labeled ones, so the
+    # closure must take it alone of the arcs the state lists
+    isyms = ab2.pi_symbol_table()
+    fst = machine(LOG, isyms, isyms, 4, 0, {1: -0.2, 3: -0.1},
+                  [(0, 2, 2, -0.3, 1),      # a
+                   (0, EPS, 0, -0.7, 2),
+                   (0, 3, 3, -0.4, 3),      # b
+                   (1, 1, 1, -0.5, 0),      # blank
+                   (1, EPS, 0, -1.0, 2),
+                   (2, 2, 2, -0.6, 1),
+                   (2, EPS, 0, -0.8, 3),
+                   (2, 1, 1, -0.9, 0),
+                   (3, 3, 3, -0.2, 3)])
+    table = flatten_denominator(fst)
+    start, final, trans = flattened_transitions(fst)
+    assert table.start == start
+    assert np.allclose(table.final, final, atol=1e-12)
+    # state 2 is entered by an epsilon arc only, so it is a closure end
+    # and not a state: blank, a and b enter states 0, 1 and 3
+    assert table.state_label.tolist() == [0, 1, 2]
+    closure, arcs = table._factor_entries
+    # (q, q) for each state, then 0 and 1 each reach 2 and, through it, 3
+    assert len(closure[0]) == 7
+    assert np.allclose(_dense(closure) @ _dense(arcs),
+                       flattened_matrix(fst), atol=1e-12)
+    for frames in (1, 2, 3):
+        post = random_log_softmax(np.random.default_rng(frames), frames, 3)
+        assert denominator_forward(post, table).score == \
+            pytest.approx(brute_acceptor(post, fst), abs=1e-9)
+
+
 def test_flatten_trims_states_off_every_complete_path(ab1):
     # state 1 reaches no final weight and nothing reaches state 2
     isyms = ab1.pi_symbol_table()

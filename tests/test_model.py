@@ -393,6 +393,23 @@ def test_train_config_rejects_out_of_range_values(field, value):
         TrainConfig(**{field: value})
 
 
+@pytest.mark.parametrize("field", ["epochs", "batch_size"])
+@pytest.mark.parametrize("value", [0, -1, 2.5, math.nan, True])
+def test_train_config_rejects_a_count_that_is_not_an_integer(field, value):
+    # 2.5 failed in train with a TypeError, and True trained one epoch
+    with pytest.raises(DataError, match="must be an integer >= 1"):
+        TrainConfig(**{field: value})
+
+
+def test_train_config_takes_numpy_integer_counts(den_table_ab, ab2):
+    data = [(np.ones((3, 4)), [1]), (np.ones((4, 4)), [2])]
+    got, want = ([(m.epoch, m.objective) for m in train(
+        tiny_model(), data, den_table_ab, [-1.0, -1.0], config, ab2)]
+        for config in (TrainConfig(epochs=np.int64(2), batch_size=np.int32(1)),
+                       TrainConfig(epochs=2, batch_size=1)))
+    assert len(got) == 2 and got == want
+
+
 def test_train_empty_dataset_rejected(den_table_ab, ab2):
     model = tiny_model()
     with pytest.raises(DataError):
