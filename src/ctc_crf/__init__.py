@@ -9,8 +9,8 @@ skipping.
 
 from .decoder import (BeamConfig, DecodeResult, ErrorRateBreakdown,
                       beam_decode, evaluate_error_rate, greedy_decode)
-from .errors import ArpaError, DataError, NumericalError
-from .lm import (NGramModel, emit_arpa, estimate, lm_to_fst, parse_arpa,
+from .errors import DataError, NumericalError
+from .lm import (NGramModel, emit_arpa, estimate, lm_to_fst, read_arpa,
                  score_sequence)
 from .loss import (DenominatorTable, LossResult, crf_loss,
                    denominator_forward, flatten_denominator,
@@ -24,7 +24,7 @@ from .wfst import (Arc, Wfst, build_ctc_topology, build_decoding_graph,
                    map_b, read_fst_text, trim, write_fst_text)
 
 __all__ = [
-    "Alphabet", "Arc", "AcousticModel", "Adam", "ArpaError", "BeamConfig",
+    "Alphabet", "Arc", "AcousticModel", "Adam", "BeamConfig",
     "DataError", "DecodeResult", "DenominatorTable", "EpochMetrics",
     "ErrorRateBreakdown", "LOG", "LayerSpec", "LossResult", "NGramModel",
     "NumericalError", "ONE", "Sgd", "SymbolTable",
@@ -32,6 +32,6 @@ __all__ = [
     "build_ctc_topology", "build_decoding_graph", "build_denominator_graph",
     "build_lexicon_fst", "compose", "crf_loss", "denominator_forward",
     "emit_arpa", "estimate", "evaluate_error_rate", "flatten_denominator",
-    "greedy_decode", "lm_to_fst", "map_b", "numerator_forward", "parse_arpa",
+    "greedy_decode", "lm_to_fst", "map_b", "numerator_forward", "read_arpa",
     "read_fst_text", "score_sequence", "train", "trim", "write_fst_text",
 ]

@@ -168,8 +168,12 @@ def cmd_build_graphs(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    from .verify import check_gradients, check_oracle_equivalence
+    from .verify import (check_gradients, check_oracle_equivalence,
+                         check_settings)
 
+    # a usage mistake in either check is reported before any trial runs
+    check_settings(args.trials, args.score_tolerance, "oracle")
+    check_settings(args.fd_trials, args.tolerance, "gradient")
     score_err, score_fail = check_oracle_equivalence(
         args.trials, seed=args.seed, tol=args.score_tolerance)
     print(f"oracle equivalence: max |error| {score_err:.3g} over "
@@ -262,7 +266,13 @@ def cmd_decode(args) -> int:
     model = AcousticModel.load(_require(args.checkpoint, "checkpoint"))
     graph_dir = Path(args.graph).parent
     stem = Path(args.graph).stem
-    isyms = SymbolTable.read(_require(graph_dir / f"{stem}.isyms", "graph isyms"))
+    isyms_path = _require(graph_dir / f"{stem}.isyms", "graph isyms")
+    isyms = SymbolTable.read(isyms_path)
+    # posterior column k is the alphabet's state symbol k; a graph built
+    # over another label order would read every label's column wrongly
+    if isyms != alphabet.pi_symbol_table():
+        raise DataError(f"{isyms_path}: input symbols are not the state "
+                        f"symbols of {args.alphabet}")
     osyms = SymbolTable.read(_require(graph_dir / f"{stem}.osyms", "graph osyms"))
     graph = read_fst_text(_require(args.graph, "decoding graph"), TROPICAL,
                           isyms, osyms)

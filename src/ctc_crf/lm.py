@@ -11,7 +11,7 @@ from collections import Counter
 from typing import Iterable, Sequence
 
 from .dataio import nonfinite, read_lines
-from .errors import ArpaError, DataError
+from .errors import DataError, _check_count
 from .semiring import LOG, ONE
 from .symbols import EPS_NAME, SymbolTable
 from .wfst import EPS, MAX_WEIGHT, Wfst
@@ -41,8 +41,7 @@ class NGramModel:
 
     def __init__(self, order: int, vocab: SymbolTable,
                  entries: dict[tuple[int, ...], tuple[float, float | None]]):
-        if order < 1:
-            raise DataError("n-gram order must be >= 1")
+        _check_count("n-gram order", order)
         names = list(vocab)
         if names[-2:] != [BOS, EOS]:
             raise DataError("vocabulary must end with <s>, </s>")
@@ -51,15 +50,6 @@ class NGramModel:
         self.entries = dict(entries)
         self.bos = vocab.find(BOS)
         self.eos = vocab.find(EOS)
-        # conditioning contexts: short-enough stored n-grams plus every
-        # proper prefix of a stored n-gram (prefixes may lack own entries)
-        self._contexts = {()}
-        for g in self.entries:
-            if len(g) < order and g[-1] != self.eos:
-                self._contexts.add(g)
-            p = g[:-1]
-            if p and p[-1] != self.eos:
-                self._contexts.add(p)
 
     # -- lookups ------------------------------------------------------------
 
@@ -90,9 +80,6 @@ class NGramModel:
         """Vocabulary without the boundary symbols, in id order."""
         return [s for s in self.vocab if s not in (EPS_NAME, BOS, EOS)]
 
-    def fst_symbol_table(self) -> SymbolTable:
-        return SymbolTable([EPS_NAME, *self.event_symbols()])
-
     def __eq__(self, other):
         return (isinstance(other, NGramModel) and self.order == other.order
                 and self.vocab == other.vocab and self.entries == other.entries)
@@ -101,12 +88,6 @@ class NGramModel:
 # ---------------------------------------------------------------------------
 # Estimation
 # ---------------------------------------------------------------------------
-
-def _as_tokens(sentence) -> list[str]:
-    if isinstance(sentence, str):
-        return sentence.split()
-    return list(sentence)
-
 
 def estimate(corpus: Sequence, order: int, discount: float = 0.5,
              vocab: Sequence[str] | None = None) -> NGramModel:
@@ -117,16 +98,16 @@ def estimate(corpus: Sequence, order: int, discount: float = 0.5,
     every context distribution sums to one exactly.  The result is stored in
     standard backoff (ARPA) form.  ``vocab`` fixes a closed vocabulary and
     its symbol order; by default the vocabulary is the sorted set of corpus
-    tokens.
+    tokens.  A sentence is a sequence of tokens or a string of them
+    separated by whitespace.
     """
     if not corpus:
         raise DataError("empty corpus")
-    if order < 1:
-        raise DataError("n-gram order must be >= 1")
+    _check_count("n-gram order", order)
     if not 0.0 < discount < 1.0:
         raise DataError("discount must be in (0, 1)")
 
-    sentences = [_as_tokens(s) for s in corpus]
+    sentences = [s.split() if isinstance(s, str) else list(s) for s in corpus]
     seen = sorted({tok for sent in sentences for tok in sent})
     for tok in seen:
         if tok in (BOS, EOS, EPS_NAME):
@@ -142,15 +123,14 @@ def estimate(corpus: Sequence, order: int, discount: float = 0.5,
     bos, eos = table.find(BOS), table.find(EOS)
     event_ids = [table.find(n) for n in names] + [eos]
 
+    # counts[n] holds every window of n ids in the padded sentences; <s>
+    # opens each sentence and is never predicted, so its unigram goes
     counts: list[Counter] = [Counter() for _ in range(order + 1)]
     for sent in sentences:
-        padded = [bos] + [table.find(t) for t in sent] + [eos]
-        for i, tok in enumerate(padded):
-            if tok == bos:
-                continue
-            for n in range(1, order + 1):
-                if i - n + 1 >= 0:
-                    counts[n][tuple(padded[i - n + 1:i + 1])] += 1
+        padded = [bos, *map(table.find, sent), eos]
+        for n in range(1, order + 1):
+            counts[n].update(zip(*(padded[k:] for k in range(n))))
+    del counts[1][(bos,)]
 
     # interpolated conditional probabilities, built bottom-up
     uni_total = sum(counts[1].values())
@@ -208,25 +188,17 @@ def score_sequence(lm: NGramModel, labels: Sequence[str]) -> float:
 # ARPA serialization
 # ---------------------------------------------------------------------------
 
-def parse_arpa(source) -> NGramModel:
-    """Parse an ARPA model from a string or an iterable of lines, such as an
-    open file."""
-    parser = _ArpaParser()
-    lines = source.splitlines() if isinstance(source, str) else source
-    for ln, line in enumerate(lines, 1):
-        try:
-            parser.add(line)
-        except ValueError as exc:
-            raise ArpaError(str(exc), ln) from None
-    return parser.model()
-
-
 def read_arpa(path) -> NGramModel:
-    """Parse an ARPA file; a malformed line is a DataError naming the file
-    and the line."""
+    """Parse an ARPA file.  Every fault is a DataError naming the file: a
+    malformed line names the line too, and a fault found once the text has
+    ended (no \\end\\, no </s>, an n-gram over an unknown symbol) names only
+    the file."""
     parser = _ArpaParser()
     read_lines(path, parser.add)
-    return parser.model()
+    try:
+        return parser.model()
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 _END = -1
@@ -235,7 +207,7 @@ _END = -1
 class _ArpaParser:
     """ARPA text one line at a time: ``add`` raises ValueError at the first
     line that breaks the layout or holds a value that is NaN or above
-    ``MAX_LOG10`` (+inf included), ``model`` raises ArpaError when the text
+    ``MAX_LOG10`` (+inf included), ``model`` raises DataError when the text
     ends early or an n-gram names a symbol the unigrams lack."""
 
     def __init__(self):
@@ -298,7 +270,7 @@ class _ArpaParser:
 
     def model(self) -> NGramModel:
         if self.section != _END:
-            raise ArpaError("text ends before the \\end\\ marker")
+            raise DataError("text ends before the \\end\\ marker")
         names = []
         saw_eos = False
         for _, words, _ in self.raw[1]:
@@ -306,11 +278,11 @@ class _ArpaParser:
             if w == EOS:
                 saw_eos = True
             elif w == EPS_NAME:
-                raise ArpaError(f"reserved symbol {w!r} in unigrams")
+                raise DataError(f"reserved symbol {w!r} in unigrams")
             elif w != BOS:
                 names.append(w)
         if not saw_eos:
-            raise ArpaError(f"model lacks {EOS!r}")
+            raise DataError(f"model lacks {EOS!r}")
         table = SymbolTable([EPS_NAME, *names, BOS, EOS])
 
         entries: dict[tuple[int, ...], tuple[float, float | None]] = {}
@@ -319,7 +291,7 @@ class _ArpaParser:
                 try:
                     gram = tuple(table.find(w) for w in words)
                 except DataError:
-                    raise ArpaError(f"{n}-gram uses unknown symbol: {words}") from None
+                    raise DataError(f"{n}-gram uses unknown symbol: {words}") from None
                 entries[gram] = (prob, bow)
         return NGramModel(len(self.declared), table, entries)
 
@@ -362,8 +334,17 @@ def lm_to_fst(lm: NGramModel, semiring: str = LOG) -> Wfst:
     coexists with its backoff route; the best path through a sequence seen
     verbatim matches the backoff-recursion score.
     """
-    syms = lm.fst_symbol_table()
-    contexts = sorted(lm._contexts, key=lambda c: (len(c), c))
+    syms = SymbolTable([EPS_NAME, *lm.event_symbols()])
+    # conditioning contexts: short-enough stored n-grams plus every proper
+    # prefix of a stored n-gram (prefixes may lack own entries)
+    contexts = {()}
+    for g in lm.entries:
+        if len(g) < lm.order and g[-1] != lm.eos:
+            contexts.add(g)
+        p = g[:-1]
+        if p and p[-1] != lm.eos:
+            contexts.add(p)
+    contexts = sorted(contexts, key=lambda c: (len(c), c))
     state_of = {ctx: q for q, ctx in enumerate(contexts)}
     num_states = len(contexts)
     rows = []

@@ -574,8 +574,8 @@ def crf_loss(posterior, labels: Sequence[int], log_pl: float,
     negate.  An infeasible numerator against a finite denominator marks the
     utterance degenerate: -inf objective, zero gradient.
     """
-    if not alpha >= 0:   # NaN fails too
-        raise DataError("auxiliary weight must be >= 0")
+    if not 0 <= alpha < np.inf:   # NaN fails too
+        raise DataError("auxiliary weight must be finite and >= 0")
     num = numerator_forward(posterior, labels, log_pl)
     den_res = denominator_forward(posterior, den)
     if not num.feasible or not den_res.feasible:

@@ -25,11 +25,13 @@ class TrainConfig:
         _check_count("epochs", self.epochs)
         _check_count("batch size", self.batch_size)
         # each check holds for valid values, so NaN, which fails every
-        # comparison, fails it
-        if not self.learning_rate >= 0:
-            raise DataError("learning rate must be >= 0")
-        if not (self.alpha >= 0 and self.clip_norm > 0):
-            raise DataError("alpha must be >= 0 and clip norm positive")
+        # comparison, fails it.  An infinite clip norm turns clipping off;
+        # an infinite step or weight would make the first update non-finite
+        if not 0 <= self.learning_rate < np.inf:
+            raise DataError("learning rate must be finite and >= 0")
+        if not (0 <= self.alpha < np.inf and self.clip_norm > 0):
+            raise DataError("alpha must be finite and >= 0 and clip norm "
+                            "positive")
         if self.optimizer not in ("sgd", "adam"):
             raise DataError(f"unknown optimizer {self.optimizer!r}")
 

@@ -9,12 +9,13 @@ rows its ``indptr`` entries span.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import _check_count
+from .errors import DataError, _check_count
 from .lm import estimate, lm_to_fst, score_sequence
 from .loss import (DenominatorTable, crf_loss, denominator_forward,
                    flatten_denominator, numerator_forward)
@@ -102,10 +103,20 @@ def random_case(rng, max_frames: int = 5) -> RandomCase:
     return RandomCase(alphabet, graph, table, post, labels, log_pl)
 
 
+def check_settings(trials: int, tol: float, what: str) -> None:
+    """Raise a DataError unless there is a trial to run and ``tol`` is a
+    bound that an error can pass: an integer count >= 1 and a finite
+    tolerance >= 0.  ``what`` names the check: "oracle" or "gradient"."""
+    _check_count(f"{what} trials", trials)
+    if not 0 <= tol < math.inf:   # NaN fails too
+        raise DataError(f"{what} tolerance must be finite and >= 0, "
+                        f"not {tol!r}")
+
+
 def check_oracle_equivalence(trials: int, seed: int = 0,
                              tol: float = 1e-9) -> tuple[float, int]:
     """Max absolute score error and failure count over randomized trials."""
-    _check_count("oracle trials", trials)
+    check_settings(trials, tol, "oracle")
     rng = np.random.default_rng(seed)
     worst = 0.0
     failures = 0
@@ -134,7 +145,7 @@ def check_gradients(trials: int, seed: int = 0, tol: float = 1e-4,
                     alpha: float = 0.0) -> tuple[float, int]:
     """Max relative error of the analytic gradient against central finite
     differences of step 1e-4, over randomized trials."""
-    _check_count("gradient trials", trials)
+    check_settings(trials, tol, "gradient")
     step = 1e-4
     rng = np.random.default_rng(seed)
     worst = 0.0

@@ -492,6 +492,41 @@ def test_train_bad_layer_size_is_data_error(pipeline, toy_dir, tmp_path):
     assert not (tmp_path / "model.ckpt").exists()
 
 
+_EDGE_VALUES = ["nan", "inf", "-inf", "-1", "0"]
+
+
+@pytest.mark.parametrize("value", _EDGE_VALUES)
+@pytest.mark.parametrize("flag", ["--learning-rate", "--alpha", "--clip-norm",
+                                  "--dropout"])
+def test_train_float_setting_at_an_edge_exits_0_or_2(pipeline, toy_dir,
+                                                     tmp_path, capsys, flag,
+                                                     value):
+    # an infinite learning rate or auxiliary weight trained into a
+    # non-finite update, and train ended with exit 3
+    argv = _train_argv(pipeline, toy_dir, tmp_path,
+                       pipeline / "graphs" / "den.fst")
+    rc = _run(*argv, f"{flag}={value}")   # "-inf" alone reads as a flag
+    err = capsys.readouterr().err
+    assert rc in (0, 2), err
+    assert (tmp_path / "model.ckpt").exists() == (rc == 0)
+
+
+@pytest.mark.parametrize("value", _EDGE_VALUES)
+@pytest.mark.parametrize("flag", ["--beam-slack", "--blank-skip"])
+def test_decode_float_setting_at_an_edge_exits_0_or_2(pipeline, toy_dir,
+                                                      tmp_path, capsys, flag,
+                                                      value):
+    rc = _run("decode",
+              "--manifest", pipeline / "dev" / "manifest.tsv",
+              "--alphabet", toy_dir / "alphabet.txt",
+              "--checkpoint", pipeline / "model.ckpt",
+              "--graph", pipeline / "graphs" / "TLG.fst",
+              "--hyp", tmp_path / "hyp.tsv", f"{flag}={value}")
+    err = capsys.readouterr().err
+    assert rc in (0, 2), err
+    assert (tmp_path / "hyp.tsv").exists() == (rc == 0)
+
+
 def test_gradcheck_passes():
     assert _run("gradcheck", "--trials", 15, "--fd-trials", 5, "--seed", 1) == 0
 
@@ -510,12 +545,29 @@ def test_gradcheck_impossible_tolerance_fails():
 @pytest.mark.parametrize("flag", ["--trials", "--fd-trials"])
 @pytest.mark.parametrize("count", [0, -1])
 def test_gradcheck_without_a_trial_is_data_error(flag, count, capsys):
-    # with no trial, nothing is checked, so PASS would mean nothing
+    # with no trial, nothing is checked, so PASS would mean nothing; a bad
+    # --fd-trials once let every oracle trial run and print first
     counts = {"--trials": 2, "--fd-trials": 1, flag: count}
     assert _run("gradcheck", *(v for kv in counts.items() for v in kv)) == 2
     captured = capsys.readouterr()
     assert f"not {count}" in captured.err
-    assert "PASS" not in captured.out
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("flag", ["--tolerance", "--score-tolerance"])
+@pytest.mark.parametrize("value", ["inf", "-1", "nan"])
+def test_gradcheck_tolerance_no_check_can_meet_is_data_error(flag, value,
+                                                            capsys):
+    # an infinite tolerance passed a check that cannot fail, and a negative
+    # or NaN one failed every trial with exit 3, a usage mistake reported
+    # as a numerical failure
+    assert _run("gradcheck", "--trials", 2, "--fd-trials", 1,
+                f"{flag}={value}") == 2
+    captured = capsys.readouterr()
+    what = "gradient" if flag == "--tolerance" else "oracle"
+    assert (f"{what} tolerance must be finite and >= 0, not {float(value)!r}"
+            in captured.err)
+    assert captured.out == ""
 
 
 def test_config_file_supplies_defaults(toy_dir, tmp_path):
@@ -624,10 +676,11 @@ def test_input_file_with_one_value_changed_exits_0_or_2(pipeline, toy_dir,
                                                         fuzz_dir, data):
     # one value of den.arpa (read by build-graphs) or of logpl.tsv (read by
     # train), or one label of the training manifest set to a name outside
-    # the alphabet (read by train): the run copes or names the fault, never
-    # exit 3, never a traceback.  Graphs build-graphs writes, train and
-    # decode read: a 1e308 in den.arpa once gave build-graphs exit 0 and a
-    # den.fst that train rejected.
+    # the alphabet or to another label of it (read by train): the run copes
+    # or names the fault, never exit 3, never a traceback.  Another label
+    # of the alphabet is data train must take.  Graphs build-graphs writes,
+    # train and decode read: a 1e308 in den.arpa once gave build-graphs
+    # exit 0 and a den.fst that train rejected.
     name = data.draw(st.sampled_from(["den.arpa", "logpl.tsv",
                                       "manifest.tsv"]))
     source = {"den.arpa": pipeline / "den.arpa",
@@ -641,7 +694,10 @@ def test_input_file_with_one_value_changed_exits_0_or_2(pipeline, toy_dir,
     fields = lines[i].rstrip("\n").split("\t")
     if name == "manifest.tsv":
         labels = fields[-1].split()
-        labels[data.draw(st.integers(0, len(labels) - 1))] = "zz"
+        k = data.draw(st.integers(0, len(labels) - 1))
+        alphabet = Alphabet.read(toy_dir / "alphabet.txt").labels
+        labels[k] = data.draw(st.sampled_from(
+            ["zz", *(a for a in alphabet if a != labels[k])]))
         j, value = -1, " ".join(labels)
     else:
         j = data.draw(st.sampled_from([0, -1] if len(fields) == 3 else [0])) \
@@ -656,7 +712,10 @@ def test_input_file_with_one_value_changed_exits_0_or_2(pipeline, toy_dir,
     if name != "den.arpa":
         argv[argv.index("--logpl" if name == "logpl.tsv" else "--manifest")
              + 1] = path
-        assert _run(*argv) in (0, 2), (name, i + 1, value)
+        rc = _run(*argv)
+        assert rc in (0, 2), (name, i + 1, value)
+        if name == "manifest.tsv" and "zz" not in value.split():
+            assert rc == 0, (i + 1, value)
         return
     graphs = fuzz_dir / "graphs"
     rc = _run("build-graphs", "--alphabet", toy_dir / "alphabet.txt",
@@ -671,6 +730,107 @@ def test_input_file_with_one_value_changed_exits_0_or_2(pipeline, toy_dir,
                     "--checkpoint", pipeline / "model.ckpt",
                     "--graph", graphs / "TLG.fst",
                     "--hyp", fuzz_dir / "hyp.tsv") == 0, (i + 1, j, value)
+
+
+def _epsilon_reach(arcs, state, forward):
+    """``state`` and every state it reaches (``forward``) or that reaches it
+    over the epsilon-input arcs, given as ``(src, dst)`` pairs."""
+    step = {}
+    for src, dst in arcs:
+        a, b = (src, dst) if forward else (dst, src)
+        step.setdefault(a, []).append(b)
+    seen, todo = {state}, [state]
+    while todo:
+        for nxt in step.get(todo.pop(), []):
+            if nxt not in seen:
+                seen.add(nxt)
+                todo.append(nxt)
+    return sorted(seen)
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(data=st.data())
+def test_graph_state_id_changed_into_an_epsilon_cycle_exits_2(
+        pipeline, toy_dir, fuzz_dir, data):
+    # one state id of an epsilon arc of TLG.fst changed so that the arc
+    # closes a cycle of epsilon arcs: its target set to a state that
+    # reaches its source, or its source to one its target reaches.  The
+    # search around a cycle would not end; decode names it instead.
+    lines = (pipeline / "graphs" / "TLG.fst").read_text().splitlines(True)
+    rows = [line.rstrip("\n").split("\t") for line in lines]
+    eps = [i for i, f in enumerate(rows) if len(f) == 5 and f[2] == "0"]
+    arcs = [(int(rows[i][0]), int(rows[i][1])) for i in eps]
+    i = data.draw(st.sampled_from(eps))
+    src, dst = arcs[eps.index(i)]
+    j = data.draw(st.sampled_from([0, 1]))
+    rows[i][j] = str(data.draw(st.sampled_from(
+        _epsilon_reach(arcs, dst, True) if j == 0
+        else _epsilon_reach(arcs, src, False))))
+    path = fuzz_dir / "TLG.fst"
+    path.write_text("".join("\t".join(f) + "\n" for f in rows))
+    assert _run("decode",
+                "--manifest", pipeline / "dev" / "manifest.tsv",
+                "--alphabet", toy_dir / "alphabet.txt",
+                "--checkpoint", pipeline / "model.ckpt",
+                "--graph", path,
+                "--hyp", fuzz_dir / "hyp.tsv") == 2, (i + 1, j, rows[i][j])
+
+
+# a checkpoint value past float32's range, which the file holds as an
+# infinity, and float32's largest finite values
+_ABSURD_TENSOR_VALUES = [1e308, -1e308, 3.4e38, -3.4e38]
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(data=st.data())
+def test_model_input_with_one_value_changed_exits_0_or_2(pipeline, toy_dir,
+                                                        fuzz_dir, data):
+    # one feature matrix of the training or the dev manifest with one
+    # column too many or too few (read by train or decode), or one value of
+    # a checkpoint tensor set to an absurd magnitude (read by decode): the
+    # run copes or names the fault, never exit 3, never a traceback
+    kind = data.draw(st.sampled_from(["train features", "dev features",
+                                      "checkpoint"]))
+    manifest = pipeline / kind.split()[0] / "manifest.tsv"
+    checkpoint = pipeline / "model.ckpt"
+    if kind == "checkpoint":
+        model = AcousticModel.load(checkpoint)
+        params = model.parameters()
+        name, param = params[data.draw(st.integers(0, len(params) - 1))]
+        k = data.draw(st.integers(0, param.size - 1))
+        value = data.draw(st.sampled_from(_ABSURD_TENSOR_VALUES))
+        param.flat[k] = value
+        checkpoint = fuzz_dir / "model.ckpt"
+        with np.errstate(over="ignore"):
+            model.save(checkpoint)
+        where = (name, k, value)
+    else:
+        entries = dataio.read_manifest(manifest)
+        u = data.draw(st.integers(0, len(entries) - 1))
+        utt, frames, feat_path, labels = entries[u]
+        feats = dataio.read_matrix(feat_path)
+        extra = data.draw(st.sampled_from([1, -1]))
+        feats = np.hstack([feats, feats[:, :1]]) if extra > 0 \
+            else feats[:, :-1]
+        changed = fuzz_dir / f"{utt}.mat"
+        dataio.write_matrix(changed, feats)
+        entries[u] = (utt, frames, str(changed), labels)
+        manifest = fuzz_dir / "manifest.tsv"
+        dataio.write_manifest(manifest, entries)
+        where = (kind, u, extra)
+    if kind == "train features":
+        argv = _train_argv(pipeline, toy_dir, fuzz_dir,
+                           pipeline / "graphs" / "den.fst")
+        argv[argv.index("--manifest") + 1] = manifest
+        rc = _run(*argv)
+    else:
+        rc = _run("decode",
+                  "--manifest", manifest,
+                  "--alphabet", toy_dir / "alphabet.txt",
+                  "--checkpoint", checkpoint,
+                  "--graph", pipeline / "graphs" / "TLG.fst",
+                  "--hyp", fuzz_dir / "hyp.tsv")
+    assert rc in (0, 2), where
 
 
 @pytest.mark.parametrize("count", [0, 2])
@@ -794,6 +954,28 @@ def test_decode_epsilon_cycle_is_data_error_not_a_hang(pipeline, toy_dir,
                     "--graph", graph,
                     "--hyp", tmp_path / "hyp.tsv") == 2
     assert "epsilon cycle in the decoding graph" in capsys.readouterr().err
+    assert not (tmp_path / "hyp.tsv").exists()
+
+
+def test_decode_graph_over_another_label_order_is_data_error(
+        pipeline, toy_dir, tmp_path, capsys):
+    # TLG.isyms with two labels swapped has the model's size, and decoded
+    # with exit 0, each of the two labels read off the other's column
+    for name in ("TLG.fst", "TLG.osyms"):
+        shutil.copy(pipeline / "graphs" / name, tmp_path / name)
+    lines = (pipeline / "graphs" / "TLG.isyms").read_text().splitlines(True)
+    names = [line.split("\t")[0] for line in lines]
+    names[2], names[3] = names[3], names[2]
+    isyms = tmp_path / "TLG.isyms"
+    isyms.write_text("".join(f"{n}\t{i}\n" for i, n in enumerate(names)))
+    assert _run("decode",
+                "--manifest", pipeline / "dev" / "manifest.tsv",
+                "--alphabet", toy_dir / "alphabet.txt",
+                "--checkpoint", pipeline / "model.ckpt",
+                "--graph", tmp_path / "TLG.fst",
+                "--hyp", tmp_path / "hyp.tsv") == 2
+    assert (f"{isyms}: input symbols are not the state symbols of "
+            f"{toy_dir / 'alphabet.txt'}") in capsys.readouterr().err
     assert not (tmp_path / "hyp.tsv").exists()
 
 

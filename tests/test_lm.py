@@ -1,12 +1,13 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ctc_crf import (ArpaError, DataError, LOG, estimate, emit_arpa,
-                     lm_to_fst, parse_arpa, score_sequence)
-from ctc_crf.lm import BOS, EOS, LN10, read_arpa
+from ctc_crf import (DataError, LOG, NGramModel, SymbolTable, estimate,
+                     emit_arpa, lm_to_fst, read_arpa, score_sequence)
+from ctc_crf.lm import BOS, EOS, LN10
 from ctc_crf.semiring import ZERO
 
 from oracles import acceptor_mass
@@ -55,6 +56,22 @@ def test_estimate_rejects_bad_inputs():
         estimate([["a"]], order=1, discount=1.5)
     with pytest.raises(DataError):
         estimate([["a", "x"]], order=1, vocab=["a"])
+
+
+@pytest.mark.parametrize("order", [2.5, True, 0, "2"])
+def test_order_that_is_not_a_count_is_data_error(order):
+    # 2.5 died in range() with a TypeError, and True was taken as order 1
+    message = f"n-gram order must be an integer >= 1, not {order!r}"
+    with pytest.raises(DataError, match=re.escape(message)):
+        estimate([["a"]], order=order)
+    vocab = SymbolTable(["<eps>", "a", BOS, EOS])
+    with pytest.raises(DataError, match=re.escape(message)):
+        NGramModel(order, vocab, {})
+
+
+def test_string_sentences_count_as_their_tokens():
+    assert estimate(["a b", "b"], order=2) == estimate([["a", "b"], ["b"]],
+                                                       order=2)
 
 
 def test_closed_vocab_gives_mass_to_unseen():
@@ -134,53 +151,82 @@ ngram 1=3
 """
 
 
-def test_parse_minimal_unigram():
-    lm = parse_arpa(MINIMAL_ARPA)
+@pytest.fixture
+def arpa(tmp_path):
+    """Write ARPA text to a file and read it back with ``read_arpa``."""
+    path = tmp_path / "lm.arpa"
+
+    def read(text):
+        path.write_text(text)
+        return read_arpa(path)
+
+    read.path = path
+    return read
+
+
+def test_parse_minimal_unigram(arpa):
+    lm = arpa(MINIMAL_ARPA)
     assert lm.order == 1
     assert lm.entries[(lm.vocab.find("a"),)][0] == pytest.approx(-0.30103)
     assert lm.entries[(lm.vocab.find("b"),)][0] == pytest.approx(-0.60206)
 
 
-def test_parse_declared_count_mismatch():
+def test_parse_declared_count_mismatch(arpa):
     bad = MINIMAL_ARPA.replace("ngram 1=3", "ngram 1=4")
-    with pytest.raises(ArpaError, match="declares 4"):
-        parse_arpa(bad)
+    with pytest.raises(DataError, match="declares 4"):
+        arpa(bad)
 
 
-def test_parse_missing_end():
-    with pytest.raises(ArpaError, match="end"):
-        parse_arpa(MINIMAL_ARPA.replace("\\end\\", ""))
+def test_parse_missing_header(arpa):
+    with pytest.raises(DataError, match="data"):
+        arpa("\\1-grams:\n-0.1 a\n\\end\\\n")
 
 
-def test_parse_missing_header():
-    with pytest.raises(ArpaError, match="data"):
-        parse_arpa("\\1-grams:\n-0.1 a\n\\end\\\n")
+def test_parse_missing_end(arpa):
+    with pytest.raises(DataError, match="end"):
+        arpa(MINIMAL_ARPA.replace("\\end\\", ""))
+
+
+# faults found only once the text has ended name the file, as a malformed
+# line does, though no line is at fault: a missing \\end\\, no </s>, and a
+# bigram over a symbol the unigrams lack
+@pytest.mark.parametrize("text, message", [
+    (MINIMAL_ARPA.replace("\\end\\", ""),
+     "text ends before the \\end\\ marker"),
+    (MINIMAL_ARPA.replace("</s>", "c"), "model lacks '</s>'"),
+    (MINIMAL_ARPA.replace("ngram 1=3", "ngram 1=3\nngram 2=1").replace(
+        "\\end\\", "\\2-grams:\n-0.1\ta z\n\n\\end\\"),
+     "2-gram uses unknown symbol: ('a', 'z')"),
+], ids=["no-end", "no-eos", "unknown-symbol"])
+def test_read_arpa_names_the_file_of_an_end_of_text_fault(arpa, text,
+                                                          message):
+    with pytest.raises(DataError) as exc:
+        arpa(text)
+    assert str(exc.value) == f"{arpa.path}: {message}"
 
 
 @pytest.mark.parametrize("line", ["nan\tb", "inf\tb", "-0.6\tb\tnan",
                                   "-0.6\tb\tinf"])
-def test_parse_nan_or_positive_infinity_is_rejected(line):
-    with pytest.raises(ArpaError, match="1-gram value .* is NaN or \\+inf"):
-        parse_arpa(MINIMAL_ARPA.replace("-0.60206\tb", line))
+def test_parse_nan_or_positive_infinity_is_rejected(arpa, line):
+    with pytest.raises(DataError, match="1-gram value .* is NaN or \\+inf"):
+        arpa(MINIMAL_ARPA.replace("-0.60206\tb", line))
 
 
-def test_parse_negative_infinity_is_log_zero():
-    lm = parse_arpa(MINIMAL_ARPA.replace("-0.60206\tb", "-inf\tb\t-inf"))
+def test_parse_negative_infinity_is_log_zero(arpa):
+    lm = arpa(MINIMAL_ARPA.replace("-0.60206\tb", "-inf\tb\t-inf"))
     assert lm.entries[(lm.vocab.find("b"),)] == (ZERO, ZERO)
 
 
-def test_read_arpa_names_file_and_line(tmp_path):
+def test_read_arpa_names_file_and_line(arpa):
     lines = MINIMAL_ARPA.splitlines()
     ln = lines.index("-0.60206\tb") + 1
     lines[ln - 1] = "-0.6x\tb"
-    path = tmp_path / "lm.arpa"
-    path.write_text("\n".join(lines))
     with pytest.raises(DataError, match=f"line {ln}:") as exc:
-        read_arpa(path)
-    assert str(path) in str(exc.value)
+        arpa("\n".join(lines))
+    assert str(exc.value).startswith(f"{arpa.path}: ")
 
 
-def test_round_trip_identity_orders_1_to_3():
+def test_round_trip_identity_orders_1_to_3(arpa):
     corpora = {
         1: [["a"], ["b", "a"]],
         2: [["a", "b"], ["b", "a", "a"], ["b"]],
@@ -189,7 +235,7 @@ def test_round_trip_identity_orders_1_to_3():
     for order, corpus in corpora.items():
         lm = estimate(corpus, order=order, discount=0.5)
         text = emit_arpa(lm)
-        back = parse_arpa(text)
+        back = arpa(text)
         assert back.order == lm.order
         assert set(back.entries) == set(lm.entries)
         for gram, (p, bow) in lm.entries.items():
@@ -203,7 +249,7 @@ def test_round_trip_identity_orders_1_to_3():
         assert emit_arpa(back) == text
 
 
-def test_hand_built_bigram_fixture_round_trip():
+def test_hand_built_bigram_fixture_round_trip(arpa):
     text = """\\data\\
 ngram 1=4
 ngram 2=2
@@ -220,8 +266,8 @@ ngram 2=2
 
 \\end\\
 """
-    lm = parse_arpa(text)
-    assert emit_arpa(parse_arpa(emit_arpa(lm))) == emit_arpa(lm)
+    lm = arpa(text)
+    assert emit_arpa(arpa(emit_arpa(lm))) == emit_arpa(lm)
     a, b = lm.vocab.find("a"), lm.vocab.find("b")
     assert lm.entries[(a, b)][0] == pytest.approx(-0.2)
     assert lm.entries[(a,)][1] == pytest.approx(-0.30103)
@@ -262,7 +308,6 @@ def test_fst_mass_never_below_score(rng):
 
 
 def test_empty_model_accepts_only_end():
-    from ctc_crf import NGramModel, SymbolTable
     vocab = SymbolTable(["<eps>", "a", BOS, EOS])
     lm = NGramModel(1, vocab, {})
     fst = lm_to_fst(lm, LOG)

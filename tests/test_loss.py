@@ -943,7 +943,9 @@ def test_loss_alpha_combines_parts(ab2, bigram_ab, den_table_ab, rng):
 
 
 def test_loss_rejects_negative_or_nan_alpha(den_table_ab):
-    for alpha in (-0.1, math.nan):
+    # an infinite weight gave a -inf objective not marked degenerate, with a
+    # non-finite gradient
+    for alpha in (-0.1, math.nan, math.inf):
         with pytest.raises(DataError, match="auxiliary weight"):
             crf_loss(uniform_post(2, 3), [1], 0.0, den_table_ab, alpha=alpha)
 

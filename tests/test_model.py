@@ -383,14 +383,21 @@ def test_adam_and_sgd_step_shapes():
 
 
 @pytest.mark.parametrize("field,value", [
-    ("alpha", -0.1), ("alpha", math.nan),
+    ("alpha", -0.1), ("alpha", math.nan), ("alpha", math.inf),
     ("learning_rate", -1e-2), ("learning_rate", math.nan),
+    ("learning_rate", math.inf),
     ("clip_norm", 0.0), ("clip_norm", math.nan),
 ])
 def test_train_config_rejects_out_of_range_values(field, value):
-    # NaN fails every comparison, so a check written as `x < 0` lets it by
+    # NaN fails every comparison, so a check written as `x < 0` lets it by;
+    # an infinite step or weight made the first update non-finite
     with pytest.raises(DataError):
         TrainConfig(**{field: value})
+
+
+def test_train_config_takes_an_infinite_clip_norm():
+    # no gradient norm is above it: clipping is off
+    assert TrainConfig(clip_norm=math.inf).clip_norm == math.inf
 
 
 @pytest.mark.parametrize("field", ["epochs", "batch_size"])
