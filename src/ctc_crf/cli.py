@@ -16,7 +16,7 @@ from . import dataio
 from .decoder import BeamConfig, beam_decode, evaluate_error_rate
 from .errors import DataError, NumericalError
 from .lm import emit_arpa, estimate, read_arpa, score_sequence
-from .loss import flatten_denominator
+from .loss import check_alpha, flatten_denominator
 from .model import AcousticModel, LayerSpec
 from .semiring import LOG, TROPICAL
 from .symbols import Alphabet, SymbolTable
@@ -174,6 +174,7 @@ def cmd_gradcheck(args) -> int:
     # a usage mistake in either check is reported before any trial runs
     check_settings(args.trials, args.score_tolerance, "oracle")
     check_settings(args.fd_trials, args.tolerance, "gradient")
+    check_alpha(args.alpha)
     score_err, score_fail = check_oracle_equivalence(
         args.trials, seed=args.seed, tol=args.score_tolerance)
     print(f"oracle equivalence: max |error| {score_err:.3g} over "

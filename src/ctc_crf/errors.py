@@ -12,9 +12,9 @@ class NumericalError(Exception):
     """Numerical failure: a non-finite objective, gradient or model output."""
 
 
-def _check_count(what: str, value) -> None:
-    """Raise a DataError unless ``value`` is an integer >= 1: a bool is not
-    one, a numpy integer is."""
+def _check_count(what: str, value, least: int = 1) -> None:
+    """Raise a DataError unless ``value`` is an integer >= ``least``: a bool
+    is not one, a numpy integer is."""
     if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
-            or value < 1):
-        raise DataError(f"{what} must be an integer >= 1, not {value!r}")
+            or value < least):
+        raise DataError(f"{what} must be an integer >= {least}, not {value!r}")

@@ -565,6 +565,13 @@ def _forward_backward_log(post: np.ndarray,
 # Combined objective
 # ---------------------------------------------------------------------------
 
+def check_alpha(alpha) -> None:
+    """Raise a DataError unless the auxiliary weight is finite and >= 0."""
+    if not 0 <= alpha < np.inf:   # NaN fails too
+        raise DataError(f"auxiliary weight must be finite and >= 0, "
+                        f"not {alpha!r}")
+
+
 def crf_loss(posterior, labels: Sequence[int], log_pl: float,
              den: DenominatorTable, alpha: float = 0.0) -> LossResult:
     """Full objective and gradient for one utterance.
@@ -574,8 +581,7 @@ def crf_loss(posterior, labels: Sequence[int], log_pl: float,
     negate.  An infeasible numerator against a finite denominator marks the
     utterance degenerate: -inf objective, zero gradient.
     """
-    if not 0 <= alpha < np.inf:   # NaN fails too
-        raise DataError("auxiliary weight must be finite and >= 0")
+    check_alpha(alpha)
     num = numerator_forward(posterior, labels, log_pl)
     den_res = denominator_forward(posterior, den)
     if not num.feasible or not den_res.feasible:

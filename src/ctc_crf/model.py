@@ -8,14 +8,17 @@ checkpoints store float32 tensors.
 from __future__ import annotations
 
 import json
+import math
+import operator
 import os
 import struct
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .dataio import nonfinite
-from .errors import DataError, NumericalError
+from .errors import DataError, NumericalError, _check_count
 
 CHECKPOINT_MAGIC = b"ACMD"
 CHECKPOINT_VERSION = 1
@@ -27,27 +30,56 @@ class LayerSpec:
     size: int | None = None       # output width (affine) or hidden size
     bidirectional: bool = False
 
-    def to_dict(self):
-        return {"kind": self.kind, "size": self.size,
-                "bidirectional": self.bidirectional}
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(d["kind"], d.get("size"), d.get("bidirectional", False))
+    def __post_init__(self):
+        if self.kind not in ("affine", "tanh", "recurrent"):
+            raise DataError(f"unknown layer kind {self.kind!r}")
+        if self.kind != "tanh":
+            _check_count(f"{self.kind} layer size", self.size)
 
 
-def _glorot(rng, fan_in, fan_out):
-    bound = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, size=(fan_in, fan_out))
+def _layout(input_dim, hidden_specs, num_outputs):
+    """Each layer's ``(prefix, kind, [(name, shape), ...])``, the hidden
+    layers and then the output projection, with each layer's parameters in
+    the order the initialiser draws them.  The one place that decides a
+    model's parameters; it allocates none of them."""
+    _check_count("model input width", input_dim)
+    _check_count("model outputs", num_outputs, least=2)
+    layout, width = [], input_dim
+    for i, spec in enumerate([*hidden_specs, LayerSpec("affine", num_outputs)]):
+        size = spec.size
+        if spec.kind == "affine":
+            shapes = [("W", (width, size)), ("b", (size,))]
+        elif spec.kind == "recurrent":
+            tags = ("fwd", "bwd") if spec.bidirectional else ("fwd",)
+            shapes = [(f"{tag}.{name}", shape) for tag in tags
+                      for name, shape in (("Wx", (width, size)),
+                                          ("Wh", (size, size)),
+                                          ("b", (size,)))]
+            size *= len(tags)
+        else:
+            shapes, size = [], width
+        prefix = "out." if i == len(hidden_specs) else f"layer{i}."
+        layout.append((prefix, spec.kind, shapes))
+        width = size
+    return layout
 
 
-class _Affine:
-    def __init__(self, din, dout, rng):
-        self.params = {"W": _glorot(rng, din, dout), "b": np.zeros(dout)}
-        self.grads = {k: np.zeros_like(v) for k, v in self.params.items()}
-        self.out_dim = dout
-        self._x = None
+def _initial(rng, shape):
+    """A weight is Glorot-uniform over (fan_in, fan_out) (Glorot and Bengio,
+    2010); a bias starts at zero."""
+    if len(shape) == 1:
+        return np.zeros(shape)
+    bound = np.sqrt(6.0 / sum(shape))
+    return rng.uniform(-bound, bound, size=shape)
 
+
+class _Layer:
+    def __init__(self, params, grads):
+        self.params = params
+        self.grads = grads
+
+
+class _Affine(_Layer):
     def forward(self, x):
         self._x = x
         return x @ self.params["W"] + self.params["b"]
@@ -58,13 +90,7 @@ class _Affine:
         return dy @ self.params["W"].T
 
 
-class _Tanh:
-    params: dict = {}
-    grads: dict = {}
-
-    def __init__(self):
-        self._y = None
-
+class _Tanh(_Layer):
     def forward(self, x):
         self._y = np.tanh(x)
         return self._y
@@ -73,97 +99,59 @@ class _Tanh:
         return dy * (1.0 - self._y ** 2)
 
 
-class _RecurrentDirection:
-    """Single-direction tanh recurrence h_t = tanh(Wx x_t + Wh h_{t-1} + b)."""
+def _in_steps(a, tag):
+    """The rows of ``a`` in the order direction ``tag`` visits them; being
+    its own inverse, it also maps step order back to time order."""
+    return a[::-1] if tag == "bwd" else a
 
-    def __init__(self, din, hidden, rng, reverse):
-        self.params = {
-            "Wx": _glorot(rng, din, hidden),
-            "Wh": _glorot(rng, hidden, hidden),
-            "b": np.zeros(hidden),
-        }
-        self.grads = {k: np.zeros_like(v) for k, v in self.params.items()}
-        self.reverse = reverse
-        self.hidden = hidden
-        self._xs = None
-        self._h = None
 
-    def _in_steps(self, a):
-        """The rows of ``a`` in the order the recurrence visits them; being
-        its own inverse, it also maps step order back to time order."""
-        return a[::-1] if self.reverse else a
+class _Recurrent(_Layer):
+    """The tanh recurrence h_t = tanh(Wx x_t + Wh h_{t-1} + b) run over the
+    frames in time order ("fwd") and, when bidirectional, in reverse order
+    with its own weights ("bwd"); the outputs are concatenated."""
+
+    def __init__(self, params, grads):
+        super().__init__(params, grads)
+        self.tags = ("fwd", "bwd") if "bwd.b" in params else ("fwd",)
+        self.hidden = len(params["fwd.b"])
 
     def forward(self, x):
-        xs = self._in_steps(x)
-        xw = xs @ self.params["Wx"] + self.params["b"]
-        h = np.zeros((len(xs) + 1, self.hidden))
-        for step in range(len(xs)):
-            h[step + 1] = np.tanh(xw[step] + h[step] @ self.params["Wh"])
-        self._xs = xs
-        self._h = h
-        return self._in_steps(h[1:]).copy()
+        self._x = x
+        self._h = {}
+        outs = []
+        for tag in self.tags:
+            xs = _in_steps(x, tag)
+            xw = xs @ self.params[f"{tag}.Wx"] + self.params[f"{tag}.b"]
+            wh = self.params[f"{tag}.Wh"]
+            h = np.zeros((len(xs) + 1, self.hidden))
+            for step in range(len(xs)):
+                h[step + 1] = np.tanh(xw[step] + h[step] @ wh)
+            self._h[tag] = h
+            outs.append(_in_steps(h[1:], tag))
+        return np.concatenate(outs, axis=1)
 
     def backward(self, dy):
         # pre[step] is the gradient at the pre-activation of that step; the
         # weight gradients sum its outer products, done as matmuls after
         # the loop
-        dys = self._in_steps(dy)
-        pre = np.empty_like(dys)
-        carry = np.zeros(self.hidden)
-        for step in range(len(dys) - 1, -1, -1):
-            pre[step] = (dys[step] + carry) * (1.0 - self._h[step + 1] ** 2)
-            carry = pre[step] @ self.params["Wh"].T
-        self.grads["Wx"] += self._xs.T @ pre
-        self.grads["Wh"] += self._h[:-1].T @ pre
-        self.grads["b"] += pre.sum(axis=0)
-        return self._in_steps(pre @ self.params["Wx"].T)
+        dxs = []
+        for i, tag in enumerate(self.tags):
+            dys = _in_steps(dy[:, i * self.hidden:(i + 1) * self.hidden], tag)
+            h = self._h[tag]
+            wh = self.params[f"{tag}.Wh"]
+            pre = np.empty_like(dys)
+            carry = np.zeros(self.hidden)
+            for step in range(len(dys) - 1, -1, -1):
+                pre[step] = (dys[step] + carry) * (1.0 - h[step + 1] ** 2)
+                carry = pre[step] @ wh.T
+            self.grads[f"{tag}.Wx"] += _in_steps(self._x, tag).T @ pre
+            self.grads[f"{tag}.Wh"] += h[:-1].T @ pre
+            self.grads[f"{tag}.b"] += pre.sum(axis=0)
+            dxs.append(_in_steps(pre @ self.params[f"{tag}.Wx"].T, tag))
+        return sum(dxs[1:], dxs[0])
 
 
-class _Recurrent:
-    def __init__(self, din, hidden, bidirectional, rng):
-        self.fwd = _RecurrentDirection(din, hidden, rng, reverse=False)
-        self.bwd = _RecurrentDirection(din, hidden, rng, reverse=True) \
-            if bidirectional else None
-        self.out_dim = hidden * (2 if bidirectional else 1)
-        self.params = {}
-        self.grads = {}
-        for tag, d in self._directions():
-            for k, v in d.params.items():
-                self.params[f"{tag}.{k}"] = v
-                self.grads[f"{tag}.{k}"] = d.grads[k]
-
-    def _directions(self):
-        yield "fwd", self.fwd
-        if self.bwd is not None:
-            yield "bwd", self.bwd
-
-    def forward(self, x):
-        out = self.fwd.forward(x)
-        if self.bwd is not None:
-            out = np.concatenate([out, self.bwd.forward(x)], axis=1)
-        return out
-
-    def backward(self, dy):
-        if self.bwd is None:
-            return self.fwd.backward(dy)
-        h = self.fwd.hidden
-        return self.fwd.backward(dy[:, :h]) + self.bwd.backward(dy[:, h:])
-
-
-def _param_count(input_dim: int, hidden_specs: list[LayerSpec],
-                 num_outputs: int) -> int:
-    """Parameters a model of these dimensions holds, counted without
-    allocating them."""
-    total, width = 0, input_dim
-    for spec in hidden_specs:
-        if spec.kind == "affine":
-            total += (width + 1) * spec.size
-            width = spec.size
-        elif spec.kind == "recurrent":
-            directions = 2 if spec.bidirectional else 1
-            total += directions * (width + spec.size + 1) * spec.size
-            width = directions * spec.size
-    return total + (width + 1) * num_outputs
+_LAYERS = {"affine": _Affine, "tanh": _Tanh, "recurrent": _Recurrent}
 
 
 class AcousticModel:
@@ -171,8 +159,7 @@ class AcousticModel:
 
     def __init__(self, input_dim: int, hidden_specs: list[LayerSpec],
                  num_outputs: int, seed: int = 0, dropout: float = 0.0):
-        if input_dim < 1 or num_outputs < 2:
-            raise DataError("bad model dimensions")
+        layout = _layout(input_dim, hidden_specs, num_outputs)
         if not 0.0 <= dropout < 1.0:
             raise DataError("dropout must be in [0, 1)")
         self.input_dim = input_dim
@@ -183,45 +170,34 @@ class AcousticModel:
         self._rng = np.random.default_rng(seed)
         self.training = False
 
+        # (name, parameter, gradient), each layer's names sorted: the order
+        # of parameters() and of a checkpoint's tensors
+        self._tensors = []
         self.layers = []
-        width = input_dim
-        for spec in self.hidden_specs:
-            if spec.kind == "affine":
-                layer = _Affine(width, spec.size, self._rng)
-                width = spec.size
-            elif spec.kind == "tanh":
-                layer = _Tanh()
-            elif spec.kind == "recurrent":
-                layer = _Recurrent(width, spec.size, spec.bidirectional, self._rng)
-                width = layer.out_dim
-            else:
-                raise DataError(f"unknown layer kind {spec.kind!r}")
-            self.layers.append(layer)
-        self.output = _Affine(width, num_outputs, self._rng)
+        for prefix, kind, shapes in layout:
+            params = {name: _initial(self._rng, shape) for name, shape in shapes}
+            grads = {name: np.zeros_like(p) for name, p in params.items()}
+            self._tensors += [(prefix + name, params[name], grads[name])
+                              for name in sorted(params)]
+            self.layers.append(_LAYERS[kind](params, grads))
+        self.output = self.layers.pop()
         self._softmax = None
         self._drop_masks = None
 
     # -- parameter access ---------------------------------------------------
 
-    def _param_layers(self):
-        for i, layer in enumerate(self.layers):
-            for name in sorted(layer.params):
-                yield f"layer{i}.{name}", layer.params[name], layer.grads[name]
-        for name in sorted(self.output.params):
-            yield f"out.{name}", self.output.params[name], self.output.grads[name]
-
     def parameters(self):
-        return [(n, p) for n, p, _ in self._param_layers()]
+        return [(n, p) for n, p, _ in self._tensors]
 
     def gradients(self):
-        return [(n, g) for n, _, g in self._param_layers()]
+        return [(n, g) for n, _, g in self._tensors]
 
     @property
     def num_params(self) -> int:
-        return sum(p.size for _, p in self.parameters())
+        return sum(p.size for _, p, _ in self._tensors)
 
     def zero_grads(self):
-        for _, _, g in self._param_layers():
+        for _, _, g in self._tensors:
             g[...] = 0.0
 
     # -- forward / backward --------------------------------------------------
@@ -272,17 +248,19 @@ class AcousticModel:
         header = {
             "input_dim": self.input_dim,
             "num_outputs": self.num_outputs,
-            "specs": [s.to_dict() for s in self.hidden_specs],
+            "specs": [asdict(s) for s in self.hidden_specs],
             "seed": self.seed,
             "dropout": self.dropout,
-            "tensors": [[n, list(p.shape)] for n, p in self.parameters()],
+            "tensors": [[n, list(p.shape)] for n, p, _ in self._tensors],
         }
-        blob = json.dumps(header, sort_keys=True).encode("utf-8")
+        # a numpy integer, which the counts may be, is written as an int
+        blob = json.dumps(header, sort_keys=True,
+                          default=operator.index).encode("utf-8")
         with open(path, "wb") as f:
             f.write(CHECKPOINT_MAGIC)
             f.write(struct.pack("<II", CHECKPOINT_VERSION, len(blob)))
             f.write(blob)
-            for _, p in self.parameters():
+            for _, p, _ in self._tensors:
                 f.write(p.astype("<f4").tobytes(order="C"))
 
     @classmethod
@@ -299,32 +277,41 @@ class AcousticModel:
                 raise DataError(f"{path}: unsupported checkpoint version {version}")
             if blob_len > os.fstat(f.fileno()).st_size - f.tell():
                 raise DataError(f"{path}: truncated checkpoint header")
+            # the header is checked against the model's layout before
+            # anything is allocated; an error names the file
             try:
                 header = json.loads(f.read(blob_len).decode("utf-8"))
-                specs = [LayerSpec.from_dict(d) for d in header["specs"]]
-                size = 4 * _param_count(header["input_dim"], specs,
-                                        header["num_outputs"])
+                specs = [LayerSpec(**d) for d in header["specs"]]
+                shapes = {prefix + name: list(shape)
+                          for prefix, _, layer in _layout(
+                              header["input_dim"], specs, header["num_outputs"])
+                          for name, shape in layer}
+                size = 4 * sum(math.prod(s) for s in shapes.values())
                 if size > os.fstat(f.fileno()).st_size - f.tell():
-                    raise DataError(f"{path}: header claims {size} bytes of "
-                                    f"tensors, more than the file holds")
+                    raise DataError(f"header claims {size} bytes of tensors, "
+                                    f"more than the file holds")
+                tensors = [(name, list(shape), shapes[name])
+                           for name, shape in header["tensors"]]
+                named = Counter(name for name, _, _ in tensors)
+                for name in shapes:
+                    if named[name] != 1:
+                        raise DataError(f"the header names tensor {name} "
+                                        f"{named[name]} times, not once")
+                for name, shape, want in tensors:
+                    if shape != want:
+                        raise DataError(f"tensor {name} has shape {shape}, "
+                                        f"the model needs {want}")
                 model = cls(header["input_dim"], specs,
                             header["num_outputs"], seed=header.get("seed", 0),
                             dropout=header.get("dropout", 0.0))
-                params = dict(model.parameters())
-                tensors = [(name, params[name], list(shape))
-                           for name, shape in header["tensors"]]
+            except DataError as exc:
+                raise DataError(f"{path}: {exc}") from None
             except (KeyError, TypeError, ValueError) as exc:
                 raise DataError(f"{path}: bad checkpoint header "
                                 f"({type(exc).__name__}: {exc})") from None
-            named = [name for name, _, _ in tensors]
-            for name in params:
-                if named.count(name) != 1:
-                    raise DataError(f"{path}: the header names tensor {name} "
-                                    f"{named.count(name)} times, not once")
-            for name, param, shape in tensors:
-                if shape != list(param.shape):
-                    raise DataError(f"{path}: tensor {name} has shape {shape}, "
-                                    f"the model needs {list(param.shape)}")
+            params = dict(model.parameters())
+            for name, _, _ in tensors:
+                param = params[name]
                 raw = f.read(4 * param.size)
                 if len(raw) != 4 * param.size:
                     raise DataError(f"{path}: truncated tensor {name}")
@@ -337,10 +324,10 @@ class AcousticModel:
         return model
 
     def state_copy(self):
-        return [p.copy() for _, p in self.parameters()]
+        return [p.copy() for _, p, _ in self._tensors]
 
     def restore_state(self, snapshot):
-        for (_, p), saved in zip(self.parameters(), snapshot):
+        for (_, p, _), saved in zip(self._tensors, snapshot):
             p[...] = saved
 
 

@@ -7,7 +7,7 @@ import numpy as np
 
 from .decoder import evaluate_error_rate, greedy_decode
 from .errors import DataError, NumericalError, _check_count
-from .loss import DenominatorTable, crf_loss
+from .loss import DenominatorTable, check_alpha, crf_loss
 from .model import AcousticModel, Adam, Sgd
 
 
@@ -29,9 +29,9 @@ class TrainConfig:
         # an infinite step or weight would make the first update non-finite
         if not 0 <= self.learning_rate < np.inf:
             raise DataError("learning rate must be finite and >= 0")
-        if not (0 <= self.alpha < np.inf and self.clip_norm > 0):
-            raise DataError("alpha must be finite and >= 0 and clip norm "
-                            "positive")
+        check_alpha(self.alpha)
+        if not self.clip_norm > 0:
+            raise DataError("clip norm must be positive")
         if self.optimizer not in ("sgd", "adam"):
             raise DataError(f"unknown optimizer {self.optimizer!r}")
 

@@ -634,3 +634,47 @@ def frozen_align_counts(hyp, ref) -> tuple[int, int, int]:
             cost[irow][j] = best
     _, s, d, i = cost[n][m]
     return s, d, i
+
+
+# ---------------------------------------------------------------------------
+# Frozen model construction
+# ---------------------------------------------------------------------------
+# How ``ctc_crf.model.AcousticModel`` built its parameters before one layout
+# walk decided them: a chain of per-kind branches, each recurrent direction
+# its own object, and the names sorted layer by layer on every access.  Kept
+# so that the initial values, their names and their order can be checked
+# for equality.
+
+def frozen_model_parameters(input_dim, specs, num_outputs, seed):
+    """The ``(name, parameter)`` list of a freshly built model."""
+    rng = np.random.default_rng(seed)
+
+    def glorot(fan_in, fan_out):
+        bound = np.sqrt(6.0 / (fan_in + fan_out))
+        return rng.uniform(-bound, bound, size=(fan_in, fan_out))
+
+    def direction(din, hidden):
+        return {"Wx": glorot(din, hidden), "Wh": glorot(hidden, hidden),
+                "b": np.zeros(hidden)}
+
+    layers = []
+    width = input_dim
+    for spec in specs:
+        if spec.kind == "affine":
+            layers.append({"W": glorot(width, spec.size),
+                           "b": np.zeros(spec.size)})
+            width = spec.size
+        elif spec.kind == "tanh":
+            layers.append({})
+        elif spec.kind == "recurrent":
+            params = {f"fwd.{k}": v
+                      for k, v in direction(width, spec.size).items()}
+            if spec.bidirectional:
+                params.update((f"bwd.{k}", v)
+                              for k, v in direction(width, spec.size).items())
+            layers.append(params)
+            width = spec.size * (2 if spec.bidirectional else 1)
+    output = {"W": glorot(width, num_outputs), "b": np.zeros(num_outputs)}
+    named = [(f"layer{i}.{name}", layer[name])
+             for i, layer in enumerate(layers) for name in sorted(layer)]
+    return named + [(f"out.{name}", output[name]) for name in sorted(output)]

@@ -554,18 +554,22 @@ def test_gradcheck_without_a_trial_is_data_error(flag, count, capsys):
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("flag", ["--tolerance", "--score-tolerance"])
+@pytest.mark.parametrize("flag", ["--tolerance", "--score-tolerance",
+                                  "--alpha"])
 @pytest.mark.parametrize("value", ["inf", "-1", "nan"])
 def test_gradcheck_tolerance_no_check_can_meet_is_data_error(flag, value,
                                                             capsys):
     # an infinite tolerance passed a check that cannot fail, and a negative
     # or NaN one failed every trial with exit 3, a usage mistake reported
-    # as a numerical failure
+    # as a numerical failure; a bad auxiliary weight let every oracle trial
+    # run and print before the first gradient trial rejected it
     assert _run("gradcheck", "--trials", 2, "--fd-trials", 1,
                 f"{flag}={value}") == 2
     captured = capsys.readouterr()
-    what = "gradient" if flag == "--tolerance" else "oracle"
-    assert (f"{what} tolerance must be finite and >= 0, not {float(value)!r}"
+    what = {"--tolerance": "gradient tolerance",
+            "--score-tolerance": "oracle tolerance",
+            "--alpha": "auxiliary weight"}[flag]
+    assert (f"{what} must be finite and >= 0, not {float(value)!r}"
             in captured.err)
     assert captured.out == ""
 
@@ -856,6 +860,32 @@ def test_decode_checkpoint_header_naming_a_tensor_not_once_is_data_error(
                 "--graph", pipeline / "graphs" / "TLG.fst",
                 "--hyp", tmp_path / "hyp.tsv") == 2
     assert (f"{ckpt}: the header names tensor out.b {count} times, not once"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "hyp.tsv").exists()
+
+
+def test_decode_checkpoint_with_a_zero_width_layer_is_data_error(
+        pipeline, toy_dir, tmp_path, capsys):
+    # a layer of size 0 drops the features: such a checkpoint loaded, and
+    # decode gave every utterance the same hypothesis with exit 0
+    data = (pipeline / "model.ckpt").read_bytes()
+    blob_len, = struct.unpack("<I", data[8:12])
+    header = json.loads(data[12:12 + blob_len])
+    width, outputs = header["input_dim"], header["num_outputs"]
+    header["specs"] = [{"kind": "affine", "size": 0, "bidirectional": False}]
+    header["tensors"] = [["layer0.W", [width, 0]], ["layer0.b", [0]],
+                         ["out.W", [0, outputs]], ["out.b", [outputs]]]
+    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    ckpt = tmp_path / "model.ckpt"
+    ckpt.write_bytes(data[:8] + struct.pack("<I", len(blob)) + blob
+                     + bytes(4 * outputs))
+    assert _run("decode",
+                "--manifest", pipeline / "dev" / "manifest.tsv",
+                "--alphabet", toy_dir / "alphabet.txt",
+                "--checkpoint", ckpt,
+                "--graph", pipeline / "graphs" / "TLG.fst",
+                "--hyp", tmp_path / "hyp.tsv") == 2
+    assert (f"{ckpt}: affine layer size must be an integer >= 1, not 0"
             in capsys.readouterr().err)
     assert not (tmp_path / "hyp.tsv").exists()
 

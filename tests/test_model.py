@@ -5,14 +5,18 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctc_crf import (AcousticModel, Adam, Alphabet, DataError, LayerSpec,
                      NumericalError, Sgd, TrainConfig, build_denominator_graph,
                      crf_loss, estimate, flatten_denominator, score_sequence,
                      train)
-from ctc_crf.model import _param_count
+from ctc_crf.model import _layout
 from ctc_crf.toydata import generate_dataset
 from ctc_crf.verify import random_log_softmax
+
+from oracles import frozen_model_parameters
 
 
 def tiny_model(seed=0):
@@ -178,6 +182,17 @@ def test_checkpoint_round_trip_bit_exact(tmp_path, rng):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_checkpoint_takes_numpy_integer_counts(tmp_path):
+    # the counts are checked as integers, numpy ones included, but such a
+    # model's header did not serialise
+    path = tmp_path / "m.ckpt"
+    AcousticModel(np.int64(4), [LayerSpec("recurrent", np.int32(3))],
+                  np.int64(3), seed=np.int64(2)).save(path)
+    AcousticModel(4, [LayerSpec("recurrent", 3)], 3, seed=2).save(
+        tmp_path / "want.ckpt")
+    assert path.read_bytes() == (tmp_path / "want.ckpt").read_bytes()
+
+
 def test_checkpoint_rejects_garbage(tmp_path):
     path = tmp_path / "bad.ckpt"
     path.write_bytes(b"nope")
@@ -238,7 +253,65 @@ def test_checkpoint_header_claims_more_parameters_than_the_file(tmp_path):
      LayerSpec("recurrent", 2, bidirectional=True)],
 ], ids=["none", "affine-tanh", "rnn-affine", "birnn-birnn"])
 def test_param_count_matches_the_built_model(specs):
-    assert _param_count(4, specs, 3) == AcousticModel(4, specs, 3).num_params
+    # the layout the checkpoint reader checks a header against is the one
+    # the model allocates, and counts what it holds
+    layout = {prefix + name: shape
+              for prefix, _, layer in _layout(4, specs, 3)
+              for name, shape in layer}
+    model = AcousticModel(4, specs, 3)
+    assert layout == {name: p.shape for name, p in model.parameters()}
+    assert sum(math.prod(s) for s in layout.values()) == model.num_params
+
+
+_LAYER_SPECS = st.one_of(
+    st.builds(LayerSpec, st.just("affine"), st.integers(1, 5)),
+    st.just(LayerSpec("tanh")),
+    st.builds(LayerSpec, st.just("recurrent"), st.integers(1, 4),
+              st.booleans()))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(specs=st.lists(_LAYER_SPECS, max_size=3), input_dim=st.integers(1, 5),
+       num_outputs=st.integers(2, 5), seed=st.integers(0, 2**32 - 1))
+def test_parameters_equal_the_frozen_construction(specs, input_dim,
+                                                  num_outputs, seed):
+    # names, order and values, so the draw order of the initialiser and the
+    # tensor order of a checkpoint are both pinned
+    got = AcousticModel(input_dim, specs, num_outputs, seed=seed).parameters()
+    want = frozen_model_parameters(input_dim, specs, num_outputs, seed)
+    assert [name for name, _ in got] == [name for name, _ in want]
+    for (name, p), (_, q) in zip(got, want):
+        assert np.array_equal(p, q), name
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: LayerSpec("affine"),
+     "affine layer size must be an integer >= 1, not None"),
+    (lambda: LayerSpec("affine", 0),
+     "affine layer size must be an integer >= 1, not 0"),
+    (lambda: LayerSpec("recurrent", -2, bidirectional=True),
+     "recurrent layer size must be an integer >= 1, not -2"),
+    (lambda: LayerSpec("recurrent", 2.5),
+     "recurrent layer size must be an integer >= 1, not 2.5"),
+    (lambda: LayerSpec("conv", 3), "unknown layer kind 'conv'"),
+    (lambda: AcousticModel(2.5, [], 3),
+     "model input width must be an integer >= 1, not 2.5"),
+    (lambda: AcousticModel(0, [], 3),
+     "model input width must be an integer >= 1, not 0"),
+    (lambda: AcousticModel(4, [], 1),
+     "model outputs must be an integer >= 2, not 1"),
+    (lambda: AcousticModel(4, [], True),
+     "model outputs must be an integer >= 2, not True"),
+], ids=["affine-no-size", "affine-0", "birnn-negative", "rnn-fraction",
+        "unknown-kind", "input-fraction", "input-0", "one-output",
+        "bool-outputs"])
+def test_layer_size_and_model_dimensions_are_counts(build, message):
+    # a zero-width layer once built a model that dropped its features, a
+    # layer with no size died with a TypeError, a negative one with a numpy
+    # ValueError, and a fractional input width with a TypeError
+    with pytest.raises(DataError) as info:
+        build()
+    assert str(info.value) == message
 
 
 def test_checkpoint_corrupt_json_header(tmp_path):
