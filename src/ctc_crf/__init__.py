@@ -2,9 +2,9 @@
 
 The pieces: a WFST layer (topology, composition, graph assembly), a backoff
 n-gram LM with ARPA round-trip, the CRF objective with exact gradients (one
-rescaled forward-backward serves the numerator and the denominator), a
-small trainable acoustic model, and a Viterbi beam decoder with blank-frame
-skipping.
+forward-backward, rescaled once per block of frames, serves the numerator
+and the denominator), a small trainable acoustic model, and a Viterbi beam
+decoder with blank-frame skipping.
 """
 
 from .decoder import (BeamConfig, DecodeResult, ErrorRateBreakdown,

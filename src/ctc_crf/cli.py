@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import dataio
 from .decoder import BeamConfig, beam_decode, evaluate_error_rate
-from .errors import DataError, NumericalError
+from .errors import DataError, NumericalError, _check_count
 from .lm import emit_arpa, estimate, read_arpa, score_sequence
 from .loss import check_alpha, flatten_denominator
 from .model import AcousticModel, LayerSpec
@@ -175,6 +175,7 @@ def cmd_gradcheck(args) -> int:
     check_settings(args.trials, args.score_tolerance, "oracle")
     check_settings(args.fd_trials, args.tolerance, "gradient")
     check_alpha(args.alpha)
+    _check_count("seed", args.seed, least=0)
     score_err, score_fail = check_oracle_equivalence(
         args.trials, seed=args.seed, tol=args.score_tolerance)
     print(f"oracle equivalence: max |error| {score_err:.3g} over "

@@ -16,38 +16,57 @@ reference's blank-augmented chain for the numerator.  A table is given its
 transition matrix as factors whose product it is: for T∘G the epsilon
 closure and then the labeled arcs (for a trigram, about a third of the
 entries of their product), for the chain the chain itself.  The pass runs
-in the probability domain with a per-frame rescale, as in lattice-free
-MMI.  A table of at most ``_DENSE_MAX`` states (the toy bigram, every short
+in the probability domain and rescales, as lattice-free MMI does, but
+once per block of up to ``_BLOCK`` frames rather than on every frame: a
+frame lifts the forward mass by at most the largest row sum ``g`` of the
+transition matrix, so a table whose ``g`` could lift an unchecked mass by
+more than ``_MAX_LIFT`` within a block runs shorter blocks, down to one
+frame.  Every CTC-CRF table has ``g <= 3`` and runs blocks of eight.  A
+table of at most ``_DENSE_MAX`` states (the toy bigram, every short
 reference chain) forms its dense transition matrix once and makes one
-matrix-vector product per frame.  A larger one (a trigram T∘G, a long
-reference chain) makes one sparse product by each factor, held as jagged
-diagonals (Saad, 1989): its output rows sorted by entry count, so that the
-k-th entries of all rows are one contiguous vector added into a prefix of
-the output.  Most rows hold one to three entries, so a product is a gather,
-a multiply and a few vector adds, with one ``reduceat`` over the rest of
-the few long rows.  A log-domain pass over the same layout is the exact
+matrix-vector product per frame; a chain writes that matrix straight from
+its bands.  A larger one (a trigram T∘G, a long reference chain) makes
+one sparse product by each factor, held as jagged diagonals (Saad, 1989):
+its output rows sorted by entry count, so that the k-th entries of all
+rows are one contiguous vector added into a prefix of the output.  Most
+rows hold one to three entries, so a product is a gather, a multiply and
+a few vector adds, with one ``reduceat`` over the rest of the few long
+rows.  A log-domain pass over the same layout is the exact
 fallback for an utterance whose rescaled mass underflows.  Gradients are
 with respect to the node potentials: the difference between the
 reference-conditioned and unconstrained per-frame symbol occupancies.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .dataio import nonfinite
 from .errors import DataError
 from .semiring import LOG, ZERO, logsumexp
 from .wfst import (EPS, Wfst, _expand, _final_columns, check_epsilon_acyclic,
                    reachable)
 
 NEG_INF = ZERO
-# A frame's rescale mass below this is built from subnormal terms and would
-# lose precision; such an utterance takes the log-domain pass instead.
+# A rescale mass below this is built from subnormal terms and would lose
+# precision; such an utterance takes the log-domain pass instead.  Only the
+# last frame of a block is rescaled and checked.  A frame multiplies the
+# forward mass by at most the transition matrix's largest row sum g, the
+# emissions being at most one, so a block whose rescale mass passes held no
+# mass below _MIN_SCALE / g^(B - 1) >= _MIN_SCALE / _MAX_LIFT = 1e-300 on the
+# B - 1 frames before it, still a normal float, and none above _MAX_LIFT.
 _MIN_SCALE = 1e-250
+# The forward masses are rescaled once every _BLOCK frames, or every B
+# frames for the largest B whose lift g^(B - 1) is at most _MAX_LIFT: the
+# block length follows from the table, once per table, and is not a
+# setting.  The toy bigram, the trigram and every reference chain have
+# g <= 3 and run blocks of eight; a table with arcs of +300 nats rescales
+# every frame.
+_BLOCK = 8
+_MAX_LIFT = 1e50
 # A table of at most this many states runs its pass over its dense
 # transition matrix: one matrix-vector product per frame costs less than the
 # numpy calls of the sparse products by its factors.  A trigram's thousands
@@ -67,7 +86,9 @@ def as_posterior(values) -> np.ndarray:
     post = np.ascontiguousarray(values, dtype=np.float64)
     if post.ndim != 2:
         raise DataError(f"posterior must be 2-D, got shape {post.shape}")
-    if nonfinite(post, allow_neg_inf=True).any():
+    # one reduction: a NaN anywhere makes the maximum NaN, a +inf makes it
+    # +inf, and a posterior with no frames has the maximum -inf
+    if not post.max(initial=NEG_INF) < np.inf:
         raise DataError("posterior holds NaN or +inf")
     return post
 
@@ -160,6 +181,14 @@ class DenominatorTable:
         with np.errstate(over="ignore", invalid="ignore"):
             return reduce(np.matmul, [_dense(*f)
                                       for f in self._factor_entries])
+
+    @cached_property
+    def _block(self) -> int:
+        """The frames per rescale of the probability-domain pass, from the
+        largest row sum of the transition matrix."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            growth = _products(self)[1](np.ones(self.num_states))
+        return _block_frames(float(growth.max(initial=0.0)))
 
     @cached_property
     def num_transitions(self) -> int:
@@ -288,6 +317,16 @@ def _jagged(direction: _Direction, weights, combine, add, fill: float):
         return v[unsort]
 
     return product
+
+
+def _block_frames(growth: float) -> int:
+    """The most frames, up to ``_BLOCK``, a block may run when a frame lifts
+    the forward mass by at most ``growth``: ``growth^(B - 1) <= _MAX_LIFT``.
+    A NaN growth comes from an infinite weight, which sends every utterance
+    to the log-domain pass whatever the block."""
+    if not growth > 1.0:
+        return _BLOCK
+    return min(_BLOCK, 1 + int(math.log(_MAX_LIFT) / math.log(growth)))
 
 
 def _dense(src, dst, log_weight, num_src: int, num_dst: int) -> np.ndarray:
@@ -425,8 +464,16 @@ def _reference_chain(labels: Sequence[int], width: int) -> DenominatorTable:
     dst = np.concatenate([pos, pos[1:], skip])
     final = np.full(n, NEG_INF)
     final[-2:] = 0.0
-    return DenominatorTable(0, final, ext, width,
-                            [(src, dst, np.zeros(len(dst)), n, n)])
+    table = DenominatorTable(0, final, ext, width,
+                             [(src, dst, np.zeros(len(dst)), n, n)])
+    if n <= _DENSE_MAX:
+        # the dense matrix written straight from the bands, not formed from
+        # the factor; a row holds a loop, a step and a skip at most, so no
+        # frame lifts the mass more than threefold
+        table._matrix = np.zeros((n, n))
+        table._matrix[src, dst] = 1.0
+    table._block = _block_frames(3.0)
+    return table
 
 
 def numerator_forward(posterior, labels: Sequence[int],
@@ -477,55 +524,62 @@ def _forward_backward(post: np.ndarray,
     """Score and per-frame occupancy of all paths through ``table``.
 
     Each frame multiplies the forward masses by the transition matrix, then
-    by a per-state emission ``exp(post[t] - max(post[t]))``, and rescales
-    the result to sum to one.  The score adds back the logs of the rescale
-    masses and of the row maxima.  The backward pass multiplies by the
-    matrix's transpose and divides by the forward rescale masses, so
-    ``alpha * beta`` is a state posterior and the occupancy is its sum by
-    state label.  An utterance whose rescale mass underflows or is not
+    by a per-state emission ``exp(post[t] - max(post[t]))``.  The last frame
+    of each block of ``table._block`` frames, and the utterance's last
+    frame, so that no forward mass is checked only through the final
+    weights, rescale the masses to sum to one; the score adds back the logs
+    of the rescale masses and of the row maxima.  The backward pass
+    multiplies by the matrix's transpose and divides by a block's rescale
+    mass at the frame the forward rescaled, so ``alpha * beta`` sums to one
+    on every frame: it is the state posterior, and the occupancy is its sum
+    by state label.  An utterance whose rescale mass underflows or is not
     finite takes the exact log-domain pass.
     """
     t_frames = len(post)
-    peak = post.max(axis=1)
-    if not np.isfinite(peak).all():
-        return _forward_backward_log(post, table)
-    emit = np.exp(post - peak[:, None])
     lab = table.state_label
     forward, backward = _products(table)
     add = np.add.reduce
-
-    # rows 1 .. T start as the emissions and end as the rescaled forward
-    # masses; with mode="clip" take writes them in place, where the default
-    # mode would buffer a T x N copy
+    block, last = table._block, t_frames - 1
+    # rows 1 .. T start as the emissions and end as the forward masses,
+    # rescaled at the end of each block; with mode="clip" take writes them
+    # in place, where the default mode would buffer a T x N copy
     alpha = np.empty((t_frames + 1, table.num_states))
     alpha[0] = 0.0
     alpha[0, table.start] = 1.0
-    np.take(emit, lab, axis=1, out=alpha[1:], mode="clip")
-    scale = np.empty(t_frames)
+    scale = {}   # the rescale mass of each rescaled frame
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        # a row of -inf, the only row with no finite maximum, makes its
+        # emissions NaN, and its rescale mass sends it to the log domain
+        peak = post.max(axis=1)
+        emit = np.exp(post - peak[:, None])
+        np.take(emit, lab, axis=1, out=alpha[1:], mode="clip")
         for t in range(t_frames):
             nxt = alpha[t + 1]
             nxt *= forward(alpha[t])
-            scale[t] = mass = add(nxt)
-            nxt /= mass
+            if t % block == block - 1 or t == last:
+                scale[t] = mass = add(nxt)
+                nxt /= mass
         end = float(alpha[t_frames] @ table._final_prob)
-        if not (np.all((_MIN_SCALE < scale) & (scale < np.inf))
-                and _MIN_SCALE < end < np.inf):
+        if not all(_MIN_SCALE < mass < np.inf
+                   for mass in (*scale.values(), end)):
             return _forward_backward_log(post, table)
 
         # row t + 1 of alpha becomes the state posterior of frame t
         beta = table._final_prob / end
-        for t in range(t_frames - 1, -1, -1):
+        for t in range(last, -1, -1):
             gamma = alpha[t + 1]
             gamma *= beta
             if t:
                 beta = backward(beta * emit[t][lab])
-                beta /= scale[t]
+                if t in scale:
+                    beta /= scale[t]
         occupancy = alpha[1:] @ table._label_onehot
-    if not np.isfinite(occupancy).all():
+    # NaN or +inf: the products of the masses are never negative
+    if not occupancy.max(initial=0.0) < np.inf:
         return _forward_backward_log(post, table)
-    score = np.log(scale).sum() + peak.sum() + np.log(end)
-    return ForwardResult(float(score), occupancy, True)
+    score = (sum(map(math.log, scale.values())) + float(peak.sum())
+             + math.log(end))
+    return ForwardResult(score, occupancy, True)
 
 
 def _forward_backward_log(post: np.ndarray,

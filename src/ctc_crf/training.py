@@ -24,6 +24,8 @@ class TrainConfig:
     def __post_init__(self):
         _check_count("epochs", self.epochs)
         _check_count("batch size", self.batch_size)
+        # numpy's generators take no negative seed
+        _check_count("seed", self.seed, least=0)
         # each check holds for valid values, so NaN, which fails every
         # comparison, fails it.  An infinite clip norm turns clipping off;
         # an infinite step or weight would make the first update non-finite

@@ -15,7 +15,8 @@ import numpy as np
 
 from ctc_crf.decoder import BeamConfig, DecodeResult
 from ctc_crf.errors import DataError
-from ctc_crf.loss import as_posterior
+from ctc_crf.loss import (_MIN_SCALE, ForwardResult, _forward_backward_log,
+                          _products, as_posterior)
 from ctc_crf.semiring import LOG, ONE, ZERO
 from ctc_crf.wfst import EPS, Arc, Wfst, trim
 
@@ -520,6 +521,68 @@ def frozen_products(table, log=False):
         return v
 
     return forward, backward
+
+
+# ---------------------------------------------------------------------------
+# Frozen per-frame rescaled pass
+# ---------------------------------------------------------------------------
+# The forward-backward of ``ctc_crf.loss`` that rescaled on every frame,
+# before it rescaled once per block of frames, kept verbatim (only the entry
+# point is renamed) so that the block pass can be checked against it.
+
+def frozen_forward_backward(post: np.ndarray, table) -> ForwardResult:
+    """Score and per-frame occupancy of all paths through ``table``.
+
+    Each frame multiplies the forward masses by the transition matrix, then
+    by a per-state emission ``exp(post[t] - max(post[t]))``, and rescales
+    the result to sum to one.  The score adds back the logs of the rescale
+    masses and of the row maxima.  The backward pass multiplies by the
+    matrix's transpose and divides by the forward rescale masses, so
+    ``alpha * beta`` is a state posterior and the occupancy is its sum by
+    state label.  An utterance whose rescale mass underflows or is not
+    finite takes the exact log-domain pass.
+    """
+    t_frames = len(post)
+    peak = post.max(axis=1)
+    if not np.isfinite(peak).all():
+        return _forward_backward_log(post, table)
+    emit = np.exp(post - peak[:, None])
+    lab = table.state_label
+    forward, backward = _products(table)
+    add = np.add.reduce
+
+    # rows 1 .. T start as the emissions and end as the rescaled forward
+    # masses; with mode="clip" take writes them in place, where the default
+    # mode would buffer a T x N copy
+    alpha = np.empty((t_frames + 1, table.num_states))
+    alpha[0] = 0.0
+    alpha[0, table.start] = 1.0
+    np.take(emit, lab, axis=1, out=alpha[1:], mode="clip")
+    scale = np.empty(t_frames)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for t in range(t_frames):
+            nxt = alpha[t + 1]
+            nxt *= forward(alpha[t])
+            scale[t] = mass = add(nxt)
+            nxt /= mass
+        end = float(alpha[t_frames] @ table._final_prob)
+        if not (np.all((_MIN_SCALE < scale) & (scale < np.inf))
+                and _MIN_SCALE < end < np.inf):
+            return _forward_backward_log(post, table)
+
+        # row t + 1 of alpha becomes the state posterior of frame t
+        beta = table._final_prob / end
+        for t in range(t_frames - 1, -1, -1):
+            gamma = alpha[t + 1]
+            gamma *= beta
+            if t:
+                beta = backward(beta * emit[t][lab])
+                beta /= scale[t]
+        occupancy = alpha[1:] @ table._label_onehot
+    if not np.isfinite(occupancy).all():
+        return _forward_backward_log(post, table)
+    score = np.log(scale).sum() + peak.sum() + np.log(end)
+    return ForwardResult(float(score), occupancy, True)
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ctc_crf import (LOG, AcousticModel, Alphabet, DataError, dataio,
-                     flatten_denominator, read_fst_text, toydata)
-from ctc_crf.cli import main
+                     flatten_denominator, read_arpa, read_fst_text,
+                     score_sequence, toydata)
+from ctc_crf.cli import build_parser, main
 from ctc_crf.toydata import write_dataset
 
 
@@ -574,6 +575,19 @@ def test_gradcheck_tolerance_no_check_can_meet_is_data_error(flag, value,
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command", ["train", "gradcheck"])
+def test_negative_seed_is_data_error(pipeline, toy_dir, tmp_path, capsys,
+                                     command):
+    # numpy takes no negative seed: train and gradcheck ended with a
+    # traceback
+    argv = (_train_argv(pipeline, toy_dir, tmp_path,
+                        pipeline / "graphs" / "den.fst")
+            if command == "train" else
+            ["gradcheck", "--trials", 1, "--fd-trials", 1])
+    assert _run(*argv, "--seed", -1) == 2
+    assert "seed must be an integer >= 0, not -1" in capsys.readouterr().err
+
+
 def test_config_file_supplies_defaults(toy_dir, tmp_path):
     config = tmp_path / "run.cfg"
     config.write_text("order = 1\n# comment\ndiscount = 0.4\n")
@@ -734,6 +748,82 @@ def test_input_file_with_one_value_changed_exits_0_or_2(pipeline, toy_dir,
                     "--checkpoint", pipeline / "model.ckpt",
                     "--graph", graphs / "TLG.fst",
                     "--hyp", fuzz_dir / "hyp.tsv") == 0, (i + 1, j, value)
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(data=st.data())
+def test_labels_file_label_swapped_prepares_and_trains(pipeline, toy_dir,
+                                                       fuzz_dir, data):
+    # one label of the labels file prepare reads swapped for another label
+    # of the alphabet: prepare caches the score of the changed sequence,
+    # every other score as before, and train takes what prepare wrote
+    lines = (pipeline / "train-labels.tsv").read_text().splitlines(True)
+    i = data.draw(st.sampled_from([i for i, line in enumerate(lines)
+                                   if line.rstrip("\n").split("\t")[1]]))
+    utt, text = lines[i].rstrip("\n").split("\t")
+    labels = text.split()
+    k = data.draw(st.integers(0, len(labels) - 1))
+    alphabet = Alphabet.read(toy_dir / "alphabet.txt").labels
+    labels[k] = data.draw(st.sampled_from(
+        [a for a in alphabet if a != labels[k]]))
+    path = fuzz_dir / "train-labels.tsv"
+    path.write_text("".join(lines[:i] + [f"{utt}\t{' '.join(labels)}\n"]
+                            + lines[i + 1:]))
+    work = fuzz_dir / "prepared"
+    assert _run("prepare", "--features-dir", toy_dir / "feats",
+                "--labels", path, "--alphabet", toy_dir / "alphabet.txt",
+                "--den-lm", pipeline / "den.arpa", "--work-dir", work) == 0
+    before = dataio.read_logpl(pipeline / "train" / "logpl.tsv")
+    after = dataio.read_logpl(work / "logpl.tsv")
+    want = score_sequence(read_arpa(pipeline / "den.arpa"), labels)
+    assert after.pop(utt) == pytest.approx(want, rel=1e-11)
+    del before[utt]
+    assert after == before
+    argv = _train_argv(pipeline, toy_dir, fuzz_dir,
+                       pipeline / "graphs" / "den.fst")
+    argv[argv.index("--manifest") + 1] = work / "manifest.tsv"
+    argv[argv.index("--logpl") + 1] = work / "logpl.tsv"
+    assert _run(*argv) == 0, (i + 1, k, labels[k])
+
+
+# a config value that is NaN, infinite, negative or zero (the values the
+# flags are fuzzed at), a word, or empty.  A seed of -1 once ended train
+# with a traceback
+_ABSURD_SETTINGS = ["nan", "inf", "-inf", "-1", "0", "abc", ""]
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(data=st.data())
+def test_config_value_changed_exits_0_or_2(pipeline, toy_dir, fuzz_dir,
+                                           data):
+    # one setting of train or decode given an absurd value in the --config
+    # file: the run copes or names the fault, never exit 3, never a
+    # traceback.  --workers is left out, as a value there starts that many
+    # processes; the flags the command line gives override the file, so
+    # the file sets the rest, train's epochs on the line before
+    command = data.draw(st.sampled_from(["train", "decode"]))
+    if command == "train":
+        argv = _train_argv(pipeline, toy_dir, fuzz_dir,
+                           pipeline / "graphs" / "den.fst")
+        del argv[argv.index("--epochs"):argv.index("--epochs") + 2]
+    else:
+        argv = ["decode",
+                "--manifest", pipeline / "dev" / "manifest.tsv",
+                "--alphabet", toy_dir / "alphabet.txt",
+                "--checkpoint", pipeline / "model.ckpt",
+                "--graph", pipeline / "graphs" / "TLG.fst",
+                "--hyp", fuzz_dir / "hyp.tsv"]
+    given = {str(a) for a in argv}
+    keys = sorted(action.option_strings[0][2:]
+                  for action in build_parser()[1][command]._actions
+                  if action.option_strings[0] not in given
+                  and action.dest not in ("help", "config", "workers"))
+    key = data.draw(st.sampled_from(keys))
+    value = data.draw(st.sampled_from(_ABSURD_SETTINGS))
+    config = fuzz_dir / "run.cfg"
+    config.write_text(f"epochs = 1\n{key} = {value}\n")
+    rc = _run(argv[0], "--config", config, *argv[1:])
+    assert rc in (0, 2), (command, key, value)
 
 
 def _epsilon_reach(arcs, state, forward):

@@ -1,4 +1,5 @@
 import math
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -22,8 +23,8 @@ from ctc_crf.wfst import EPS
 
 from oracles import (brute_acceptor, brute_denominator,
                      brute_numerator, finite_difference, flattened_matrix,
-                     flattened_transitions, frozen_products, graph_forward,
-                     machine)
+                     flattened_transitions, frozen_forward_backward,
+                     frozen_products, graph_forward, machine)
 
 
 def uniform_post(frames, width):
@@ -75,10 +76,18 @@ def test_posterior_is_2d_with_no_nan_or_pos_inf(reader, ab2, den_table_ab,
 
     half = math.log(0.5)
     read([[0.0, ZERO, ZERO], [half, half, ZERO]])   # log zero is a potential
+    read([[ZERO, ZERO, ZERO], [half, half, ZERO]])  # so is a row of them
+    read(np.zeros((0, 3)))                          # and no frame at all
+    # one reduction finds a NaN or a +inf wherever it sits
     for bad in ([[0.0, ZERO, ZERO], [half, half, np.nan]],
-                [[0.0, ZERO, ZERO], [half, np.inf, ZERO]],
-                [0.0, ZERO, ZERO]):
-        with pytest.raises(DataError, match="posterior"):
+                [[np.inf, ZERO, ZERO], [half, half, ZERO]],
+                [[0.0, ZERO, ZERO], [half, np.inf, ZERO]]):
+        with pytest.raises(DataError, match="posterior holds NaN or \\+inf"):
+            read(bad)
+    for bad in ([0.0, ZERO, ZERO], [[[0.0, ZERO, ZERO]]]):
+        shape = np.shape(bad)
+        with pytest.raises(DataError, match=re.escape(
+                f"posterior must be 2-D, got shape {shape}")):
             read(bad)
 
 
@@ -370,6 +379,80 @@ def test_dense_and_sparse_passes_agree(toy_bigram_graph, monkeypatch):
         assert dense.feasible and sparse.feasible
         assert dense.score == pytest.approx(sparse.score, rel=1e-12, abs=0)
         assert np.all(np.abs(dense.occupancy - sparse.occupancy) <= 1e-12)
+
+
+def _assert_same_result(got, want, rel=1e-12, occ_abs=1e-12):
+    """Two passes' results for one utterance: the same feasibility, and the
+    scores and occupancies within the tolerances where it is feasible."""
+    assert got.feasible == want.feasible
+    if want.feasible:
+        _assert_matches_log(got, want, rel, occ_abs)
+    else:
+        assert got.score == ZERO and np.all(got.occupancy == 0.0)
+
+
+@pytest.mark.parametrize("frames", [1, 7, 8, 9, 17, 1000])
+def test_block_pass_matches_per_frame_and_log_passes(frames, toy_bigram_graph,
+                                                     trigram_table,
+                                                     monkeypatch):
+    # lengths on both sides of a block edge, over the toy bigram, reference
+    # chains of 0 to 31 labels and the trigram; only an infeasible
+    # utterance falls back to the log domain
+    fell_back = []
+
+    def log_pass(post, table):
+        fell_back.append(table)
+        return _forward_backward_log(post, table)
+
+    monkeypatch.setattr(loss, "_forward_backward_log", log_pass)
+
+    def check(post, table):
+        got = loss._forward_backward(post, table)
+        assert (table in fell_back) == (not got.feasible)
+        _assert_same_result(got, frozen_forward_backward(post, table))
+        # the log pass exponentiates alpha + beta - score, each carrying a
+        # few ulps of the score: its occupancies are good to that
+        want = _forward_backward_log(post, table)
+        _assert_same_result(got, want, occ_abs=max(
+            1e-12, _SUM_TOL * abs(want.score) if want.feasible else 0))
+
+    rng = np.random.default_rng(frames)
+    check(random_log_softmax(rng, frames, 31), trigram_table)
+    toy = flatten_denominator(toy_bigram_graph)
+    for _ in dense_then_sparse(monkeypatch):
+        post = random_log_softmax(rng, frames, 6)
+        for table in [toy, *(_reference_chain(rng.integers(1, 6, units), 6)
+                             for units in range(32))]:
+            check(post, table)
+    assert toy._block == trigram_table._block == 8
+
+
+def test_block_shortens_where_arcs_could_lift_a_subnormal_mass(monkeypatch):
+    # one state looping at +300 nats, g = e^300, with a second symbol that
+    # no state emits holding each frame's maximum.  Frames 5 and 6 each
+    # multiply the mass by e^(300 - 670), to e^-740 on frame 6, deep in the
+    # subnormal range where a float keeps about three digits; frame 7 lifts
+    # it to e^-440, a mass a rescale check passes.  Blocks of eight would
+    # check frame 7 only, and only the backward pass overflowing on frame 6
+    # would send the utterance to the log domain.  The growth bound makes
+    # this table rescale every frame, where each mass is normal and checked,
+    # so the pass needs no fallback and matches the log domain.
+    log_weight = 300.0
+    table = DenominatorTable(0, [0.0], [0], 2, [([0], [0], [log_weight], 1,
+                                                1)])
+    post = np.zeros((12, 2))
+    post[:5, 0] = post[8:, 0] = -log_weight
+    post[5:7, 0] = -670.0
+    want = _forward_backward_log(post, table)
+    assert want.score == pytest.approx(-740.0 + log_weight, abs=1e-9)
+
+    def no_fallback(*args):
+        raise AssertionError("the rescaled pass fell back")
+
+    monkeypatch.setattr(loss, "_forward_backward_log", no_fallback)
+    for _ in dense_then_sparse(monkeypatch):
+        _assert_matches_log(denominator_forward(post, table), want)
+    assert table._block == 1
 
 
 # float64 sums of the same terms in another order: an entry may differ from
