@@ -18,15 +18,19 @@ closure and then the labeled arcs (for a trigram, about a third of the
 entries of their product), for the chain the chain itself.  The pass runs
 in the probability domain and rescales, as lattice-free MMI does, but
 once per block of up to ``_BLOCK`` frames rather than on every frame: a
-frame lifts the forward mass by at most the largest row sum ``g`` of the
-transition matrix, so a table whose ``g`` could lift an unchecked mass by
-more than ``_MAX_LIFT`` within a block runs shorter blocks, down to one
-frame.  Every CTC-CRF table has ``g <= 3`` and runs blocks of eight.  A
-table of at most ``_DENSE_MAX`` states (the toy bigram, every short
-reference chain) forms its dense transition matrix once and makes one
-matrix-vector product per frame; a chain writes that matrix straight from
-its bands.  A larger one (a trigram T∘G, a long reference chain) makes
-one sparse product by each factor, held as jagged diagonals (Saad, 1989):
+frame lifts the forward mass by at most the largest row sum of the
+transition matrix and the backward mass by at most its largest column
+sum, so a table where the larger of the two, ``g``, could lift an
+unchecked mass by more than ``_MAX_LIFT`` within a block runs shorter
+blocks, down to one frame.  Every CTC-CRF table has ``g <= 3`` and runs
+blocks of eight.  A table of at most ``_DENSE_MAX`` states (the toy
+bigram, every short reference chain) runs its forward and backward
+recursions in lockstep, as one vector of both: one matrix-vector product
+per frame by the block-diagonal matrix of the transition matrix's
+transpose and the matrix itself, formed once; a chain writes that matrix
+straight from its bands.  A larger one (a trigram T∘G, a long reference
+chain) runs the two in turn, keeping one frames-by-states array, and
+makes one sparse product by each factor, held as jagged diagonals (Saad, 1989):
 its output rows sorted by entry count, so that the k-th entries of all
 rows are one contiguous vector added into a prefix of the output.  Most
 rows hold one to three entries, so a product is a gather, a multiply and
@@ -54,10 +58,12 @@ NEG_INF = ZERO
 # A rescale mass below this is built from subnormal terms and would lose
 # precision; such an utterance takes the log-domain pass instead.  Only the
 # last frame of a block is rescaled and checked.  A frame multiplies the
-# forward mass by at most the transition matrix's largest row sum g, the
-# emissions being at most one, so a block whose rescale mass passes held no
-# mass below _MIN_SCALE / g^(B - 1) >= _MIN_SCALE / _MAX_LIFT = 1e-300 on the
-# B - 1 frames before it, still a normal float, and none above _MAX_LIFT.
+# forward mass by at most the transition matrix's largest row sum and the
+# backward mass by at most its largest column sum, the emissions being at
+# most one.  With g the larger of the two, a block whose rescale mass
+# passes held no mass below _MIN_SCALE / g^(B - 1) >= _MIN_SCALE / _MAX_LIFT
+# = 1e-300 on the B - 1 frames before it, still a normal float, and none
+# above _MAX_LIFT.
 _MIN_SCALE = 1e-250
 # The forward masses are rescaled once every _BLOCK frames, or every B
 # frames for the largest B whose lift g^(B - 1) is at most _MAX_LIFT: the
@@ -68,9 +74,10 @@ _MIN_SCALE = 1e-250
 _BLOCK = 8
 _MAX_LIFT = 1e50
 # A table of at most this many states runs its pass over its dense
-# transition matrix: one matrix-vector product per frame costs less than the
-# numpy calls of the sparse products by its factors.  A trigram's thousands
-# of states stay sparse, where a dense product costs N^2 per frame.
+# transition matrix: one matrix-vector product per frame, forward and
+# backward at once, costs less than the numpy calls of the sparse products
+# by its factors.  A trigram's thousands of states stay sparse, where a
+# dense product costs N^2 per frame.
 _DENSE_MAX = 64
 # A sparse product sums each diagonal of its jagged layout that covers at
 # least this share of its rows with one slice add; the entries past the
@@ -125,7 +132,9 @@ class DenominatorTable:
     states through any inner dimensions back to the states; repeated entries
     add; a row or a column may be empty.  The pass reads the product in one
     of two forms, each built on first use: a table of at most ``_DENSE_MAX``
-    states forms the dense matrix; a larger one never does and runs over
+    states forms the dense matrix and from it the block-diagonal
+    ``_lockstep`` matrix its pass multiplies by; a larger one never does
+    and runs over
     the factors laid out as jagged diagonals, one layout for the forward
     products and one for the backward, which the log-domain fallback and
     ``num_transitions`` also read.  ``flatten_denominator`` builds neither,
@@ -183,12 +192,27 @@ class DenominatorTable:
                                       for f in self._factor_entries])
 
     @cached_property
+    def _lockstep(self) -> np.ndarray:
+        """``[[M.T, 0], [0, M]]`` for the dense transition matrix ``M``: one
+        product by it takes a forward vector by ``M.T`` and a backward one
+        by ``M``."""
+        n = self.num_states
+        both = np.zeros((2 * n, 2 * n))
+        both[:n, :n] = self._matrix.T
+        both[n:, n:] = self._matrix
+        return both
+
+    @cached_property
     def _block(self) -> int:
         """The frames per rescale of the probability-domain pass, from the
-        largest row sum of the transition matrix."""
+        largest row sum of the transition matrix, which bounds a frame's
+        lift of the forward mass, and its largest column sum, which bounds
+        the backward's."""
+        ones = np.ones(self.num_states)
         with np.errstate(over="ignore", invalid="ignore"):
-            growth = _products(self)[1](np.ones(self.num_states))
-        return _block_frames(float(growth.max(initial=0.0)))
+            growth = max(product(ones).max(initial=0.0)
+                         for product in _products(self))
+        return _block_frames(float(growth))
 
     @cached_property
     def num_transitions(self) -> int:
@@ -467,11 +491,13 @@ def _reference_chain(labels: Sequence[int], width: int) -> DenominatorTable:
     table = DenominatorTable(0, final, ext, width,
                              [(src, dst, np.zeros(len(dst)), n, n)])
     if n <= _DENSE_MAX:
-        # the dense matrix written straight from the bands, not formed from
-        # the factor; a row holds a loop, a step and a skip at most, so no
-        # frame lifts the mass more than threefold
-        table._matrix = np.zeros((n, n))
-        table._matrix[src, dst] = 1.0
+        # the lockstep matrix written straight from the bands, not formed
+        # from the factor
+        both = table._lockstep = np.zeros((2 * n, 2 * n))
+        both[dst, src] = 1.0
+        both[n:, n:] = both[:n, :n].T
+    # a row holds a loop, a step and a skip at most, and so does a column:
+    # no frame lifts a mass more than threefold
     table._block = _block_frames(3.0)
     return table
 
@@ -524,18 +550,94 @@ def _forward_backward(post: np.ndarray,
     """Score and per-frame occupancy of all paths through ``table``.
 
     Each frame multiplies the forward masses by the transition matrix, then
-    by a per-state emission ``exp(post[t] - max(post[t]))``.  The last frame
-    of each block of ``table._block`` frames, and the utterance's last
+    by a per-state emission ``exp(post[t] - max(post[t]))``; the backward
+    masses run the same recursion by the matrix's transpose from the final
+    weights.  The masses are rescaled to sum to one on the last frame of
+    each block of ``table._block`` frames and on the utterance's last
     frame, so that no forward mass is checked only through the final
-    weights, rescale the masses to sum to one; the score adds back the logs
-    of the rescale masses and of the row maxima.  The backward pass
-    multiplies by the matrix's transpose and divides by a block's rescale
-    mass at the frame the forward rescaled, so ``alpha * beta`` sums to one
-    on every frame: it is the state posterior, and the occupancy is its sum
-    by state label.  An utterance whose rescale mass underflows or is not
-    finite takes the exact log-domain pass.
+    weights; the score adds back the logs of the forward rescale masses and
+    of the row maxima.  A table of at most ``_DENSE_MAX`` states
+    runs both recursions in lockstep (``_lockstep_pass``), a larger one in
+    turn (``_sequential_pass``).  An utterance whose rescale mass, final
+    mass or occupancy underflows or is not finite takes the exact
+    log-domain pass.
     """
-    t_frames = len(post)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        # a row of -inf, the only row with no finite maximum, makes its
+        # emissions NaN, and its rescale mass sends it to the log domain
+        peak = post.max(axis=1)
+        emit = np.exp(post - peak[:, None])
+        run = (_lockstep_pass if table.num_states <= _DENSE_MAX
+               else _sequential_pass)
+        found = run(emit, table)
+    if found is None:
+        return _forward_backward_log(post, table)
+    scale, end, occupancy = found
+    score = sum(map(math.log, scale)) + float(peak.sum()) + math.log(end)
+    return ForwardResult(score, occupancy, True)
+
+
+def _lockstep_pass(emit: np.ndarray, table: DenominatorTable):
+    """The forward and the backward recursion of a dense table as one
+    vector ``[forward, backward]`` of length 2N: each frame is one product
+    by ``table._lockstep``, then one multiply by the emissions of frame
+    ``t`` and of frame ``T - 2 - t``.  The backward half carries the
+    emission-weighted masses, so a frame's occupancy is its forward product
+    times the backward half, each row normalised.  Each half rescales by
+    its own mass at the forward's rescale frames.  The backward half's
+    frames after its last rescale are the first few of the utterance,
+    where the forward product is at most ``g^(B - 1) <= _MAX_LIFT``, so a
+    backward mass there that is not a normal float leaves an occupancy
+    mass below ``_MIN_SCALE``.  Returns the forward rescale masses, the
+    final mass and the occupancy, or None where a rescale mass, the final
+    mass or an occupancy mass is not above ``_MIN_SCALE`` and finite."""
+    t_frames, n = len(emit), table.num_states
+    block, last = table._block, t_frames - 1
+    # step t writes row t + 1, which starts as its two emission vectors.
+    # Row T's backward half starts as the start state's indicator, so that
+    # its mass is the first frame's occupancy mass, checked with the rest
+    x = np.empty((t_frames + 1, 2, n))
+    x[0, 0] = 0.0
+    x[0, 0, table.start] = 1.0
+    np.take(emit, table.state_label, axis=1, out=x[1:, 0], mode="clip")
+    x[1:, 1] = x[:-1, 0][::-1]
+    add = np.add.reduce
+    head = x[0, 1]
+    np.multiply(table._final_prob, x[-1, 0], out=head)
+    head /= add(head)
+    rows = x.reshape(t_frames + 1, 2 * n)
+    step = table._lockstep.dot
+    scale = []
+    for t in range(t_frames):
+        nxt = rows[t + 1]
+        nxt *= step(rows[t])
+        if t % block == block - 1 or t == last:
+            halves = x[t + 1]
+            mass = add(halves, axis=1)
+            halves /= mass[:, None]
+            scale.append(mass.tolist())
+    end = float(x[t_frames, 0] @ table._final_prob)
+    occupancy = x[:t_frames, 0] @ table._lockstep[n:, n:]
+    occupancy *= x[:t_frames, 1][::-1]
+    total = add(occupancy, axis=1)
+    if not (all(_MIN_SCALE < mass < np.inf
+                for masses in (*scale, (end,)) for mass in masses)
+            and np.minimum.reduce(total, initial=np.inf) > _MIN_SCALE
+            and np.maximum.reduce(total, initial=0.0) < np.inf):
+        return None
+    occupancy /= total[:, None]
+    return ([mass for mass, _ in scale], end,
+            occupancy @ table._label_onehot)
+
+
+def _sequential_pass(emit: np.ndarray, table: DenominatorTable):
+    """The forward recursion and then the backward, over the jagged
+    products of a table above ``_DENSE_MAX`` states, keeping one T x N
+    array.  The backward divides by a block's rescale mass at the frame the
+    forward rescaled, so ``alpha * beta`` sums to one on every frame: it is
+    the state posterior, and the occupancy is its sum by state label.
+    Returns what ``_lockstep_pass`` does."""
+    t_frames = len(emit)
     lab = table.state_label
     forward, backward = _products(table)
     add = np.add.reduce
@@ -546,40 +648,33 @@ def _forward_backward(post: np.ndarray,
     alpha = np.empty((t_frames + 1, table.num_states))
     alpha[0] = 0.0
     alpha[0, table.start] = 1.0
+    np.take(emit, lab, axis=1, out=alpha[1:], mode="clip")
     scale = {}   # the rescale mass of each rescaled frame
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        # a row of -inf, the only row with no finite maximum, makes its
-        # emissions NaN, and its rescale mass sends it to the log domain
-        peak = post.max(axis=1)
-        emit = np.exp(post - peak[:, None])
-        np.take(emit, lab, axis=1, out=alpha[1:], mode="clip")
-        for t in range(t_frames):
-            nxt = alpha[t + 1]
-            nxt *= forward(alpha[t])
-            if t % block == block - 1 or t == last:
-                scale[t] = mass = add(nxt)
-                nxt /= mass
-        end = float(alpha[t_frames] @ table._final_prob)
-        if not all(_MIN_SCALE < mass < np.inf
-                   for mass in (*scale.values(), end)):
-            return _forward_backward_log(post, table)
+    for t in range(t_frames):
+        nxt = alpha[t + 1]
+        nxt *= forward(alpha[t])
+        if t % block == block - 1 or t == last:
+            scale[t] = mass = add(nxt)
+            nxt /= mass
+    end = float(alpha[t_frames] @ table._final_prob)
+    if not all(_MIN_SCALE < mass < np.inf
+               for mass in (*scale.values(), end)):
+        return None
 
-        # row t + 1 of alpha becomes the state posterior of frame t
-        beta = table._final_prob / end
-        for t in range(last, -1, -1):
-            gamma = alpha[t + 1]
-            gamma *= beta
-            if t:
-                beta = backward(beta * emit[t][lab])
-                if t in scale:
-                    beta /= scale[t]
-        occupancy = alpha[1:] @ table._label_onehot
+    # row t + 1 of alpha becomes the state posterior of frame t
+    beta = table._final_prob / end
+    for t in range(last, -1, -1):
+        gamma = alpha[t + 1]
+        gamma *= beta
+        if t:
+            beta = backward(beta * emit[t][lab])
+            if t in scale:
+                beta /= scale[t]
+    occupancy = alpha[1:] @ table._label_onehot
     # NaN or +inf: the products of the masses are never negative
     if not occupancy.max(initial=0.0) < np.inf:
-        return _forward_backward_log(post, table)
-    score = (sum(map(math.log, scale.values())) + float(peak.sum())
-             + math.log(end))
-    return ForwardResult(score, occupancy, True)
+        return None
+    return scale.values(), end, occupancy
 
 
 def _forward_backward_log(post: np.ndarray,
@@ -643,5 +738,9 @@ def crf_loss(posterior, labels: Sequence[int], log_pl: float,
                           den_res.score, NEG_INF, degenerate=True)
     aux = num.score - log_pl
     objective = (num.score - den_res.score) + alpha * aux
+    # both scores are finite here: only the weighted term can overflow
+    if objective == NEG_INF:
+        raise DataError(f"auxiliary weight {alpha!r} times the alignment "
+                        f"log-likelihood {aux:.6g} overflows the objective")
     grad = (1.0 + alpha) * num.occupancy - den_res.occupancy
     return LossResult(objective, grad, num.score, den_res.score, aux)

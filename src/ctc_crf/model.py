@@ -2,8 +2,11 @@
 
 Layers: affine, tanh, and a vanilla recurrent layer (uni- or bidirectional).
 A final affine projection to the state alphabet plus log-softmax is always
-appended.  Parameters are float64 for clean finite-difference checks;
-checkpoints store float32 tensors.
+appended.  A forward may take a minibatch's utterances as one stack of
+frames: the affine, tanh and output layers and the log-softmax run once
+over the stack, and a recurrent layer runs its recurrence over each
+utterance's rows in turn.  Parameters are float64 for clean
+finite-difference checks; checkpoints store float32 tensors.
 """
 from __future__ import annotations
 
@@ -14,6 +17,7 @@ import os
 import struct
 from collections import Counter
 from dataclasses import asdict, dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -80,7 +84,7 @@ class _Layer:
 
 
 class _Affine(_Layer):
-    def forward(self, x):
+    def forward(self, x, segments):
         self._x = x
         return x @ self.params["W"] + self.params["b"]
 
@@ -91,7 +95,7 @@ class _Affine(_Layer):
 
 
 class _Tanh(_Layer):
-    def forward(self, x):
+    def forward(self, x, segments):
         self._y = np.tanh(x)
         return self._y
 
@@ -99,55 +103,68 @@ class _Tanh(_Layer):
         return dy * (1.0 - self._y ** 2)
 
 
-def _in_steps(a, tag):
-    """The rows of ``a`` in the order direction ``tag`` visits them; being
-    its own inverse, it also maps step order back to time order."""
-    return a[::-1] if tag == "bwd" else a
-
-
 class _Recurrent(_Layer):
-    """The tanh recurrence h_t = tanh(Wx x_t + Wh h_{t-1} + b) run over the
-    frames in time order ("fwd") and, when bidirectional, in reverse order
-    with its own weights ("bwd"); the outputs are concatenated."""
+    """The tanh recurrence h_t = tanh(Wx x_t + Wh h_{t-1} + b) run over each
+    utterance's frames in time order ("fwd") and, when bidirectional, in
+    reverse order with its own weights ("bwd"); the outputs are
+    concatenated.  The input projections and the weight gradients are one
+    product over every utterance's rows; only the recurrence runs row by
+    row, from a zero state at the start of each utterance."""
 
     def __init__(self, params, grads):
         super().__init__(params, grads)
         self.tags = ("fwd", "bwd") if "bwd.b" in params else ("fwd",)
         self.hidden = len(params["fwd.b"])
 
-    def forward(self, x):
+    def _steps(self, tag):
+        """Each utterance's rows, as a range, in the order ``tag`` visits
+        them."""
+        if tag == "bwd":
+            return [range(hi - 1, lo - 1, -1) for lo, hi in self._segments]
+        return [range(lo, hi) for lo, hi in self._segments]
+
+    def forward(self, x, segments):
         self._x = x
+        self._segments = segments
         self._h = {}
-        outs = []
         for tag in self.tags:
-            xs = _in_steps(x, tag)
-            xw = xs @ self.params[f"{tag}.Wx"] + self.params[f"{tag}.b"]
+            xw = x @ self.params[f"{tag}.Wx"] + self.params[f"{tag}.b"]
             wh = self.params[f"{tag}.Wh"]
-            h = np.zeros((len(xs) + 1, self.hidden))
-            for step in range(len(xs)):
-                h[step + 1] = np.tanh(xw[step] + h[step] @ wh)
+            h = np.empty_like(xw)
+            for steps in self._steps(tag):
+                prev = np.zeros(self.hidden)
+                for t in steps:
+                    prev = h[t] = np.tanh(xw[t] + prev @ wh)
             self._h[tag] = h
-            outs.append(_in_steps(h[1:], tag))
-        return np.concatenate(outs, axis=1)
+        return np.concatenate([self._h[tag] for tag in self.tags], axis=1)
 
     def backward(self, dy):
-        # pre[step] is the gradient at the pre-activation of that step; the
-        # weight gradients sum its outer products, done as matmuls after
-        # the loop
+        # pre[t] is the gradient at the pre-activation of row t; the weight
+        # gradients sum its outer products, done as matmuls after the loop
         dxs = []
         for i, tag in enumerate(self.tags):
-            dys = _in_steps(dy[:, i * self.hidden:(i + 1) * self.hidden], tag)
+            dys = dy[:, i * self.hidden:(i + 1) * self.hidden]
             h = self._h[tag]
             wh = self.params[f"{tag}.Wh"]
             pre = np.empty_like(dys)
-            carry = np.zeros(self.hidden)
-            for step in range(len(dys) - 1, -1, -1):
-                pre[step] = (dys[step] + carry) * (1.0 - h[step + 1] ** 2)
-                carry = pre[step] @ wh.T
-            self.grads[f"{tag}.Wx"] += _in_steps(self._x, tag).T @ pre
-            self.grads[f"{tag}.Wh"] += h[:-1].T @ pre
+            for steps in self._steps(tag):
+                carry = np.zeros(self.hidden)
+                for t in reversed(steps):
+                    pre[t] = (dys[t] + carry) * (1.0 - h[t] ** 2)
+                    carry = pre[t] @ wh.T
+            # the state each row's step started from: the row before it in
+            # step order, or zero on an utterance's first step
+            before = np.zeros_like(h)
+            first = [steps[0] for steps in self._steps(tag) if steps]
+            if tag == "bwd":
+                before[:-1] = h[1:]
+            else:
+                before[1:] = h[:-1]
+            before[first] = 0.0
+            self.grads[f"{tag}.Wx"] += self._x.T @ pre
+            self.grads[f"{tag}.Wh"] += before.T @ pre
             self.grads[f"{tag}.b"] += pre.sum(axis=0)
-            dxs.append(_in_steps(pre @ self.params[f"{tag}.Wx"].T, tag))
+            dxs.append(pre @ self.params[f"{tag}.Wx"].T)
         return sum(dxs[1:], dxs[0])
 
 
@@ -202,15 +219,25 @@ class AcousticModel:
 
     # -- forward / backward --------------------------------------------------
 
-    def forward(self, features) -> np.ndarray:
-        """The T x W log-softmax over the state alphabet of T frames."""
+    def forward(self, features, lengths=None) -> np.ndarray:
+        """The log-softmax over the state alphabet of each frame: T x W for
+        the T frames of one utterance or, given ``lengths``, for the frames
+        of several utterances stacked in order, ``lengths[i]`` rows each.
+        The frame-local layers run once over the stack; a recurrent layer
+        runs each utterance's recurrence over that utterance's own rows."""
         x = np.ascontiguousarray(features, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.input_dim:
             raise DataError(
                 f"features must be T x {self.input_dim}, got {x.shape}")
+        lengths = [len(x)] if lengths is None else list(lengths)
+        ends = list(accumulate(lengths, initial=0))
+        if min(lengths, default=0) < 0 or ends[-1] != len(x):
+            raise DataError(f"utterance lengths {lengths} do not split "
+                            f"{len(x)} frames")
+        segments = list(zip(ends[:-1], ends[1:]))
         self._drop_masks = []
         for layer in self.layers:
-            x = layer.forward(x)
+            x = layer.forward(x, segments)
             if (isinstance(layer, _Recurrent) and self.dropout > 0.0
                     and self.training):
                 mask = (self._rng.random(x.shape) >= self.dropout) / (1.0 - self.dropout)
@@ -218,7 +245,7 @@ class AcousticModel:
                 x = x * mask
             else:
                 self._drop_masks.append(None)
-        logits = self.output.forward(x)
+        logits = self.output.forward(x, segments)
         if not np.isfinite(logits).all():
             raise NumericalError("model produced non-finite outputs")
         shifted = logits - logits.max(axis=1, keepdims=True)
@@ -228,7 +255,8 @@ class AcousticModel:
         return log_probs
 
     def backward(self, upstream) -> None:
-        """Accumulate parameter gradients for the most recent forward."""
+        """Accumulate parameter gradients for the most recent forward, from
+        the gradient of each of its output rows."""
         dy = np.ascontiguousarray(upstream, dtype=np.float64)
         if self._softmax is None or dy.shape != self._softmax.shape:
             raise DataError("backward shape does not match the last forward")

@@ -16,7 +16,7 @@ import numpy as np
 from ctc_crf.decoder import BeamConfig, DecodeResult
 from ctc_crf.errors import DataError
 from ctc_crf.loss import (_MIN_SCALE, ForwardResult, _forward_backward_log,
-                          _products, as_posterior)
+                          _products, as_posterior, crf_loss)
 from ctc_crf.semiring import LOG, ONE, ZERO
 from ctc_crf.wfst import EPS, Arc, Wfst, trim
 
@@ -741,3 +741,30 @@ def frozen_model_parameters(input_dim, specs, num_outputs, seed):
     named = [(f"layer{i}.{name}", layer[name])
              for i, layer in enumerate(layers) for name in sorted(layer)]
     return named + [(f"out.{name}", output[name]) for name in sorted(output)]
+
+
+# ---------------------------------------------------------------------------
+# Frozen minibatch step
+# ---------------------------------------------------------------------------
+# The loop body ``ctc_crf.training.train`` ran before a minibatch made one
+# model pass over its stacked frames: a forward, a ``crf_loss`` and a
+# backward per utterance, a degenerate utterance skipped after its forward.
+# Kept so that the stacked step can be checked against it.
+
+def frozen_minibatch_step(model, batch, log_pls, den, alpha):
+    """Each utterance's posterior, each frame-normalized objective (None
+    for a degenerate utterance) and copies of the gradients accumulated
+    from zero."""
+    model.zero_grads()
+    posts, objectives = [], []
+    for (features, labels), log_pl in zip(batch, log_pls):
+        post = model.forward(features)
+        posts.append(post)
+        result = crf_loss(post, labels, log_pl, den, alpha=alpha)
+        if result.degenerate:
+            objectives.append(None)
+            continue
+        frames = len(post)
+        objectives.append(result.objective / frames)
+        model.backward(-result.grad / (frames * len(batch)))
+    return posts, objectives, [g.copy() for _, g in model.gradients()]

@@ -493,7 +493,7 @@ def test_train_bad_layer_size_is_data_error(pipeline, toy_dir, tmp_path):
     assert not (tmp_path / "model.ckpt").exists()
 
 
-_EDGE_VALUES = ["nan", "inf", "-inf", "-1", "0"]
+_EDGE_VALUES = ["nan", "inf", "-inf", "-1", "0", "1e308"]
 
 
 @pytest.mark.parametrize("value", _EDGE_VALUES)
@@ -503,7 +503,9 @@ def test_train_float_setting_at_an_edge_exits_0_or_2(pipeline, toy_dir,
                                                      tmp_path, capsys, flag,
                                                      value):
     # an infinite learning rate or auxiliary weight trained into a
-    # non-finite update, and train ended with exit 3
+    # non-finite update, and train ended with exit 3; a learning rate of
+    # 1e308 did too, and an auxiliary weight of 1e308 overflowed the
+    # gradient norm and the objective, with numpy warnings
     argv = _train_argv(pipeline, toy_dir, tmp_path,
                        pipeline / "graphs" / "den.fst")
     rc = _run(*argv, f"{flag}={value}")   # "-inf" alone reads as a flag
@@ -786,10 +788,10 @@ def test_labels_file_label_swapped_prepares_and_trains(pipeline, toy_dir,
     assert _run(*argv) == 0, (i + 1, k, labels[k])
 
 
-# a config value that is NaN, infinite, negative or zero (the values the
-# flags are fuzzed at), a word, or empty.  A seed of -1 once ended train
-# with a traceback
-_ABSURD_SETTINGS = ["nan", "inf", "-inf", "-1", "0", "abc", ""]
+# a config value that is NaN, infinite, negative, zero or finite but
+# absurd (the values the flags are fuzzed at), a word, or empty.  A seed of
+# -1 once ended train with a traceback
+_ABSURD_SETTINGS = ["nan", "inf", "-inf", "-1", "0", "1e308", "abc", ""]
 
 
 @settings(derandomize=True, deadline=None, max_examples=100)

@@ -455,6 +455,101 @@ def test_block_shortens_where_arcs_could_lift_a_subnormal_mass(monkeypatch):
     assert table._block == 1
 
 
+@pytest.mark.parametrize("frames", [0, 2])
+def test_lockstep_pass_on_no_frames_and_two(frames, toy_bigram_graph):
+    # the fewest frames: no step at all, and a first step that is also the
+    # backward half's last.  The backward half's emissions are the rows
+    # before the last in reverse, a slice that an index of T - 2 would wrap
+    # round at T = 0
+    rng = np.random.default_rng(frames)
+    post = random_log_softmax(rng, frames, 6)
+    for table in [flatten_denominator(toy_bigram_graph),
+                  *(_reference_chain(labels, 6)
+                    for labels in ([], [2], [3, 3], [1, 4], [5, 1, 2]))]:
+        assert table.num_states <= loss._DENSE_MAX
+        got = loss._forward_backward(post, table)
+        _assert_same_result(got, frozen_forward_backward(post, table))
+        _assert_same_result(got, _forward_backward_log(post, table))
+        assert got.occupancy.shape == (frames, 6)
+
+
+def test_block_shortens_where_columns_could_lift_the_backward_mass(
+        monkeypatch):
+    # every state enters state 0 at e^15 and state 0 leaves to the others
+    # at one: the row sums, at most e^15 + 7, allow blocks of eight, but
+    # state 0's column sum, 8 e^15, could lift the backward half's mass
+    # past 1e50 in eight frames, so the table runs blocks of seven
+    n = 8
+    src = np.concatenate([np.arange(n), np.zeros(n - 1, dtype=np.int64)])
+    dst = np.concatenate([np.zeros(n, dtype=np.int64), np.arange(1, n)])
+    log_weight = np.concatenate([np.full(n, 15.0), np.zeros(n - 1)])
+    table = DenominatorTable(0, np.zeros(n), np.arange(n) % 3, 3,
+                             [(src, dst, log_weight, n, n)])
+    rows = np.exp(log_weight) @ (src[:, None] == np.arange(n))
+    assert loss._block_frames(rows.max()) == 8
+    assert table._block == 7
+
+    def no_fallback(*args):
+        raise AssertionError("the rescaled pass fell back")
+
+    post = random_log_softmax(np.random.default_rng(7), 30, 3)
+    want = _forward_backward_log(post, table)
+    monkeypatch.setattr(loss, "_forward_backward_log", no_fallback)
+    got = denominator_forward(post, table)
+    _assert_same_result(got, frozen_forward_backward(post, table))
+    _assert_matches_log(got, want)
+
+
+@pytest.mark.parametrize("low,frames", [((7, 8), 18), ((1, 9), 20)],
+                         ids=["backward-mass", "occupancy-mass"])
+def test_lockstep_underflow_takes_the_log_pass(low, frames, monkeypatch):
+    # one state looping at weight one, with a second symbol that no state
+    # emits holding the maximum of the two frames ``low``, where the
+    # state's own sits 400 nats below it.  The forward half meets the two
+    # in two blocks, e^-400 in each, a normal mass, and so does the
+    # sequential pass, whose backward divides by the forward's masses.  The
+    # backward half runs frame T - 2 - t on step t.  Frames 7 and 8 of 18
+    # fall in one of its blocks, whose mass underflows at e^-800.  Frames 1
+    # and 9 of 20 fall in two, but frames 4 to 7 see both, the one in the
+    # forward half and the other in the backward: their occupancy masses
+    # underflow where every rescale mass passes
+    table = DenominatorTable(0, [0.0], [0], 2, [([0], [0], [0.0], 1, 1)])
+    post = np.tile([0.0, -1.0], (frames, 1))
+    post[list(low)] = [-400.0, 0.0]
+    want = _forward_backward_log(post, table)
+    assert want.score == pytest.approx(-800.0, abs=1e-9)
+    fell_back = []
+
+    def log_pass(post, table):
+        fell_back.append(table.num_states <= loss._DENSE_MAX)
+        return _forward_backward_log(post, table)
+
+    monkeypatch.setattr(loss, "_forward_backward_log", log_pass)
+    for _ in dense_then_sparse(monkeypatch):
+        _assert_matches_log(denominator_forward(post, table), want)
+    assert fell_back == [True]
+    monkeypatch.setattr(loss, "_DENSE_MAX", 1)
+    got = denominator_forward(post, table)
+    assert got.score == want.score
+    assert np.array_equal(got.occupancy, want.occupancy)
+
+
+def test_final_weights_near_the_float_limit_need_no_fallback(monkeypatch):
+    # a final weight of 700 nats, below the bound the graph readers take,
+    # on a state looping at +10: the backward half starts from the final
+    # masses, and unscaled they would overflow within one block
+    table = DenominatorTable(0, [700.0], [0], 3, [([0], [0], [10.0], 1, 1)])
+    post = random_log_softmax(np.random.default_rng(5), 30, 3)
+    want = _forward_backward_log(post, table)
+
+    def no_fallback(*args):
+        raise AssertionError("the rescaled pass fell back")
+
+    monkeypatch.setattr(loss, "_forward_backward_log", no_fallback)
+    for _ in dense_then_sparse(monkeypatch):
+        _assert_matches_log(denominator_forward(post, table), want)
+
+
 # float64 sums of the same terms in another order: an entry may differ from
 # the frozen reference by at most 8 eps times the sum of its terms' sizes
 _SUM_TOL = 8 * np.finfo(np.float64).eps

@@ -13,10 +13,11 @@ from ctc_crf import (AcousticModel, Adam, Alphabet, DataError, LayerSpec,
                      crf_loss, estimate, flatten_denominator, score_sequence,
                      train)
 from ctc_crf.model import _layout
+from ctc_crf.training import _batch_step
 from ctc_crf.toydata import generate_dataset
 from ctc_crf.verify import random_log_softmax
 
-from oracles import frozen_model_parameters
+from oracles import frozen_minibatch_step, frozen_model_parameters
 
 
 def tiny_model(seed=0):
@@ -60,6 +61,12 @@ def test_forward_deterministic_given_seed(rng):
 def test_forward_dimension_mismatch(rng):
     with pytest.raises(DataError):
         tiny_model().forward(rng.normal(size=(5, 7)))
+
+
+@pytest.mark.parametrize("lengths", [[2, 2], [3, 3], [6, -1], []])
+def test_forward_lengths_must_split_the_frames(rng, lengths):
+    with pytest.raises(DataError, match="do not split 5 frames"):
+        tiny_model().forward(rng.normal(size=(5, 4)), lengths)
 
 
 # ---------------------------------------------------------------------------
@@ -408,6 +415,62 @@ def test_train_isolates_degenerate_utterances():
     for m in metrics:
         assert np.isfinite(m.objective)
         assert m.objective == pytest.approx(want, rel=1e-12)
+
+
+def _assert_close(got, want):
+    """Equal to 1e-12 of the largest magnitude in ``want``."""
+    assert got.shape == want.shape
+    assert (np.abs(got - want).max(initial=0.0)
+            <= 1e-12 * np.abs(want).max(initial=0.0))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(specs=st.lists(_LAYER_SPECS, max_size=3), input_dim=st.integers(1, 5),
+       lengths=st.lists(st.integers(1, 40), min_size=1, max_size=8),
+       data=st.data())
+def test_minibatch_step_matches_the_frozen_per_utterance_step(
+        specs, input_dim, lengths, data):
+    # one model pass over a batch's stacked frames against a forward, a
+    # loss and a backward per utterance.  One utterance of each batch is
+    # degenerate, and its rows must add nothing.  A model with at most one
+    # recurrent layer draws the same dropout masks either way
+    recurrent = sum(spec.kind == "recurrent" for spec in specs)
+    dropout = data.draw(st.sampled_from([0.0, 0.3])) if recurrent <= 1 else 0.0
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    bad = data.draw(st.integers(0, len(lengths) - 1))
+    rng = np.random.default_rng(seed)
+    alphabet = Alphabet(["a", "b", "c"])
+    lm = estimate([["a", "b"], ["b", "c", "a"], ["c"]], order=2,
+                  discount=0.5, vocab=list(alphabet.labels))
+    den = flatten_denominator(build_denominator_graph(alphabet, lm))
+    batch = []
+    for i, frames in enumerate(lengths):
+        if i == bad:
+            # two labels in one frame: no path through the reference
+            frames, labels = 1, [1, 2]
+        else:
+            # at most two frames per label, which a repeat may need
+            labels = rng.integers(1, 4, rng.integers(0, frames // 2 + 1))
+        batch.append((rng.normal(size=(frames, input_dim)), list(labels)))
+    log_pls = list(rng.normal(-5.0, 1.0, len(batch)))
+    got_model, want_model = (
+        AcousticModel(input_dim, specs, alphabet.num_state_symbols,
+                      seed=seed, dropout=dropout) for _ in range(2))
+    got_model.training = want_model.training = True
+
+    posts, want_objs, want_grads = frozen_minibatch_step(
+        want_model, batch, log_pls, den, 0.1)
+    got_model.zero_grads()
+    post, got_objs = _batch_step(got_model, batch, log_pls, den, 0.1)
+
+    _assert_close(post, np.concatenate(posts))
+    assert [i for i, obj in enumerate(want_objs) if obj is None] == [bad]
+    assert [i for i, obj in enumerate(got_objs) if obj is None] == [bad]
+    for got, want in zip(got_objs, want_objs):
+        if want is not None:
+            assert got == pytest.approx(want, rel=1e-12, abs=0)
+    for (_, got), want in zip(got_model.gradients(), want_grads):
+        _assert_close(got, want)
 
 
 def test_training_deterministic_under_seed():
