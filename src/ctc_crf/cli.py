@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import logging
 import multiprocessing
+import os
 import sys
 import time
 from pathlib import Path
@@ -264,6 +265,7 @@ def _decode_in_worker(feats):
 
 
 def cmd_decode(args) -> int:
+    _check_count("workers", args.workers)
     alphabet = Alphabet.read(_require(args.alphabet, "alphabet file"))
     model = AcousticModel.load(_require(args.checkpoint, "checkpoint"))
     graph_dir = Path(args.graph).parent
@@ -284,8 +286,10 @@ def cmd_decode(args) -> int:
                         blank_threshold=None if args.no_blank_skip
                         else args.blank_skip)
     jobs = [feats for feats, _ in dataset]
-    if args.workers > 1 and len(jobs) > 1:
-        with multiprocessing.Pool(args.workers, _init_worker,
+    # a process with no job or no CPU of its own would only wait
+    workers = min(args.workers, len(jobs), os.cpu_count() or 1)
+    if workers > 1:
+        with multiprocessing.Pool(workers, _init_worker,
                                   (graph, config, model)) as pool:
             outcomes = pool.map(_decode_in_worker, jobs)
     else:
@@ -404,7 +408,8 @@ def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
     p.add_argument("--no-blank-skip", action="store_true")
     p.add_argument("--hyp", required=True)
     p.add_argument("--workers", type=int, default=1,
-                   help="decode with a pool of this many processes")
+                   help="decode with a pool of up to this many processes, "
+                   "at most one per utterance and per CPU")
 
     p = add("score", cmd_score, help="report the error-rate breakdown")
     p.add_argument("--hyp", required=True)

@@ -22,12 +22,14 @@ frame lifts the forward mass by at most the largest row sum of the
 transition matrix and the backward mass by at most its largest column
 sum, so a table where the larger of the two, ``g``, could lift an
 unchecked mass by more than ``_MAX_LIFT`` within a block runs shorter
-blocks, down to one frame.  Every CTC-CRF table has ``g <= 3`` and runs
-blocks of eight.  A table of at most ``_DENSE_MAX`` states (the toy
-bigram, every short reference chain) runs its forward and backward
-recursions in lockstep, as one vector of both: one matrix-vector product
-per frame by the block-diagonal matrix of the transition matrix's
-transpose and the matrix itself, formed once; a chain writes that matrix
+blocks, down to one frame.  Blocks of eight need only ``g^7 <= 1e50``,
+``g`` up to ~1.4e7: a reference chain has ``g <= 3``, the toy bigram
+``g = 12`` and the trigram ``g = 62``, so all run blocks of eight.  A
+table of at most ``_DENSE_MAX`` states (the toy bigram, every short
+reference chain) runs its forward and backward recursions in lockstep,
+as one vector of both: one matrix-vector product per frame by the
+block-diagonal matrix of the transition matrix's transpose and the matrix
+itself, formed once; a chain writes that matrix
 straight from its bands.  A larger one (a trigram T∘G, a long reference
 chain) runs the two in turn, keeping one frames-by-states array, and
 makes one sparse product by each factor, held as jagged diagonals (Saad, 1989):
@@ -68,8 +70,9 @@ _MIN_SCALE = 1e-250
 # The forward masses are rescaled once every _BLOCK frames, or every B
 # frames for the largest B whose lift g^(B - 1) is at most _MAX_LIFT: the
 # block length follows from the table, once per table, and is not a
-# setting.  The toy bigram, the trigram and every reference chain have
-# g <= 3 and run blocks of eight; a table with arcs of +300 nats rescales
+# setting.  Blocks of eight hold for g up to ~1.4e7: every reference chain
+# (g <= 3), the toy bigram (largest row sum 2.66, column sum 12) and the
+# trigram (4.05 and 62) run them; a table with arcs of +300 nats rescales
 # every frame.
 _BLOCK = 8
 _MAX_LIFT = 1e50
@@ -132,10 +135,9 @@ class DenominatorTable:
     states through any inner dimensions back to the states; repeated entries
     add; a row or a column may be empty.  The pass reads the product in one
     of two forms, each built on first use: a table of at most ``_DENSE_MAX``
-    states forms the dense matrix and from it the block-diagonal
-    ``_lockstep`` matrix its pass multiplies by; a larger one never does
-    and runs over
-    the factors laid out as jagged diagonals, one layout for the forward
+    states forms the block-diagonal ``_lockstep`` matrix that its pass
+    multiplies by and ``_block`` reads; a larger one never does and runs
+    over the factors laid out as jagged diagonals, one layout for the forward
     products and one for the backward, which the log-domain fallback and
     ``num_transitions`` also read.  ``flatten_denominator`` builds neither,
     so set-up does not pay for them.  Labels are not checked against
@@ -185,21 +187,16 @@ class DenominatorTable:
                             for src, dst, logw, num_src, _ in entries[::-1]]))
 
     @cached_property
-    def _matrix(self) -> np.ndarray:
-        """The dense transition matrix in the probability domain."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            return reduce(np.matmul, [_dense(*f)
-                                      for f in self._factor_entries])
-
-    @cached_property
     def _lockstep(self) -> np.ndarray:
-        """``[[M.T, 0], [0, M]]`` for the dense transition matrix ``M``: one
-        product by it takes a forward vector by ``M.T`` and a backward one
-        by ``M``."""
+        """``[[M.T, 0], [0, M]]`` for the dense transition matrix ``M``, the
+        product of the factors' dense forms: one product by it takes a
+        forward vector by ``M.T`` and a backward one by ``M``."""
         n = self.num_states
         both = np.zeros((2 * n, 2 * n))
-        both[:n, :n] = self._matrix.T
-        both[n:, n:] = self._matrix
+        with np.errstate(over="ignore", invalid="ignore"):
+            both[n:, n:] = reduce(np.matmul, [_dense(*f)
+                                              for f in self._factor_entries])
+        both[:n, :n] = both[n:, n:].T
         return both
 
     @cached_property
@@ -207,11 +204,15 @@ class DenominatorTable:
         """The frames per rescale of the probability-domain pass, from the
         largest row sum of the transition matrix, which bounds a frame's
         lift of the forward mass, and its largest column sum, which bounds
-        the backward's."""
-        ones = np.ones(self.num_states)
+        the backward's: read from the form the pass runs, the rows of
+        ``_lockstep`` or the jagged products of a vector of ones."""
         with np.errstate(over="ignore", invalid="ignore"):
-            growth = max(product(ones).max(initial=0.0)
-                         for product in _products(self))
+            if self.num_states <= _DENSE_MAX:
+                growth = self._lockstep.sum(axis=1).max()
+            else:
+                ones = np.ones(self.num_states)
+                growth = max(product(ones).max(initial=0.0)
+                             for product in _products(self))
         return _block_frames(float(growth))
 
     @cached_property
@@ -531,16 +532,12 @@ def denominator_forward(posterior, den: DenominatorTable) -> ForwardResult:
 
 def _products(table: DenominatorTable, log: bool = False):
     """Functions taking a forward vector ``v`` to ``v M`` and a backward
-    vector ``v`` to ``M v``, where ``M`` is the table's transition matrix:
-    the dense matrix's own products for a table of at most ``_DENSE_MAX``
-    states, else the products by its factors as jagged diagonals.  With
-    ``log`` the vectors and ``M`` hold logs, and the products always run
-    over the factors."""
+    vector ``v`` to ``M v``, where ``M`` is the table's transition matrix,
+    as the products by its factors laid out as jagged diagonals.  With
+    ``log`` the vectors and ``M`` hold logs."""
     if log:
         return tuple(_jagged(d, [s.logw for s in d.stages], np.add,
                              np.logaddexp, NEG_INF) for d in table._layout)
-    if table.num_states <= _DENSE_MAX:
-        return table._matrix.T.dot, table._matrix.dot
     return tuple(_jagged(d, [s.prob for s in d.stages], np.multiply, np.add,
                          0.0) for d in table._layout)
 

@@ -26,6 +26,16 @@ from .errors import DataError, NumericalError, _check_count
 
 CHECKPOINT_MAGIC = b"ACMD"
 CHECKPOINT_VERSION = 1
+# the largest magnitude of a float32, the type a checkpoint stores
+_CHECKPOINT_MAX = float(np.finfo(np.float32).max)
+
+
+def _past_checkpoint_range(params) -> str | None:
+    """The name of the first tensor holding a value a checkpoint cannot
+    store, one that is NaN or of magnitude past float32's largest; None
+    where every value fits."""
+    return next((name for name, p in params
+                 if not np.abs(p).max() <= _CHECKPOINT_MAX), None)
 
 
 @dataclass(frozen=True)
@@ -273,6 +283,13 @@ class AcousticModel:
     # -- checkpointing --------------------------------------------------------
 
     def save(self, path) -> None:
+        """Write the checkpoint, or raise a DataError naming the first
+        tensor a checkpoint cannot store before the file is opened."""
+        bad = _past_checkpoint_range(self.parameters())
+        if bad is not None:
+            raise DataError(f"tensor {bad} holds NaN or a value past "
+                            f"{_CHECKPOINT_MAX:.4g}, the float32 range a "
+                            f"checkpoint stores")
         header = {
             "input_dim": self.input_dim,
             "num_outputs": self.num_outputs,

@@ -9,10 +9,8 @@ import numpy as np
 from .decoder import evaluate_error_rate, greedy_decode
 from .errors import DataError, NumericalError, _check_count
 from .loss import DenominatorTable, check_alpha, crf_loss
-from .model import AcousticModel, Adam, Sgd
-
-# the largest magnitude of a float32, the type a checkpoint stores
-_CHECKPOINT_MAX = float(np.finfo(np.float32).max)
+from .model import (_CHECKPOINT_MAX, AcousticModel, Adam, Sgd,
+                    _past_checkpoint_range)
 
 
 @dataclass
@@ -80,11 +78,11 @@ def _clip_gradients(grads, max_norm: float) -> None:
 def _check_update(params, learning_rate: float) -> None:
     """Raise a DataError naming the learning rate where an update moved a
     parameter past the float32 range a checkpoint stores."""
-    for name, p in params:
-        if not np.abs(p).max() <= _CHECKPOINT_MAX:
-            raise DataError(f"learning rate {learning_rate!r} moved {name} "
-                            f"past {_CHECKPOINT_MAX:.4g}, the float32 range "
-                            f"a checkpoint stores")
+    name = _past_checkpoint_range(params)
+    if name is not None:
+        raise DataError(f"learning rate {learning_rate!r} moved {name} "
+                        f"past {_CHECKPOINT_MAX:.4g}, the float32 range "
+                        f"a checkpoint stores")
 
 
 def heldout_token_error(model: AcousticModel, heldout, alphabet) -> float:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ctc_crf import (LOG, AcousticModel, Alphabet, DataError, dataio,
+from ctc_crf import (LOG, AcousticModel, Alphabet, DataError, cli, dataio,
                      flatten_denominator, read_arpa, read_fst_text,
                      score_sequence, toydata)
 from ctc_crf.cli import build_parser, main
@@ -346,6 +346,68 @@ def test_decode_worker_pool_matches_serial(pipeline, toy_dir, tmp_path):
     assert _run(*args, "--hyp", tmp_path / "pooled.tsv", "--workers", 2) == 0
     assert (tmp_path / "serial.tsv").read_bytes() == \
         (tmp_path / "pooled.tsv").read_bytes()
+
+
+@pytest.mark.parametrize("source,value", [("flag", 0), ("flag", -3),
+                                          ("config", 0), ("config", "abc")])
+def test_decode_workers_below_one_is_data_error(pipeline, toy_dir, tmp_path,
+                                                capsys, source, value):
+    # 0 or a negative count once decoded serially and said nothing
+    args = ["decode",
+            "--manifest", pipeline / "dev" / "manifest.tsv",
+            "--alphabet", toy_dir / "alphabet.txt",
+            "--checkpoint", pipeline / "model.ckpt",
+            "--graph", pipeline / "graphs" / "TLG.fst",
+            "--hyp", tmp_path / "hyp.tsv"]
+    if source == "flag":
+        args += ["--workers", value]
+    else:
+        config = tmp_path / "run.cfg"
+        config.write_text(f"workers = {value}\n")
+        args[1:1] = ["--config", config]
+    assert _run(*args) == 2
+    assert "data error:" in capsys.readouterr().err
+    assert not (tmp_path / "hyp.tsv").exists()
+
+
+def test_decode_pool_is_capped_by_utterances_and_cpus(pipeline, toy_dir,
+                                                      tmp_path, monkeypatch):
+    # --workers 1000000 once asked the pool for a million processes.  The
+    # pool here records the size it is asked for and runs the map in this
+    # process, so no process starts
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, processes, initializer, initargs):
+            sizes.append(processes)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, func, jobs):
+            return list(map(func, jobs))
+
+    monkeypatch.setattr(cli.multiprocessing, "Pool", RecordingPool)
+    monkeypatch.setattr(cli, "_worker_decoder", ())
+    manifest = pipeline / "dev" / "manifest.tsv"
+    utts = len(dataio.read_manifest(manifest))
+    args = ["decode", "--manifest", manifest,
+            "--alphabet", toy_dir / "alphabet.txt",
+            "--checkpoint", pipeline / "model.ckpt",
+            "--graph", pipeline / "graphs" / "TLG.fst"]
+    assert _run(*args, "--hyp", tmp_path / "serial.tsv") == 0
+    assert sizes == []
+    for cpus, want in ((3, [3]), (utts + 5, [utts]), (1, []), (None, [])):
+        sizes.clear()
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        hyp = tmp_path / f"pooled-{cpus}.tsv"
+        assert _run(*args, "--hyp", hyp, "--workers", 1_000_000) == 0
+        assert sizes == want, cpus
+        assert hyp.read_bytes() == (tmp_path / "serial.tsv").read_bytes()
 
 
 def _train_argv(pipeline, toy_dir, tmp_path, den_table):
@@ -800,8 +862,7 @@ def test_config_value_changed_exits_0_or_2(pipeline, toy_dir, fuzz_dir,
                                            data):
     # one setting of train or decode given an absurd value in the --config
     # file: the run copes or names the fault, never exit 3, never a
-    # traceback.  --workers is left out, as a value there starts that many
-    # processes; the flags the command line gives override the file, so
+    # traceback.  The flags the command line gives override the file, so
     # the file sets the rest, train's epochs on the line before
     command = data.draw(st.sampled_from(["train", "decode"]))
     if command == "train":
@@ -819,7 +880,7 @@ def test_config_value_changed_exits_0_or_2(pipeline, toy_dir, fuzz_dir,
     keys = sorted(action.option_strings[0][2:]
                   for action in build_parser()[1][command]._actions
                   if action.option_strings[0] not in given
-                  and action.dest not in ("help", "config", "workers"))
+                  and action.dest not in ("help", "config"))
     key = data.draw(st.sampled_from(keys))
     value = data.draw(st.sampled_from(_ABSURD_SETTINGS))
     config = fuzz_dir / "run.cfg"
@@ -872,6 +933,21 @@ def test_graph_state_id_changed_into_an_epsilon_cycle_exits_2(
                 "--hyp", fuzz_dir / "hyp.tsv") == 2, (i + 1, j, rows[i][j])
 
 
+def _set_checkpoint_value(src, dst, tensor: int, k: int, value) -> str:
+    """Copy checkpoint ``src`` to ``dst`` with entry ``k`` of its
+    ``tensor``-th tensor set to ``value`` in the file's bytes, as float32,
+    since save refuses a value it cannot hold finitely; returns the
+    tensor's name."""
+    params = AcousticModel.load(src).parameters()
+    raw = bytearray(src.read_bytes())
+    at = (12 + int.from_bytes(raw[8:12], "little")
+          + 4 * (sum(p.size for _, p in params[:tensor]) + k))
+    with np.errstate(over="ignore"):
+        raw[at:at + 4] = np.array([value]).astype("<f4").tobytes()
+    dst.write_bytes(raw)
+    return params[tensor][0]
+
+
 # a checkpoint value past float32's range, which the file holds as an
 # infinity, and float32's largest finite values
 _ABSURD_TENSOR_VALUES = [1e308, -1e308, 3.4e38, -3.4e38]
@@ -890,15 +966,13 @@ def test_model_input_with_one_value_changed_exits_0_or_2(pipeline, toy_dir,
     manifest = pipeline / kind.split()[0] / "manifest.tsv"
     checkpoint = pipeline / "model.ckpt"
     if kind == "checkpoint":
-        model = AcousticModel.load(checkpoint)
-        params = model.parameters()
-        name, param = params[data.draw(st.integers(0, len(params) - 1))]
-        k = data.draw(st.integers(0, param.size - 1))
+        params = AcousticModel.load(checkpoint).parameters()
+        i = data.draw(st.integers(0, len(params) - 1))
+        k = data.draw(st.integers(0, params[i][1].size - 1))
         value = data.draw(st.sampled_from(_ABSURD_TENSOR_VALUES))
-        param.flat[k] = value
+        name = _set_checkpoint_value(checkpoint, fuzz_dir / "model.ckpt",
+                                     i, k, value)
         checkpoint = fuzz_dir / "model.ckpt"
-        with np.errstate(over="ignore"):
-            model.save(checkpoint)
         where = (name, k, value)
     else:
         entries = dataio.read_manifest(manifest)
@@ -986,11 +1060,8 @@ def test_decode_checkpoint_with_a_zero_width_layer_is_data_error(
 def test_decode_non_finite_checkpoint_weight_is_data_error(
         pipeline, toy_dir, tmp_path, capsys, value):
     # one NaN weight used to load, and decode ended with exit 3
-    model = AcousticModel.load(pipeline / "model.ckpt")
-    name, param = model.parameters()[-1]
-    param.flat[3] = value
     ckpt = tmp_path / "model.ckpt"
-    model.save(ckpt)
+    name = _set_checkpoint_value(pipeline / "model.ckpt", ckpt, -1, 3, value)
     assert _run("decode",
                 "--manifest", pipeline / "dev" / "manifest.tsv",
                 "--alphabet", toy_dir / "alphabet.txt",

@@ -3,6 +3,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -341,7 +342,7 @@ def test_toy_bigram_table_runs_over_its_transitions(toy_bigram_graph):
     assert denominator_forward(post, table).feasible
     assert "_layout" not in vars(table)
     want = flattened_matrix(toy_bigram_graph)
-    assert np.all(np.abs(table._matrix - want) <= 1e-12)
+    assert np.all(np.abs(table._lockstep[29:, 29:] - want) <= 1e-12)
     closure, arcs = table._factor_entries
     assert (len(closure[0]), len(arcs[0]), table.num_transitions) == \
         (35, 210, 210)
@@ -369,7 +370,7 @@ def test_dense_and_sparse_passes_agree(toy_bigram_graph, monkeypatch):
               *(_random_chain(rng, n, 6) for n in (63, 64, 65))]
     for table in tables:
         denominator_forward(random_log_softmax(rng, 1, 6), table)
-        assert ("_matrix" in vars(table)) == (table.num_states <= 64)
+        assert ("_lockstep" in vars(table)) == (table.num_states <= 64)
     for table in tables:
         post = random_log_softmax(rng, 100, 6)
         monkeypatch.setattr(loss, "_DENSE_MAX", table.num_states)
@@ -487,7 +488,6 @@ def test_block_shortens_where_columns_could_lift_the_backward_mass(
                              [(src, dst, log_weight, n, n)])
     rows = np.exp(log_weight) @ (src[:, None] == np.arange(n))
     assert loss._block_frames(rows.max()) == 8
-    assert table._block == 7
 
     def no_fallback(*args):
         raise AssertionError("the rescaled pass fell back")
@@ -495,9 +495,51 @@ def test_block_shortens_where_columns_could_lift_the_backward_mass(
     post = random_log_softmax(np.random.default_rng(7), 30, 3)
     want = _forward_backward_log(post, table)
     monkeypatch.setattr(loss, "_forward_backward_log", no_fallback)
-    got = denominator_forward(post, table)
-    _assert_same_result(got, frozen_forward_backward(post, table))
-    _assert_matches_log(got, want)
+    for _ in dense_then_sparse(monkeypatch):
+        # a fresh table per form, which finds its block from that form
+        table = _fresh(table)
+        assert table._block == 7
+        assert ("_lockstep" in vars(table)) == (loss._DENSE_MAX > 0)
+        got = denominator_forward(post, table)
+        _assert_same_result(got, frozen_forward_backward(post, table))
+        _assert_matches_log(got, want)
+
+
+def _fresh(table):
+    """A new table over ``table``'s factors, with no form built and no block
+    found yet."""
+    return DenominatorTable(table.start, table.final, table.state_label,
+                            table.num_labels, table._factor_entries)
+
+
+def test_block_is_the_same_in_both_forms(toy_bigram_graph, monkeypatch):
+    # the toy bigram, reference chains of 0 to 31 labels, whose block is
+    # set without either form, and random two-factor tables, also with
+    # every weight lifted e^10 so that some run shorter blocks: the dense
+    # form's rows and the jagged products of ones find the same block, the
+    # one the largest row or column sum of the dense product allows
+    rng = np.random.default_rng(23)
+    randoms = [_random_factor_table(rng, n, inner, 3)
+               for n, inner in ((20, 40), (64, 50), (90, 70))]
+    lifted = [DenominatorTable(t.start, t.final, t.state_label, 3,
+                               [(s, d, w + 10.0, r, c)
+                                for s, d, w, r, c in t._factor_entries])
+              for t in randoms]
+    tables = [flatten_denominator(toy_bigram_graph),
+              *(_reference_chain(rng.integers(1, 6, units), 6)
+                for units in range(32)), *randoms, *lifted]
+    wants = []
+    for table in tables:
+        product = reduce(np.matmul,
+                         [_dense(f) for f in table._factor_entries])
+        want = loss._block_frames(max(product.sum(axis=0).max(),
+                                      product.sum(axis=1).max()))
+        for bound in (table.num_states, 0):
+            monkeypatch.setattr(loss, "_DENSE_MAX", bound)
+            assert _fresh(table)._block == want
+        assert table._block == want
+        wants.append(want)
+    assert min(wants) < 8
 
 
 @pytest.mark.parametrize("low,frames", [((7, 8), 18), ((1, 9), 20)],

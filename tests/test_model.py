@@ -200,6 +200,20 @@ def test_checkpoint_takes_numpy_integer_counts(tmp_path):
     assert path.read_bytes() == (tmp_path / "want.ckpt").read_bytes()
 
 
+@pytest.mark.parametrize("value", [1e39, -np.inf, np.nan])
+def test_checkpoint_save_rejects_a_value_float32_cannot_hold(tmp_path,
+                                                             value):
+    # a value past float32's range was written as an infinity, with a
+    # numpy warning, into a file that load then rejected
+    model = tiny_model()
+    name, param = model.parameters()[2]
+    param.flat[1] = value
+    path = tmp_path / "m.ckpt"
+    with pytest.raises(DataError, match=f"tensor {name} holds"):
+        model.save(path)
+    assert not path.exists()
+
+
 def test_checkpoint_rejects_garbage(tmp_path):
     path = tmp_path / "bad.ckpt"
     path.write_bytes(b"nope")
